@@ -11,15 +11,13 @@ million-user run):
   :class:`~repro.core.batch.ProfileMatrix`; below
   :data:`MAX_INMEMORY_USERS` also against the JSONL parse + per-trace
   path it replaces,
-* **sharded** -- ``geolocate_store_sharded`` across a worker sweep
-  (1..cpu_count processes), against the unsharded
-  ``geolocate_store`` oracle, with the verdict equality asserted,
-* **kernel**  -- the segmented Eq. 1 counts backends (numpy vs numba,
-  when numba is installed) on one chunk of the crowd,
-* **build / snapshot / checkpoint** (below :data:`MAX_INMEMORY_USERS`)
-  -- the shared-memory parallel Eq. 1 kernel against the pickle
-  fan-out, and the streaming geolocator's warm-snapshot + checkpoint
-  layers from the previous scale PR.
+* **sharded** -- ``geolocate_store_sharded`` at :data:`SWEEP_SHARDS`
+  shards across a worker sweep (1..cpu_count processes), against
+  ``geolocate_store`` at its default sharding, with the verdict
+  equality asserted,
+* **snapshot / checkpoint** (below :data:`MAX_INMEMORY_USERS`) -- the
+  streaming geolocator's warm-snapshot + checkpoint layers from the
+  previous scale PR.
 
 Results are merged into ``BENCH_core.json`` under the ``"scale"`` key
 (the ``full``/``smoke`` sections written by :mod:`perf_baseline` are
@@ -45,26 +43,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from perf_baseline import BENCH_PATH
 
-from repro.core.batch import (
-    ProfileMatrix,
-    counts_parallel_pickle,
-    counts_parallel_shm,
-)
+from repro.core.batch import ProfileMatrix
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.geolocate import CrowdGeolocator
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    kernel_backend,
-    segment_counts_numpy,
-)
 from repro.core.reference import parametric_generic_profile
 from repro.core.streaming import StreamingGeolocator
 from repro.datasets.store import TraceStore
 from repro.datasets.traces import load_trace_set, save_trace_set
 
 #: Above this crowd size the in-memory comparison layers (JSONL baseline,
-#: shm-vs-pickle build, streaming snapshots) are skipped -- they exist to
-#: compare against superseded paths and would dominate the bench; the
+#: streaming snapshots) are skipped -- they exist to compare against
+#: superseded paths and would dominate the bench; the
 #: streamed store write and the sharded engine are what scale.
 MAX_INMEMORY_USERS = 200_000
 
@@ -197,7 +186,11 @@ def _time(func, *, repeat: int = 1) -> float:
 
 
 def _bench_sharded(store: TraceStore, workers_sweep: list[int]) -> dict:
-    """Sharded engine vs the unsharded oracle, across a worker sweep."""
+    """The fixed-shard worker sweep vs the default-sharded store run.
+
+    ``oracle_store_s`` times ``geolocate_store`` at its default sharding
+    (one shard per 65,536 users, inline); every sweep verdict must equal it.
+    """
     locator = CrowdGeolocator()
     sharded: dict = {"n_shards": SWEEP_SHARDS, "workers": {}}
 
@@ -229,34 +222,6 @@ def _bench_sharded(store: TraceStore, workers_sweep: list[int]) -> dict:
     best = min(sharded["workers"].values())
     sharded["multiworker_speedup"] = round(single / best, 2)
     return sharded
-
-
-def _bench_kernels(n_users: int, posts_per_user: int) -> dict:
-    """Segmented Eq. 1 counts: numpy pass vs the numba JIT (if present)."""
-    sample_users = min(n_users, CHUNK_USERS)
-    _, lengths, stamps = next(
-        iter(synthetic_chunks(sample_users, posts_per_user))
-    )
-    kernel: dict = {
-        "backend_default": kernel_backend(),
-        "sample_users": sample_users,
-        "numpy_s": round(
-            _time(lambda: segment_counts_numpy(stamps, lengths, 0.0), repeat=3),
-            4,
-        ),
-    }
-    if HAVE_NUMBA:
-        from repro.core.kernels import segment_counts_numba
-
-        segment_counts_numba(stamps[:100], lengths[:1], 0.0)  # JIT warm-up
-        kernel["numba_s"] = round(
-            _time(lambda: segment_counts_numba(stamps, lengths, 0.0), repeat=3),
-            4,
-        )
-        kernel["numba_speedup"] = round(
-            kernel["numpy_s"] / kernel["numba_s"], 2
-        )
-    return kernel
 
 
 def run(
@@ -292,11 +257,10 @@ def run(
 
         print(f"sharded sweep over workers {workers_sweep} ...")
         results["sharded"] = _bench_sharded(store, workers_sweep)
-        results["kernel"] = _bench_kernels(n_users, posts_per_user)
 
         if n_users > MAX_INMEMORY_USERS:
             print(
-                f"  (skipping JSONL/build/snapshot comparison layers above "
+                f"  (skipping JSONL/snapshot comparison layers above "
                 f"{MAX_INMEMORY_USERS} users)"
             )
             return results
@@ -314,16 +278,6 @@ def run(
         results["jsonl_load_s"] = round(_time(load_jsonl), 4)
         results["load_speedup"] = round(
             results["jsonl_load_s"] / results["store_load_s"], 2
-        )
-
-        results["build_pickle_s"] = round(
-            _time(lambda: counts_parallel_pickle(stamps, lengths), repeat=2), 4
-        )
-        results["build_shm_s"] = round(
-            _time(lambda: counts_parallel_shm(stamps, lengths), repeat=2), 4
-        )
-        results["build_speedup"] = round(
-            results["build_pickle_s"] / results["build_shm_s"], 2
         )
 
         meta, arrays = _binary_columns(user_ids, stamps, lengths, min_posts=30)

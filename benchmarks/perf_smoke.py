@@ -293,7 +293,7 @@ def _ingest_throughput_check() -> bool:
 
 
 def _shard_merge_check() -> bool:
-    """Gate: 2-shard merged verdict must be bit-identical to the oracle."""
+    """Gate: the 2-shard store verdict must equal the in-memory pipeline's."""
     import tempfile
 
     from _shared import synthetic_crowd
@@ -304,7 +304,7 @@ def _shard_merge_check() -> bool:
     locator = CrowdGeolocator()
     with tempfile.TemporaryDirectory() as tmp:
         store = TraceStore.write(crowd, Path(tmp) / "smoke.store")
-        oracle = locator.geolocate_store(store, crowd_name="smoke")
+        oracle = locator.geolocate(store.to_trace_set(), crowd_name="smoke")
         sharded = locator.geolocate_store_sharded(
             store, crowd_name="smoke", n_shards=2, max_workers=1
         )
@@ -320,7 +320,7 @@ def _shard_merge_check() -> bool:
         and (sharded.crowd_profile.mass == oracle.crowd_profile.mass).all()
     )
     status = "ok" if ok else "FAIL"
-    print(f"  {'shard_merge_identity':24s} 2 shards vs oracle  {status}")
+    print(f"  {'shard_merge_identity':24s} 2 shards vs geolocate()  {status}")
     return bool(ok)
 
 

@@ -614,18 +614,12 @@ def _cmd_geolocate(context, args) -> None:
             )
         with trace_span("store_load", path=str(args.traces)):
             store = TraceStore.open(args.traces)
-        locator = CrowdGeolocator(context.references)
-        if args.shards is not None:
-            report = locator.geolocate_store_sharded(
-                store,
-                crowd_name=Path(args.traces).stem,
-                n_shards=args.shards,
-                max_workers=args.workers,
-            )
-        else:
-            report = locator.geolocate_store(
-                store, crowd_name=Path(args.traces).stem
-            )
+        report = CrowdGeolocator(context.references).geolocate_store(
+            store,
+            crowd_name=Path(args.traces).stem,
+            n_shards=args.shards,
+            max_workers=args.workers,
+        )
         _print_placement(f"{report.crowd_name} placement", report.placement)
         print(report.summary())
         return
@@ -1394,15 +1388,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="with --store: run the sharded engine over N user-range shards "
-        "(bit-identical to the unsharded pipeline for any N)",
+        help="with --store: split the store into N user-range shards "
+        "(default: one per 65,536 users; the verdict is the same for any N)",
     )
     geolocate.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="M",
-        help="with --shards: fan shards out over M worker processes "
+        help="with --store: fan shards out over M worker processes "
         "(workers open the memmapped store columns themselves)",
     )
     convert = sub.add_parser(

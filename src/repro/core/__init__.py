@@ -27,6 +27,7 @@ from repro.core.emd import distance_matrix, emd_circular, emd_linear
 from repro.core.reference import ReferenceProfiles, parametric_generic_profile
 from repro.core.placement import (
     PlacementDistribution,
+    classify_profiles,
     place_profile_matrix,
     place_trace_set,
     place_users,
@@ -45,13 +46,7 @@ from repro.core.dst_family import DstFamily, classify_dst_family
 from repro.core.confidence import BootstrapResult, bootstrap_mixture
 from repro.core.streaming import StreamingGeolocator, StreamSnapshot
 from repro.core.metrics import fit_distance_metrics, pearson
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    available_backends,
-    kernel_backend,
-    segment_counts,
-    set_kernel_backend,
-)
+from repro.core.kernels import segment_counts
 from repro.core.shard import (
     ShardPartial,
     compute_partials,
@@ -77,6 +72,7 @@ __all__ = [
     "ReferenceProfiles",
     "parametric_generic_profile",
     "PlacementDistribution",
+    "classify_profiles",
     "place_profile_matrix",
     "place_trace_set",
     "place_users",
@@ -101,11 +97,7 @@ __all__ = [
     "StreamSnapshot",
     "fit_distance_metrics",
     "pearson",
-    "HAVE_NUMBA",
-    "available_backends",
-    "kernel_backend",
     "segment_counts",
-    "set_kernel_backend",
     "ShardPartial",
     "compute_partials",
     "compute_shard_partial",

@@ -6,29 +6,20 @@ thousands to millions of users.  :class:`ProfileMatrix` stores an entire
 crowd as one contiguous ``(N, 24)`` row-stochastic array keyed by user id
 and is built in a single vectorised pass over *all* timestamps of a
 :class:`~repro.core.events.TraceSet`: every post is encoded into a flat
-``user * span + (day*24 + hour)`` cell, one ``np.unique`` drops the
-duplicate day-hours (the paper's indicator ``a_d(h)``), and one
-``np.bincount`` accumulates the per-hour counts for every user at once.
-
-For very large crowds the build can fan out over a
-``concurrent.futures.ProcessPoolExecutor`` (off by default, auto-enabled
-above :data:`PARALLEL_USER_THRESHOLD` users, falling back to the serial
-path with a ``RuntimeWarning`` when the pool cannot be spawned or breaks
-mid-build).  The default fan-out is zero-copy: the concatenated stamp
-column, the per-user lengths and the output count matrix live in
-``multiprocessing.shared_memory`` blocks that workers attach to by name,
-so the per-worker payload is a handful of scalars no matter how many
-posts the crowd holds (:func:`counts_parallel_shm`); the original
-pickle-the-buffers fan-out is kept as :func:`counts_parallel_pickle` for
-comparison and as the oracle it is benchmarked against.
+``user * span + (day*24 + hour)`` cell, duplicate day-hours (the paper's
+indicator ``a_d(h)``) are dropped, and one ``np.bincount`` accumulates
+the per-hour counts for every user at once
+(:func:`repro.core.kernels.segment_counts`).
 
 Out-of-core crowds enter through :meth:`ProfileMatrix.from_store`, which
 walks a :class:`~repro.datasets.store.TraceStore` shard by shard and runs
 the flat Eq. 1 kernel directly on each shard's memmapped stamp segment --
-no per-trace Python objects, peak memory bounded by one shard.
+no per-trace Python objects, peak memory bounded by one shard.  Crowds
+too large for one process are split by the sharded engine
+(:mod:`repro.core.shard`), whose process pool is the only fan-out.
 
 Downstream, :func:`repro.core.emd.distance_matrix`,
-:func:`repro.core.flatness.polish_profile_matrix` and
+:func:`repro.core.placement.classify_profiles` and
 :func:`repro.core.placement.place_profile_matrix` consume the matrix
 directly, so the whole polish -> place -> crowd-profile pipeline touches
 NumPy arrays only.  The per-``Profile`` functions remain as the reference
@@ -38,7 +29,6 @@ implementation the batch paths are property-tested against.
 from __future__ import annotations
 
 import logging
-import warnings
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Any
 
@@ -53,31 +43,10 @@ from repro.obs.logs import get_logger, log_event
 from repro.obs.progress import ProgressReporter
 
 if TYPE_CHECKING:
-    from repro.core.types import BoolArray, FloatArray, IntArray
-    from repro.datasets.store import TraceStore
+    from repro.core.types import BoolArray, FloatArray
+    from repro.datasets.store import StoreShard, TraceStore
 
 _log = get_logger("core")
-
-#: Crowd size above which :meth:`ProfileMatrix.from_trace_set` spreads the
-#: build over a process pool when ``parallel`` is left unset.
-PARALLEL_USER_THRESHOLD = 50_000
-
-#: Users per worker chunk on the parallel path.
-PARALLEL_CHUNK_USERS = 8_192
-
-
-def _flat_segment_counts(
-    stamps: FloatArray, lengths: IntArray, offset_hours: float
-) -> FloatArray:
-    """Counts kernel over a pre-concatenated timestamp array.
-
-    *stamps* holds every user's timestamps back to back; *lengths* gives
-    the per-user segment sizes.  Returns ``(len(lengths), 24)`` counts.
-    Dispatches to the active :mod:`repro.core.kernels` backend (the
-    JIT-compiled numba loop when installed, the vectorised numpy pass
-    otherwise -- the two are bit-identical).
-    """
-    return segment_counts(stamps, lengths, offset_hours)
 
 
 def segmented_hour_counts(
@@ -99,15 +68,29 @@ def segmented_hour_counts(
     if int(lengths.sum()) == 0:
         return np.zeros((n_users, HOURS), dtype=float)
     stamps = np.concatenate(timestamp_arrays)
-    return _flat_segment_counts(stamps, lengths, offset_hours)
+    return segment_counts(stamps, lengths, offset_hours)
 
 
-def _record_build(branch: str, n_users: int, elapsed_s: float) -> None:
-    """Account one counts-kernel build: branch taken and users/sec."""
+def shard_hour_counts(shard: "StoreShard", offset_hours: float = 0.0) -> FloatArray:
+    """Eq. 1 numerators of every user in one store shard, in one pass.
+
+    Runs the counts kernel straight on the shard's memmapped stamp
+    segment; every user of the shard gets a row, zero-post users an
+    all-zero one.  Shared by :meth:`ProfileMatrix.from_store` and the
+    sharded engine, and accounted as one profile build.
+    """
+    watch = obs_metrics.Stopwatch()
+    counts = segment_counts(
+        np.asarray(shard.stamps, dtype=np.float64), shard.lengths, offset_hours
+    )
+    _record_build(len(shard), watch.elapsed_s())
+    return counts
+
+
+def _record_build(n_users: int, elapsed_s: float) -> None:
+    """Account one counts-kernel build: users and users/sec."""
     obs_metrics.counter(
-        "repro_batch_builds_total",
-        "ProfileMatrix count builds by kernel branch",
-        branch=branch,
+        "repro_batch_builds_total", "Eq. 1 count builds (one per crowd or shard)"
     ).inc()
     obs_metrics.counter(
         "repro_batch_build_users_total", "users whose Eq. 1 rows were built"
@@ -120,251 +103,10 @@ def _record_build(branch: str, n_users: int, elapsed_s: float) -> None:
             _log,
             logging.DEBUG,
             "profile_build",
-            branch=branch,
             n_users=n_users,
             wall_s=round(elapsed_s, 6),
             users_per_s=round(n_users / elapsed_s, 1),
         )
-
-
-def _parallel_fallback(exc: Exception, fanout: str) -> None:
-    """Account + announce a parallel build degrading to the serial pass.
-
-    The structured event and the ``repro_batch_parallel_fallback_total``
-    counter are the supported signal; the ``RuntimeWarning`` is kept for
-    one deprecation cycle for callers still filtering on it.
-    """
-    obs_metrics.counter(
-        "repro_batch_parallel_fallback_total",
-        "parallel profile builds that degraded to the serial pass",
-    ).inc()
-    log_event(
-        _log,
-        logging.WARNING,
-        "batch_parallel_fallback",
-        fanout=fanout,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-    warnings.warn(
-        f"parallel profile build failed ({type(exc).__name__}: "
-        f"{exc}); falling back to the serial pass",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _default_workers(max_workers: int | None) -> int:
-    import os
-
-    if max_workers is None:
-        return min(8, os.cpu_count() or 1)
-    return max(1, int(max_workers))
-
-
-def _chunk_bounds(n_users: int, max_workers: int) -> list[tuple[int, int]]:
-    """Contiguous, non-empty (user_lo, user_hi) chunks covering every user.
-
-    ``linspace`` bounds can repeat when there are fewer users than chunk
-    slots (1-user crowds, tiny tails); repeated bounds would yield empty
-    chunks, which are filtered here -- the surviving chunks still tile
-    ``[0, n_users)`` exactly, so the fan-out never drops a user.
-    """
-    if n_users <= 0:
-        return []
-    n_chunks = max(1, min(max_workers * 2, n_users // PARALLEL_CHUNK_USERS + 1))
-    bounds = np.linspace(0, n_users, n_chunks + 1).astype(np.int64)
-    return [
-        (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-
-
-def _parallel_chunk_counts(
-    payload: tuple[float, FloatArray, IntArray]
-) -> FloatArray:
-    """Pickle-path pool worker: counts for one contiguous chunk of users.
-
-    The payload ships one concatenated stamp array plus per-user lengths --
-    two large picklable buffers -- rather than thousands of small arrays,
-    which keeps serialisation cost proportional to the chunk's data.
-    """
-    offset_hours, stamps, lengths = payload
-    return _flat_segment_counts(stamps, lengths, offset_hours)
-
-
-def counts_parallel_pickle(
-    stamps: FloatArray,
-    lengths: IntArray,
-    offset_hours: float = 0.0,
-    max_workers: int | None = None,
-) -> FloatArray:
-    """The original fan-out: each worker receives its buffers by pickle.
-
-    Kept as the baseline the zero-copy path is benchmarked against (and
-    as a fallback for platforms without POSIX shared memory).
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    n_users = int(lengths.size)
-    if n_users == 0:
-        return np.zeros((0, HOURS), dtype=float)
-    if stamps.size == 0:
-        return np.zeros((n_users, HOURS), dtype=float)
-    max_workers = _default_workers(max_workers)
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    payloads = [
-        (offset_hours, stamps[starts[lo] : starts[hi]], lengths[lo:hi])
-        for lo, hi in _chunk_bounds(n_users, max_workers)
-    ]
-    obs_metrics.counter(
-        "repro_batch_chunks_dispatched_total",
-        "worker chunks fanned out by the parallel counts kernels",
-        fanout="pickle",
-    ).inc(len(payloads))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(_parallel_chunk_counts, payloads))
-    return np.vstack(results)
-
-
-def _shm_chunk_worker(
-    payload: tuple[str, str, str, int, int, float, int, int, int, int]
-) -> None:
-    """Shared-memory pool worker: attach by name, compute, write in place.
-
-    The payload is pure scalars (block names, sizes, slice bounds), so
-    dispatching a worker costs the same whether the crowd holds a thousand
-    posts or a billion.  Count rows are written straight into the shared
-    output block; nothing is returned.
-    """
-    from multiprocessing import shared_memory
-
-    (
-        stamp_name,
-        length_name,
-        out_name,
-        n_posts,
-        n_users,
-        offset_hours,
-        user_lo,
-        user_hi,
-        stamp_lo,
-        stamp_hi,
-    ) = payload
-    blocks: list[shared_memory.SharedMemory] = []
-    try:
-        stamp_shm = shared_memory.SharedMemory(name=stamp_name)
-        blocks.append(stamp_shm)
-        length_shm = shared_memory.SharedMemory(name=length_name)
-        blocks.append(length_shm)
-        out_shm = shared_memory.SharedMemory(name=out_name)
-        blocks.append(out_shm)
-        stamps = np.ndarray((n_posts,), dtype=np.float64, buffer=stamp_shm.buf)
-        lengths = np.ndarray((n_users,), dtype=np.int64, buffer=length_shm.buf)
-        out = np.ndarray((n_users, HOURS), dtype=np.float64, buffer=out_shm.buf)
-        out[user_lo:user_hi] = _flat_segment_counts(
-            stamps[stamp_lo:stamp_hi], lengths[user_lo:user_hi], offset_hours
-        )
-    finally:
-        for block in blocks:
-            block.close()
-
-
-def counts_parallel_shm(
-    stamps: FloatArray,
-    lengths: IntArray,
-    offset_hours: float = 0.0,
-    max_workers: int | None = None,
-) -> FloatArray:
-    """Zero-copy fan-out of the Eq. 1 counts kernel.
-
-    The stamp column, the per-user lengths and the ``(N, 24)`` output all
-    live in ``multiprocessing.shared_memory``; workers attach by name and
-    write their rows in place, so per-worker dispatch cost is O(1) in the
-    data size.  The blocks are always closed and unlinked, success or not.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    n_users = int(lengths.size)
-    if n_users == 0:
-        return np.zeros((0, HOURS), dtype=float)
-    if stamps.size == 0:
-        return np.zeros((n_users, HOURS), dtype=float)
-    max_workers = _default_workers(max_workers)
-    stamps = np.ascontiguousarray(stamps, dtype=np.float64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    blocks: list[shared_memory.SharedMemory] = []
-    try:
-        stamp_shm = shared_memory.SharedMemory(create=True, size=stamps.nbytes)
-        blocks.append(stamp_shm)
-        length_shm = shared_memory.SharedMemory(create=True, size=lengths.nbytes)
-        blocks.append(length_shm)
-        out_shm = shared_memory.SharedMemory(
-            create=True, size=n_users * HOURS * np.dtype(np.float64).itemsize
-        )
-        blocks.append(out_shm)
-        np.ndarray(stamps.shape, dtype=np.float64, buffer=stamp_shm.buf)[:] = stamps
-        np.ndarray(lengths.shape, dtype=np.int64, buffer=length_shm.buf)[:] = lengths
-        payloads = [
-            (
-                stamp_shm.name,
-                length_shm.name,
-                out_shm.name,
-                int(stamps.size),
-                n_users,
-                offset_hours,
-                lo,
-                hi,
-                int(starts[lo]),
-                int(starts[hi]),
-            )
-            for lo, hi in _chunk_bounds(n_users, max_workers)
-        ]
-        obs_metrics.counter(
-            "repro_batch_chunks_dispatched_total",
-            "worker chunks fanned out by the parallel counts kernels",
-            fanout="shm",
-        ).inc(len(payloads))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(_shm_chunk_worker, payloads))
-        out = np.ndarray((n_users, HOURS), dtype=np.float64, buffer=out_shm.buf)
-        return np.array(out)  # copy out before the block is unlinked
-    finally:
-        for block in blocks:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # already gone (interpreter teardown)
-                pass
-
-
-def _counts_parallel(
-    timestamp_arrays: list[FloatArray],
-    offset_hours: float,
-    max_workers: int | None,
-    fanout: str = "shm",
-) -> FloatArray:
-    """Fan the per-user counts build over worker processes.
-
-    *fanout* selects the transport: ``"shm"`` (default; zero-copy shared
-    memory) or ``"pickle"`` (serialise each chunk's buffers).  Failures
-    propagate -- :meth:`ProfileMatrix.from_trace_set` owns the degrade-to-
-    serial policy.
-    """
-    n_users = len(timestamp_arrays)
-    lengths = np.fromiter(
-        (array.size for array in timestamp_arrays), dtype=np.int64, count=n_users
-    )
-    stamps = (
-        np.concatenate(timestamp_arrays)
-        if timestamp_arrays
-        else np.zeros(0, dtype=float)
-    )
-    if fanout == "shm":
-        return counts_parallel_shm(stamps, lengths, offset_hours, max_workers)
-    if fanout == "pickle":
-        return counts_parallel_pickle(stamps, lengths, offset_hours, max_workers)
-    raise ValueError(f"unknown fanout {fanout!r}; options: shm, pickle")
 
 
 class ProfileMatrix:
@@ -411,20 +153,8 @@ class ProfileMatrix:
         offset_hours: float = 0.0,
         *,
         skip_empty: bool = True,
-        parallel: bool | None = None,
-        max_workers: int | None = None,
-        fanout: str = "shm",
     ) -> "ProfileMatrix":
-        """One-pass vectorised Eq. 1 over a whole crowd.
-
-        *parallel* ``None`` auto-enables the process-pool path above
-        :data:`PARALLEL_USER_THRESHOLD` users; ``True``/``False`` force it.
-        *fanout* picks the transport (``"shm"`` zero-copy shared memory,
-        ``"pickle"`` chunked buffers).  The pool path falls back to the
-        serial build, with a ``RuntimeWarning``, whenever the pool cannot
-        be spawned or breaks mid-build (restricted environments, pickling
-        limits, killed workers).
-        """
+        """One-pass vectorised Eq. 1 over a whole crowd."""
         ids: list[str] = []
         arrays: list[FloatArray] = []
         for trace in traces:
@@ -434,24 +164,9 @@ class ProfileMatrix:
                 raise EmptyTraceError(f"user {trace.user_id!r} has no posts")
             ids.append(trace.user_id)
             arrays.append(trace.timestamps)
-        if parallel is None:
-            parallel = len(ids) >= PARALLEL_USER_THRESHOLD
         watch = obs_metrics.Stopwatch()
-        branch = "serial"
-        counts: FloatArray | None = None
-        if parallel and len(ids) > 1:
-            try:
-                counts = _counts_parallel(arrays, offset_hours, max_workers, fanout)
-                branch = fanout
-            except Exception as exc:
-                # A crashed worker (BrokenProcessPool), a pool that cannot
-                # be spawned, or a pickling limit must degrade to the
-                # serial pass, not lose the build -- but never silently.
-                _parallel_fallback(exc, fanout)
-                counts = None
-        if counts is None:
-            counts = segmented_hour_counts(arrays, offset_hours)
-        _record_build(branch, len(ids), watch.elapsed_s())
+        counts = segmented_hour_counts(arrays, offset_hours)
+        _record_build(len(ids), watch.elapsed_s())
         return cls(ids, counts)
 
     @classmethod
@@ -484,8 +199,6 @@ class ProfileMatrix:
         *,
         min_posts: int = 0,
         max_users_per_shard: int | None = None,
-        parallel: bool | None = None,
-        max_workers: int | None = None,
     ) -> "ProfileMatrix":
         """Build straight from a columnar :class:`~repro.datasets.store.TraceStore`.
 
@@ -496,9 +209,6 @@ class ProfileMatrix:
         peak memory is bounded by one shard.  Users with fewer than
         *min_posts* posts (and always zero-post users) are skipped, which
         matches ``from_trace_set(traces.with_min_posts(min_posts))``.
-
-        *parallel* ``None`` auto-enables the shared-memory fan-out for
-        shards of at least :data:`PARALLEL_USER_THRESHOLD` users.
         """
         from repro.datasets.store import DEFAULT_SHARD_USERS
 
@@ -511,31 +221,7 @@ class ProfileMatrix:
             "core", "profile_build", total=len(store), unit="users"
         )
         for shard in store.iter_shards(max_users_per_shard):
-            use_pool = (
-                parallel
-                if parallel is not None
-                # Auto-parallel needs both a big shard and real cores: with
-                # one worker the pool spawn alone outweighs the serial pass.
-                else len(shard) >= PARALLEL_USER_THRESHOLD
-                and _default_workers(max_workers) > 1
-            )
-            stamps = np.asarray(shard.stamps, dtype=np.float64)
-            shard_watch = obs_metrics.Stopwatch()
-            branch = "serial"
-            if use_pool and len(shard) > 1:
-                try:
-                    counts = counts_parallel_shm(
-                        stamps, shard.lengths, offset_hours, max_workers
-                    )
-                    branch = "shm"
-                except Exception as exc:
-                    _parallel_fallback(exc, "shm")
-                    counts = _flat_segment_counts(
-                        stamps, shard.lengths, offset_hours
-                    )
-            else:
-                counts = _flat_segment_counts(stamps, shard.lengths, offset_hours)
-            _record_build(branch, len(shard), shard_watch.elapsed_s())
+            counts = shard_hour_counts(shard, offset_hours)
             progress.advance(len(shard))
             keep = shard.lengths >= threshold
             if not keep.any():

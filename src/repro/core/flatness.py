@@ -7,10 +7,14 @@ of 1/24 ... than to a timezone profile", noting these are typically bots
 
 Two implementations live here.  The fast path
 (:func:`polish_trace_set` / :func:`polish_profile_matrix`) builds the
-crowd's :class:`~repro.core.batch.ProfileMatrix` once, performs one
-:func:`~repro.core.emd.distance_matrix` call per iteration against
-``[uniform] + references`` and drops flat users with a boolean mask --
-survivors' profiles are reused across iterations, never recomputed.  The
+crowd's :class:`~repro.core.batch.ProfileMatrix` once, takes the flat
+mask of each iteration from
+:func:`~repro.core.placement.classify_profiles` (one distance pass
+against the zone references plus the uniform profile) and drops flat
+users with a boolean mask -- survivors' profiles are reused across
+iterations, never recomputed.  Against fixed references the flat test is
+a per-user predicate, so the first iteration removes every flat user and
+the pipeline entry points classify once instead of looping.  The
 per-:class:`Profile` path (:func:`is_flat_profile`,
 :func:`polish_trace_set_reference`) is the reference implementation the
 fast path is property-tested against.
@@ -21,17 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.batch import ProfileMatrix
-from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
+from repro.core.emd import ALL_DISTANCES
 from repro.core.events import TraceSet
-from repro.core.profiles import (
-    HOURS,
-    Profile,
-    build_user_profile,
-    uniform_profile,
-)
+from repro.core.placement import classify_profiles
+from repro.core.profiles import Profile, build_user_profile, uniform_profile
 from repro.core.reference import ReferenceProfiles
 
 if TYPE_CHECKING:
@@ -54,24 +52,16 @@ def is_flat_profile(
 
 def flat_profile_mask(
     profiles: "ProfileLike",
-    references: "ProfileLike",
+    references: ReferenceProfiles,
     metric: str = "linear",
 ) -> "BoolArray":
     """Vectorised :func:`is_flat_profile` over a whole crowd.
 
-    One distance-matrix call against ``[uniform] + references`` yields the
-    per-user boolean "closer to uniform than to every zone" in a single
-    pass.  *profiles* may be a :class:`ProfileMatrix`, array or Profile
-    list; *references* likewise (typically :class:`ReferenceProfiles`).
+    The per-user boolean "closer to uniform than to every zone", taken
+    from :func:`~repro.core.placement.classify_profiles`.  *profiles* may
+    be a :class:`ProfileMatrix`, array or Profile list.
     """
-    reference_stack = as_profile_matrix(references)
-    combined = np.vstack(
-        [np.full((1, HOURS), 1.0 / HOURS), reference_stack]
-    )
-    distances = distance_matrix(profiles, combined, metric=metric)
-    if distances.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    return distances[:, 0] < distances[:, 1:].min(axis=1)
+    return classify_profiles(profiles, references, metric)[0]
 
 
 @dataclass(frozen=True)

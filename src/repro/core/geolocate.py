@@ -13,6 +13,15 @@
 
 The result is a :class:`GeolocationReport`, a plain data object holding
 everything the paper reports per forum.
+
+Every entry point makes the per-user decisions (flat or not, nearest
+zone) with one :func:`~repro.core.placement.classify_profiles` pass and
+hands the survivors to one report assembler.  In-memory crowds
+(:meth:`CrowdGeolocator.geolocate`) build one
+:class:`~repro.core.batch.ProfileMatrix`; columnar stores
+(:meth:`CrowdGeolocator.geolocate_store`) go through the sharded engine
+of :mod:`repro.core.shard`.  ``engine="reference"`` keeps the original
+per-:class:`Profile` pipeline as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from repro.core.em import GaussianMixtureModel, select_mixture
 from repro.core.events import TraceSet
 from repro.core.flatness import (
     PolishResult,
-    polish_profile_matrix,
     polish_trace_set,
     polish_trace_set_reference,
 )
@@ -37,6 +45,8 @@ from repro.core.hemisphere import HemisphereResult, classify_most_active
 from repro.core.metrics import FitDistanceMetrics, fit_distance_metrics, pearson
 from repro.core.placement import (
     PlacementDistribution,
+    assign_zones,
+    classify_profiles,
     place_profile_matrix,
     place_users,
     placement_distribution,
@@ -52,9 +62,9 @@ from repro.reliability.quality import (
     assert_traces_clean,
     partition_trace_set,
 )
-from repro.timebase.zones import ZONE_OFFSETS
 
 if TYPE_CHECKING:
+    from repro.core.types import IntArray
     from repro.datasets.store import TraceStore
 
 _log = get_logger("core")
@@ -196,10 +206,11 @@ class CrowdGeolocator:
         """Run the full pipeline on an anonymous crowd's traces.
 
         *engine* selects the implementation: ``"batch"`` (default) builds
-        the crowd's :class:`ProfileMatrix` exactly once and shares it
-        across the polish, placement, crowd-profile and Pearson stages;
-        ``"reference"`` runs the original per-:class:`Profile` pipeline
-        (used as the correctness oracle and the benchmark baseline).
+        the crowd's :class:`ProfileMatrix` exactly once, polishes and
+        places it with one :func:`classify_profiles` pass and shares it
+        with the crowd-profile and Pearson stages; ``"reference"`` runs
+        the original per-:class:`Profile` pipeline (used as the
+        correctness oracle and the benchmark baseline).
 
         With ``quarantine=True`` corrupt traces (empty, or with NaN/inf
         timestamps) are set aside instead of poisoning the analysis: the
@@ -235,58 +246,31 @@ class CrowdGeolocator:
             active = traces.with_min_posts(self.min_posts)
             matrix = ProfileMatrix.from_trace_set(active)
         with trace_span("polish", n_users=len(matrix)):
-            if polish:
-                matrix, removed_ids, _ = polish_profile_matrix(
-                    matrix, self.references, metric=self.metric
-                )
-                crowd = active.without_users(removed_ids) if removed_ids else active
-                n_removed = len(removed_ids)
-            else:
-                crowd = active
-                n_removed = 0
-        if len(matrix) == 0:
-            raise EmptyTraceError(
-                f"{crowd_name}: no active users after polishing "
-                f"(threshold {self.min_posts} posts)"
-            )
-
-        with trace_span("placement", n_users=len(matrix)):
-            assignments, placement = place_profile_matrix(
+            flat, nearest = classify_profiles(
                 matrix, self.references, metric=self.metric
             )
-        with trace_span("mixture"):
-            mixture = select_mixture(
-                placement,
-                max_components=self.max_components,
-                sigma_init=self.sigma_init,
-                min_weight=self.min_component_weight,
-                criterion=self.criterion,
-            )
-        crowd_profile = matrix.crowd_profile()
+            keep = ~flat if polish else np.ones_like(flat)
+            removed_ids = [
+                user_id for user_id, kept in zip(matrix.user_ids, keep) if not kept
+            ]
+            crowd = active.without_users(removed_ids) if removed_ids else active
         hemisphere = (
             tuple(classify_most_active(crowd, hemisphere_top_n, metric=self.metric))
             if hemisphere_top_n > 0
             else ()
         )
-        report = GeolocationReport(
-            crowd_name=crowd_name,
+        return self._assemble(
+            crowd_name,
+            matrix.select(keep),
+            nearest[keep],
             n_users=len(crowd),
             n_posts=crowd.total_posts(),
-            n_removed_flat=n_removed,
-            crowd_profile=crowd_profile,
-            pearson_vs_generic=pearson(
-                crowd_profile,
-                self.references.for_zone(placement.mode_offset()),
-            ),
-            placement=placement,
-            mixture=mixture,
-            fit_metrics=fit_distance_metrics(placement, mixture.components),
-            user_zones=assignments,
+            n_removed=len(removed_ids),
+            pipeline="batch",
+            watch=watch,
             hemisphere=hemisphere,
             data_quality=quality,
         )
-        _record_run(report, "batch", watch.elapsed_s())
-        return report
 
     def geolocate_store(
         self,
@@ -294,140 +278,90 @@ class CrowdGeolocator:
         *,
         crowd_name: str = "crowd",
         polish: bool = True,
-        max_users_per_shard: int | None = None,
+        n_shards: int | None = None,
+        max_workers: int = 1,
     ) -> GeolocationReport:
         """Out-of-core pipeline entry: geolocate a columnar trace store.
 
-        Per-user profiles are built shard by shard straight from the
-        store's memmapped timestamp column
-        (:meth:`ProfileMatrix.from_store`), so the crowd never
-        materialises as per-trace Python objects; from the profile matrix
-        on the pipeline is the batch engine unchanged and the verdict is
-        identical to ``geolocate(store.to_trace_set())``.  The hemisphere
-        test and quarantine partitioning need trace-level access and are
-        not offered on this path (the store format already rejects
-        corrupt traces at ``convert`` time).
-        """
-        watch = obs_metrics.Stopwatch()
-        with trace_span("profile_build", crowd=crowd_name, source="store"):
-            matrix = ProfileMatrix.from_store(
-                store,
-                min_posts=self.min_posts,
-                max_users_per_shard=max_users_per_shard,
-            )
-        with trace_span("polish", n_users=len(matrix)):
-            if polish:
-                matrix, removed_ids, _ = polish_profile_matrix(
-                    matrix, self.references, metric=self.metric
-                )
-                n_removed = len(removed_ids)
-            else:
-                n_removed = 0
-        if len(matrix) == 0:
-            raise EmptyTraceError(
-                f"{crowd_name}: no active users after polishing "
-                f"(threshold {self.min_posts} posts)"
-            )
-        with trace_span("placement", n_users=len(matrix)):
-            assignments, placement = place_profile_matrix(
-                matrix, self.references, metric=self.metric
-            )
-        with trace_span("mixture"):
-            mixture = select_mixture(
-                placement,
-                max_components=self.max_components,
-                sigma_init=self.sigma_init,
-                min_weight=self.min_component_weight,
-                criterion=self.criterion,
-            )
-        crowd_profile = matrix.crowd_profile()
-        survivors = set(matrix.user_ids)
-        n_posts = int(
-            sum(
-                int(length)
-                for user_id, length in zip(store.user_ids(), store.lengths())
-                if user_id in survivors
-            )
-        )
-        report = GeolocationReport(
-            crowd_name=crowd_name,
-            n_users=len(matrix),
-            n_posts=n_posts,
-            n_removed_flat=n_removed,
-            crowd_profile=crowd_profile,
-            pearson_vs_generic=pearson(
-                crowd_profile,
-                self.references.for_zone(placement.mode_offset()),
-            ),
-            placement=placement,
-            mixture=mixture,
-            fit_metrics=fit_distance_metrics(placement, mixture.components),
-            user_zones=assignments,
-        )
-        _record_run(report, "store", watch.elapsed_s())
-        return report
-
-    def geolocate_store_sharded(
-        self,
-        store: "TraceStore",
-        *,
-        crowd_name: str = "crowd",
-        polish: bool = True,
-        n_shards: int = 1,
-        max_workers: int = 1,
-    ) -> GeolocationReport:
-        """Sharded out-of-core pipeline: partials fan-out + exact merge.
-
         The store is partitioned into *n_shards* contiguous user ranges
-        and each range is reduced independently to a
-        :class:`~repro.core.shard.ShardPartial` (optionally across a
-        process pool of *max_workers*; workers open the memmapped columns
-        themselves).  Partials are merged with the associative
-        :meth:`~repro.core.shard.ShardPartial.merge` and the report is
-        assembled from the merged value.  Every per-user quantity in the
-        pipeline is independent of its matrix neighbours (see
-        :mod:`repro.core.shard`), so the verdict is **bit-identical** to
-        :meth:`geolocate_store` for any shard count and worker count --
-        enforced by the merge-equivalence tests and the perf_smoke gate.
+        (default: one per :data:`~repro.datasets.store.DEFAULT_SHARD_USERS`
+        users) and each range is reduced to a
+        :class:`~repro.core.shard.ShardPartial` straight from the store's
+        memmapped columns, inline or across a process pool of
+        *max_workers* (workers open the columns themselves).  The merged
+        partials feed the same report assembly as :meth:`geolocate`.
+        Every per-user quantity is independent of its neighbours (see
+        :mod:`repro.core.shard`), so the verdict is identical to
+        ``geolocate(store.to_trace_set())`` for any shard and worker
+        count.  The hemisphere test and quarantine partitioning need
+        trace-level access and are not offered on this path (the store
+        format already rejects corrupt traces at ``convert`` time).
         """
         from repro.core.shard import compute_partials, merge_partials
+        from repro.datasets.store import DEFAULT_SHARD_USERS
 
         watch = obs_metrics.Stopwatch()
-        partials = compute_partials(
-            store,
-            self.references,
-            metric=self.metric,
-            min_posts=self.min_posts,
-            n_shards=n_shards,
-            max_workers=max_workers,
+        if n_shards is None:
+            n_shards = max(1, -(-len(store) // DEFAULT_SHARD_USERS))
+        with trace_span("profile_build", crowd=crowd_name, source="store"):
+            merged = merge_partials(
+                compute_partials(
+                    store,
+                    self.references,
+                    metric=self.metric,
+                    min_posts=self.min_posts,
+                    n_shards=n_shards,
+                    max_workers=max_workers,
+                )
+            )
+        with trace_span("polish", n_users=len(merged)):
+            flat = merged.flat_mask
+            keep = ~flat if polish else np.ones_like(flat)
+            survivors = ProfileMatrix.from_counts(
+                merged.user_ids, merged.counts
+            ).select(keep)
+        return self._assemble(
+            crowd_name,
+            survivors,
+            merged.zone_indices[keep],
+            n_users=len(survivors),
+            n_posts=int(merged.lengths[keep].sum()),
+            n_removed=len(merged) - len(survivors),
+            pipeline="store",
+            watch=watch,
         )
-        merged = merge_partials(partials)
-        matrix = ProfileMatrix.from_counts(merged.user_ids, merged.counts)
-        if polish:
-            keep = ~merged.flat_mask
-            n_removed = int(merged.flat_mask.sum())
-        else:
-            keep = np.ones(len(matrix), dtype=bool)
-            n_removed = 0
-        if not bool(keep.any()):
+
+    #: The sharded spelling of :meth:`geolocate_store`, kept for callers
+    #: that name the shard and worker counts.
+    geolocate_store_sharded = geolocate_store
+
+    def _assemble(
+        self,
+        crowd_name: str,
+        survivors: ProfileMatrix,
+        nearest: "IntArray",
+        *,
+        n_users: int,
+        n_posts: int,
+        n_removed: int,
+        pipeline: str,
+        watch: obs_metrics.Stopwatch,
+        hemisphere: tuple[HemisphereResult, ...] = (),
+        data_quality: DataQualityReport | None = None,
+    ) -> GeolocationReport:
+        """The report of every entry point, from the polished crowd.
+
+        *survivors* are the polished users' profiles and *nearest* their
+        zone indices; placement histogram, EM mixture, crowd profile,
+        Pearson, fit metrics and the run's accounting all follow here.
+        """
+        if len(survivors) == 0:
             raise EmptyTraceError(
                 f"{crowd_name}: no active users after polishing "
                 f"(threshold {self.min_posts} posts)"
             )
-        survivors = matrix.select(keep)
-        zone_indices = merged.zone_indices[keep]
-        with trace_span("placement", n_users=len(survivors), source="sharded"):
-            assignments = {
-                user_id: ZONE_OFFSETS[int(index)]
-                for user_id, index in zip(survivors.user_ids, zone_indices)
-            }
-            zone_counts = np.bincount(
-                zone_indices, minlength=len(ZONE_OFFSETS)
-            ).astype(float)
-            placement = PlacementDistribution(
-                tuple((zone_counts / zone_counts.sum()).tolist()),
-                n_users=len(survivors),
-            )
+        with trace_span("placement", n_users=len(survivors)):
+            assignments, placement = assign_zones(survivors.user_ids, nearest)
         with trace_span("mixture"):
             mixture = select_mixture(
                 placement,
@@ -439,8 +373,8 @@ class CrowdGeolocator:
         crowd_profile = survivors.crowd_profile()
         report = GeolocationReport(
             crowd_name=crowd_name,
-            n_users=len(survivors),
-            n_posts=int(merged.lengths[keep].sum()),
+            n_users=n_users,
+            n_posts=n_posts,
             n_removed_flat=n_removed,
             crowd_profile=crowd_profile,
             pearson_vs_generic=pearson(
@@ -451,8 +385,10 @@ class CrowdGeolocator:
             mixture=mixture,
             fit_metrics=fit_distance_metrics(placement, mixture.components),
             user_zones=assignments,
+            hemisphere=hemisphere,
+            data_quality=data_quality,
         )
-        _record_run(report, "store-sharded", watch.elapsed_s())
+        _record_run(report, pipeline, watch.elapsed_s())
         return report
 
     def _geolocate_reference(

@@ -1,37 +1,24 @@
-"""Compiled hot kernels for the per-shard inner loops (numba optional).
+"""The segmented Eq. 1 kernels behind every per-user profile build.
 
-The sharded engine (:mod:`repro.core.shard`) spends essentially all of its
-per-shard time in two places: the segmented Eq. 1 counts kernel and the
-EMD :func:`~repro.core.emd.distance_matrix`.  The EMD kernel is pure
-cache-blocked numpy and lives in :mod:`repro.core.emd`; this module owns
-the counts kernel and its backend dispatch.
-
-Two interchangeable backends compute the same ``(n_users, 24)`` integer
-count matrix from a concatenated, per-user-segmented timestamp column:
-
-* ``"numpy"``  -- the vectorised encode/dedupe/bincount pass that shipped
-  with the batch engine (always available; the reference implementation);
-* ``"numba"``  -- a JIT-compiled per-user loop that skips the global
-  encode and allocates nothing beyond one per-user cell buffer.  Used
-  automatically when :mod:`numba` is importable; its availability is
-  detected once at import and the fallback is silent and exact (the two
-  backends are property-tested bit-identical, counts are integers).
-
-Backend selection: the ``DARKCROWD_KERNEL`` environment variable
-(``numpy`` or ``numba``) pins the process-wide default at import;
-:func:`set_kernel_backend` overrides it at runtime (workers spawned by
-the ``fork`` start method inherit the override, freshly ``spawn``-ed ones
-re-read the environment).
+The batch engine (:mod:`repro.core.batch`), the sharded engine
+(:mod:`repro.core.shard`) and the streaming bulk intake
+(:mod:`repro.core.streaming`) all start from the same input: one
+concatenated timestamp column holding every user's posts back to back,
+plus the per-user segment sizes.  This module turns that column into
+either the ``(n_users, 24)`` count matrix of unique active (day, hour)
+cells (:func:`segment_counts`) or the distinct cells themselves
+(:func:`segment_unique_cells`).  Both are one vectorised numpy pass:
+encode every post as ``user * span + cell``, drop duplicate cells, then
+bincount.  The EMD kernel is cache-blocked numpy too and lives in
+:mod:`repro.core.emd`.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.obs import metrics as obs_metrics
 from repro.timebase.clock import split_day_hours
 
 if TYPE_CHECKING:
@@ -40,14 +27,6 @@ if TYPE_CHECKING:
 #: Hours per day -- duplicated from :mod:`repro.core.profiles` to keep this
 #: module import-light (profiles imports events; kernels must not).
 HOURS = 24
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the CI matrix covers both legs
-    _njit = None
-    HAVE_NUMBA = False
 
 
 def _sorted_unique(values: "IntArray") -> "IntArray":
@@ -67,20 +46,16 @@ def _sorted_unique(values: "IntArray") -> "IntArray":
     return ordered[keep]
 
 
-def segment_counts_numpy(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
-) -> "FloatArray":
-    """Vectorised Eq. 1 counts over a pre-concatenated timestamp column.
+def _unique_codes(
+    stamps: "FloatArray", lengths: "IntArray", offset_hours: float
+) -> "tuple[IntArray, int, int]":
+    """Sorted unique ``user * span + (cell - cell_min)`` codes of a column.
 
-    *stamps* holds every user's timestamps back to back; *lengths* gives
-    the per-user segment sizes.  Returns ``(len(lengths), 24)`` counts of
-    unique active (day, hour) cells per hour -- always float64 so the rows
-    feed :class:`~repro.core.batch.ProfileMatrix` without a cast.
+    Returns ``(codes, span, cell_min)``: ``codes // span`` is the owning
+    user's index and ``codes % span + cell_min`` the ``day * 24 + hour``
+    cell.  *stamps* must be non-empty.
     """
-    n_users = int(lengths.size)
-    if stamps.size == 0:
-        return np.zeros((n_users, HOURS), dtype=float)
-    user_index = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
+    user_index = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
     days, hours = split_day_hours(stamps, offset_hours)
     cells = days * HOURS + hours
     cell_min = int(cells.min())
@@ -95,28 +70,43 @@ def segment_counts_numpy(
         keep = np.empty(encoded.shape, dtype=bool)
         keep[0] = True
         np.not_equal(deltas, 0, out=keep[1:])
-        unique = encoded[keep]
-    else:
-        unique = _sorted_unique(encoded)
+        return encoded[keep], span, cell_min
+    return _sorted_unique(encoded), span, cell_min
+
+
+def segment_counts(
+    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
+) -> "FloatArray":
+    """Vectorised Eq. 1 counts over a pre-concatenated timestamp column.
+
+    *stamps* holds every user's timestamps back to back; *lengths* gives
+    the per-user segment sizes.  Returns ``(len(lengths), 24)`` counts of
+    unique active (day, hour) cells per hour -- always float64 so the rows
+    feed :class:`~repro.core.batch.ProfileMatrix` without a cast.
+    """
+    n_users = int(lengths.size)
+    if stamps.size == 0:
+        return np.zeros((n_users, HOURS), dtype=float)
+    unique, span, cell_min = _unique_codes(stamps, lengths, offset_hours)
     owners = unique // span
     unique_hours = (unique % span + cell_min) % HOURS
     flat = np.bincount(owners * HOURS + unique_hours, minlength=n_users * HOURS)
     return flat.reshape(n_users, HOURS).astype(float)
 
 
-def segment_unique_cells_numpy(
+def segment_unique_cells(
     stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
 ) -> "tuple[IntArray, IntArray]":
     """Per-user sorted unique ``day * 24 + hour`` cells of a segmented column.
 
-    The deduplication half of :func:`segment_counts_numpy`, factored out
-    for the streaming bulk-ingest path, which needs the distinct cells
-    themselves (to diff against each user's incremental record) rather
-    than their per-hour histogram.  Returns ``(cells, cell_lengths)``:
-    one concatenated int64 cell column, ascending within each user's
-    segment, plus the per-user segment sizes (``cell_lengths.sum() ==
-    cells.size``).  Shares the encode / monotone-fast-path machinery with
-    the counts kernel, so the two agree cell for cell.
+    The deduplication half of :func:`segment_counts`, for the streaming
+    bulk intake (:meth:`repro.core.streaming.StreamingGeolocator.observe_batch`),
+    which needs the distinct cells themselves (to diff against each
+    user's incremental record) rather than their per-hour histogram.
+    Returns ``(cells, cell_lengths)``: one concatenated int64 cell column,
+    ascending within each user's segment, plus the per-user segment sizes
+    (``cell_lengths.sum() == cells.size``).  Both kernels share
+    :func:`_unique_codes`, so they agree cell for cell.
     """
     n_users = int(lengths.size)
     if stamps.size == 0:
@@ -124,252 +114,8 @@ def segment_unique_cells_numpy(
             np.zeros(0, dtype=np.int64),
             np.zeros(n_users, dtype=np.int64),
         )
-    user_index = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
-    days, hours = split_day_hours(stamps, offset_hours)
-    cells = days * HOURS + hours
-    cell_min = int(cells.min())
-    span = int(cells.max()) - cell_min + 1
-    encoded = user_index * span + (cells - cell_min)
-    deltas = np.diff(encoded)
-    if np.all(deltas >= 0):
-        keep = np.empty(encoded.shape, dtype=bool)
-        keep[0] = True
-        np.not_equal(deltas, 0, out=keep[1:])
-        unique = encoded[keep]
-    else:
-        unique = _sorted_unique(encoded)
+    unique, span, cell_min = _unique_codes(stamps, lengths, offset_hours)
     owners = unique // span
     out_cells = unique - owners * span + cell_min
     cell_lengths = np.bincount(owners, minlength=n_users).astype(np.int64)
     return out_cells, cell_lengths
-
-
-def _build_numba_kernel() -> "Callable[[FloatArray, IntArray, float], FloatArray]":
-    """Compile the per-user counts loop (called once, at import)."""
-    assert _njit is not None
-
-    @_njit(cache=True)  # type: ignore[misc]
-    def _segment_counts_jit(
-        stamps: "FloatArray", lengths: "IntArray", offset_seconds: float
-    ) -> "FloatArray":
-        n_users = lengths.shape[0]
-        out = np.zeros((n_users, HOURS), dtype=np.float64)
-        pos = 0
-        for user in range(n_users):
-            n = int(lengths[user])
-            if n == 0:
-                continue
-            cells = np.empty(n, dtype=np.int64)
-            for k in range(n):
-                # Python float // and % (which numba reproduces) match
-                # np.floor_divide / np.mod elementwise, so the integer
-                # cells agree bit for bit with the numpy backend.
-                shifted = stamps[pos + k] + offset_seconds
-                day = np.int64(shifted // 86400.0)
-                second = shifted % 86400.0
-                hour = np.int64(second // 3600.0)
-                if hour > HOURS - 1:  # the tiny-negative-modulo artifact
-                    hour = HOURS - 1
-                if hour < 0:
-                    hour = 0
-                cells[k] = day * HOURS + hour
-            is_sorted = True
-            for k in range(1, n):
-                if cells[k] < cells[k - 1]:
-                    is_sorted = False
-                    break
-            if not is_sorted:
-                cells = np.sort(cells)
-            previous = cells[0]
-            out[user, previous % HOURS] += 1.0
-            for k in range(1, n):
-                cell = cells[k]
-                if cell != previous:
-                    out[user, cell % HOURS] += 1.0
-                    previous = cell
-            pos += n
-        return out
-
-    return _segment_counts_jit
-
-
-def _build_numba_unique_kernel() -> "Callable[..., tuple[IntArray, IntArray]]":
-    """Compile the per-user unique-cells loop (called once, at import)."""
-    assert _njit is not None
-
-    @_njit(cache=True)  # type: ignore[misc]
-    def _segment_unique_jit(
-        stamps: "FloatArray", lengths: "IntArray", offset_seconds: float
-    ) -> "tuple[IntArray, IntArray]":
-        n_users = lengths.shape[0]
-        out_cells = np.empty(stamps.shape[0], dtype=np.int64)
-        cell_lengths = np.zeros(n_users, dtype=np.int64)
-        pos = 0
-        write = 0
-        for user in range(n_users):
-            n = int(lengths[user])
-            if n == 0:
-                continue
-            cells = np.empty(n, dtype=np.int64)
-            for k in range(n):
-                shifted = stamps[pos + k] + offset_seconds
-                day = np.int64(shifted // 86400.0)
-                second = shifted % 86400.0
-                hour = np.int64(second // 3600.0)
-                if hour > HOURS - 1:  # the tiny-negative-modulo artifact
-                    hour = HOURS - 1
-                if hour < 0:
-                    hour = 0
-                cells[k] = day * HOURS + hour
-            is_sorted = True
-            for k in range(1, n):
-                if cells[k] < cells[k - 1]:
-                    is_sorted = False
-                    break
-            if not is_sorted:
-                cells = np.sort(cells)
-            previous = cells[0]
-            out_cells[write] = previous
-            write += 1
-            count = 1
-            for k in range(1, n):
-                cell = cells[k]
-                if cell != previous:
-                    out_cells[write] = cell
-                    write += 1
-                    count += 1
-                    previous = cell
-            cell_lengths[user] = count
-            pos += n
-        return out_cells[:write], cell_lengths
-
-    return _segment_unique_jit
-
-
-_NUMBA_KERNEL: "Callable[[FloatArray, IntArray, float], FloatArray] | None" = (
-    _build_numba_kernel() if HAVE_NUMBA else None
-)
-_NUMBA_UNIQUE_KERNEL: "Callable[..., tuple[IntArray, IntArray]] | None" = (
-    _build_numba_unique_kernel() if HAVE_NUMBA else None
-)
-
-
-def segment_unique_cells_numba(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
-) -> "tuple[IntArray, IntArray]":
-    """JIT-compiled per-user unique-cells kernel (requires :mod:`numba`)."""
-    if _NUMBA_UNIQUE_KERNEL is None:
-        raise RuntimeError(
-            "numba is not installed; use segment_unique_cells_numpy or the "
-            "segment_unique_cells dispatcher"
-        )
-    stamps = np.ascontiguousarray(stamps, dtype=np.float64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    if stamps.size == 0:
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(int(lengths.size), dtype=np.int64),
-        )
-    return _NUMBA_UNIQUE_KERNEL(stamps, lengths, float(offset_hours) * 3600.0)
-
-
-def segment_counts_numba(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
-) -> "FloatArray":
-    """JIT-compiled Eq. 1 counts kernel (requires :mod:`numba`)."""
-    if _NUMBA_KERNEL is None:
-        raise RuntimeError(
-            "numba is not installed; use segment_counts_numpy or the "
-            "segment_counts dispatcher"
-        )
-    stamps = np.ascontiguousarray(stamps, dtype=np.float64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    if stamps.size == 0:
-        return np.zeros((int(lengths.size), HOURS), dtype=float)
-    return _NUMBA_KERNEL(stamps, lengths, float(offset_hours) * 3600.0)
-
-
-_BACKENDS: "dict[str, Callable[[FloatArray, IntArray, float], FloatArray]]" = {
-    "numpy": segment_counts_numpy,
-}
-_UNIQUE_BACKENDS: "dict[str, Callable[..., tuple[IntArray, IntArray]]]" = {
-    "numpy": segment_unique_cells_numpy,
-}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = segment_counts_numba
-    _UNIQUE_BACKENDS["numba"] = segment_unique_cells_numba
-
-
-def _default_backend() -> str:
-    requested = os.environ.get("DARKCROWD_KERNEL", "").strip().lower()
-    if requested in _BACKENDS:
-        return requested
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE_BACKEND: str = _default_backend()
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this process, fallback-first."""
-    return tuple(sorted(_BACKENDS))
-
-
-def kernel_backend() -> str:
-    """Name of the backend :func:`segment_counts` currently dispatches to."""
-    return _ACTIVE_BACKEND
-
-
-def set_kernel_backend(name: str) -> str:
-    """Pin the counts backend; returns the previous one (for restoring).
-
-    Raises :class:`ValueError` for unknown names and for ``"numba"`` when
-    numba is not importable -- the caller asked for a speed guarantee the
-    process cannot honour, which should fail loudly, unlike the silent
-    auto-fallback of the default selection.
-    """
-    global _ACTIVE_BACKEND
-    if name not in _BACKENDS:
-        if name == "numba":
-            raise ValueError("numba backend requested but numba is not installed")
-        raise ValueError(
-            f"unknown kernel backend {name!r}; options: {available_backends()}"
-        )
-    previous = _ACTIVE_BACKEND
-    _ACTIVE_BACKEND = name
-    return previous
-
-
-def segment_counts(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
-) -> "FloatArray":
-    """Eq. 1 counts via the active backend (numba when available).
-
-    The two backends are bit-identical (counts are integers and the cell
-    arithmetic matches elementwise), so callers never need to know which
-    one ran; the ``repro_kernels_builds_total`` counter records it.
-    """
-    obs_metrics.counter(
-        "repro_kernels_builds_total",
-        "segmented counts kernel invocations by backend",
-        backend=_ACTIVE_BACKEND,
-    ).inc()
-    return _BACKENDS[_ACTIVE_BACKEND](stamps, lengths, offset_hours)
-
-
-def segment_unique_cells(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
-) -> "tuple[IntArray, IntArray]":
-    """Per-user sorted unique cells via the active backend.
-
-    Same dispatch contract as :func:`segment_counts`: backends are
-    bit-identical (the cell arithmetic is shared), callers never need to
-    know which one ran.  This is the front half of the streaming bulk
-    ingest (:meth:`repro.core.streaming.StreamingGeolocator.observe_batch`).
-    """
-    obs_metrics.counter(
-        "repro_kernels_unique_cells_total",
-        "segmented unique-cells kernel invocations by backend",
-        backend=_ACTIVE_BACKEND,
-    ).inc()
-    return _UNIQUE_BACKENDS[_ACTIVE_BACKEND](stamps, lengths, offset_hours)

@@ -5,6 +5,13 @@ Distance, against the 24 time-zone reference profiles and assigned to the
 nearest one.  The fractions of the crowd landing in each zone form the
 *placement distribution* -- the histogram the paper plots in Figs. 3-5 and
 9-13 and then fits with Gaussian (mixtures).
+
+The same distance pass also settles Sec. IV-C's flat-profile test, so
+:func:`classify_profiles` makes both per-user decisions at once: one
+:func:`~repro.core.emd.distance_matrix` call against the 24 references
+plus the uniform 1/24 profile.  Placement, polishing
+(:func:`repro.core.flatness.flat_profile_mask`), the sharded engine and
+the streaming engine all decide through it.
 """
 
 from __future__ import annotations
@@ -18,13 +25,20 @@ import numpy as np
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix
 from repro.core.events import TraceSet
-from repro.core.profiles import Profile
+from repro.core.profiles import HOURS, Profile
 from repro.core.reference import ReferenceProfiles
 from repro.errors import EmptyTraceError
 from repro.timebase.zones import ZONE_OFFSETS, normalize_offset
 
 if TYPE_CHECKING:
-    from repro.core.types import FloatArray, IntArray, ProfileLike
+    from collections.abc import Sequence
+
+    from repro.core.types import BoolArray, FloatArray, IntArray, ProfileLike
+
+#: Sec. IV-C's flat reference, the uniform 1/24 profile, and its CDF.  Its
+#: 24 entries sum to exactly 1.0, so normalising it changes no bit.
+_UNIFORM = np.full(HOURS, 1.0 / HOURS)
+_UNIFORM_CDF = np.cumsum(_UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -69,14 +83,70 @@ class PlacementDistribution:
         return [(ZONE_OFFSETS[i], self.fractions[i]) for i in order]
 
 
-def _nearest_zone_indices(
-    profiles: "ProfileLike", references: ReferenceProfiles, metric: str
-) -> "IntArray":
-    """Index (0..23, in ZONE_OFFSETS order) of each profile's nearest zone."""
-    matrix = distance_matrix(profiles, references, metric=metric)
-    # argmin takes the first minimum: ties resolve to the smaller offset,
-    # matching ReferenceProfiles.nearest_zone.
-    return np.argmin(matrix, axis=1)
+class _ZonesAndUniform:
+    """The 24 zone references with the uniform profile as a 25th row.
+
+    Offers the ``stacked()`` / ``cumulative()`` pair
+    :func:`~repro.core.emd.distance_matrix` reuses, so the zone columns
+    are computed from the references' own cached CDFs.
+    """
+
+    __slots__ = ("_stacked", "_cumulative")
+
+    def __init__(self, references: ReferenceProfiles) -> None:
+        self._stacked = np.vstack([references.stacked(), _UNIFORM])
+        self._cumulative = np.vstack([references.cumulative(), _UNIFORM_CDF])
+
+    def stacked(self) -> "FloatArray":
+        return self._stacked
+
+    def cumulative(self) -> "FloatArray":
+        return self._cumulative
+
+
+def classify_profiles(
+    profiles: "ProfileLike",
+    references: ReferenceProfiles,
+    metric: str = "linear",
+) -> "tuple[BoolArray, IntArray]":
+    """Each user's flat flag and nearest zone, from one distance pass.
+
+    Returns ``(flat, nearest)``.  ``flat`` marks profiles EMD-closer to
+    the uniform profile than to every zone reference (the polishing
+    predicate of Sec. IV-C).  ``nearest`` is each profile's index into
+    ``ZONE_OFFSETS`` of the closest zone; the argmin runs over the 24
+    zone columns only and takes the first minimum, so ties resolve to the
+    smaller offset, as :meth:`ReferenceProfiles.nearest_zone` does.
+    Every output depends on its own row only, which is what lets shards,
+    snapshots and batches split a crowd freely.
+    """
+    distances = distance_matrix(
+        profiles, _ZonesAndUniform(references), metric=metric
+    )
+    zones = distances[:, :-1]
+    flat = distances[:, -1] < zones.min(axis=1)
+    return flat, np.argmin(zones, axis=1)
+
+
+def assign_zones(
+    user_ids: "Sequence[str]", nearest: "IntArray"
+) -> tuple[dict[str, int], PlacementDistribution]:
+    """Per-user zone offsets and the placement histogram of *nearest*.
+
+    *nearest* holds each user's index into ``ZONE_OFFSETS`` (as returned
+    by :func:`classify_profiles`); the histogram is one bincount of it.
+    """
+    if len(nearest) == 0:
+        raise EmptyTraceError("cannot build a placement from zero users")
+    assignments = {
+        user_id: ZONE_OFFSETS[int(index)]
+        for user_id, index in zip(user_ids, nearest)
+    }
+    counts = np.bincount(nearest, minlength=len(ZONE_OFFSETS)).astype(float)
+    distribution = PlacementDistribution(
+        tuple((counts / counts.sum()).tolist()), n_users=len(nearest)
+    )
+    return assignments, distribution
 
 
 def place_users(
@@ -99,11 +169,8 @@ def place_users(
         stack = [profiles[user_id] for user_id in user_ids]
     if not user_ids:
         return {}
-    nearest = _nearest_zone_indices(stack, references, metric)
-    return {
-        user_id: ZONE_OFFSETS[int(index)]
-        for user_id, index in zip(user_ids, nearest)
-    }
+    _, nearest = classify_profiles(stack, references, metric)
+    return assign_zones(user_ids, nearest)[0]
 
 
 def placement_distribution(assignments: Iterable[int]) -> PlacementDistribution:
@@ -131,21 +198,11 @@ def place_profile_matrix(
 ) -> tuple[dict[str, int], PlacementDistribution]:
     """Batch placement: per-user assignments plus the aggregate, one pass.
 
-    The placement histogram is bincounted straight from the argmin indices,
-    so the crowd is placed with exactly one distance-matrix evaluation.
+    The crowd is placed with one :func:`classify_profiles` evaluation and
+    the histogram is bincounted straight from its argmin indices.
     """
-    if len(matrix) == 0:
-        raise EmptyTraceError("cannot build a placement from zero users")
-    nearest = _nearest_zone_indices(matrix, references, metric)
-    assignments = {
-        user_id: ZONE_OFFSETS[int(index)]
-        for user_id, index in zip(matrix.user_ids, nearest)
-    }
-    counts = np.bincount(nearest, minlength=len(ZONE_OFFSETS)).astype(float)
-    distribution = PlacementDistribution(
-        tuple((counts / counts.sum()).tolist()), n_users=len(matrix)
-    )
-    return assignments, distribution
+    _, nearest = classify_profiles(matrix, references, metric)
+    return assign_zones(matrix.user_ids, nearest)
 
 
 def place_trace_set(

@@ -1,18 +1,18 @@
 """Sharded crowd engine: mergeable per-shard partials with exact reduction.
 
-The batch engine already streams a :class:`~repro.datasets.store.TraceStore`
-shard by shard, but every shard's rows still funnel into one monolithic
-:class:`~repro.core.batch.ProfileMatrix` before polishing and placement.
-This module splits the *whole* per-user pipeline instead: each shard of the
-store is reduced independently to a :class:`ShardPartial` -- Eq. 1 count
-rows, the flat-profile (bot) mask and the EMD-nearest zone index for every
-active user -- and partials are combined with an associative, commutative
-:meth:`ShardPartial.merge`.
+This is the out-of-core pipeline behind
+:meth:`~repro.core.geolocate.CrowdGeolocator.geolocate_store`.  Each
+contiguous user range of a :class:`~repro.datasets.store.TraceStore` is
+reduced independently to a :class:`ShardPartial` -- Eq. 1 count rows, the
+flat-profile (bot) mask and the EMD-nearest zone index for every active
+user -- and partials are combined with an associative, commutative
+:func:`merge_partials`.
 
-The merged result is **bit-identical** to the single-shard oracle
-(:meth:`~repro.core.geolocate.CrowdGeolocator.geolocate_store`) because
-every per-user quantity in the pipeline is computed independently of the
-other users present in the same matrix:
+The merged result is **bit-identical** to building one
+:class:`~repro.core.batch.ProfileMatrix` for the whole store and then
+polishing and placing it, because every per-user quantity in the
+pipeline is computed independently of the other users present in the
+same matrix:
 
 * Eq. 1 counts are integer-valued and per-user segmented;
 * :class:`ProfileMatrix` normalisation divides each row by its own sum;
@@ -20,32 +20,36 @@ other users present in the same matrix:
   over one (profile, reference) pair -- block and shard boundaries cannot
   change a single output bit;
 * polishing against *fixed* references converges in one effective round,
-  so the flat mask is a pure per-user predicate;
+  so the flat mask is a pure per-user predicate, decided together with
+  the nearest zone by one
+  :func:`~repro.core.placement.classify_profiles` pass;
 * placement histograms and post totals are integer sums.
 
+The test suite keeps that whole-store pipeline as the oracle the sharded
+verdict is compared with.
+
 Order is re-canonicalised at merge time: partials carry the global store
-row of every kept user and ``merge`` sorts the concatenation by row, so
+row of every kept user and the merge sorts the concatenation by row, so
 the reduction is associative and commutative (proven by Hypothesis tests)
 and the fan-out order of a process pool cannot leak into the result.
 
 Workers receive a :class:`ShardTask` naming the store *path* and a user
 range -- each worker opens the memmapped columns itself, so no trace data
-is ever pickled across the pool boundary.
+is ever pickled across the pool boundary.  This pool is the only process
+fan-out of the batch engine.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batch import ProfileMatrix
-from repro.core.flatness import flat_profile_mask
-from repro.core.kernels import segment_counts
-from repro.core.placement import _nearest_zone_indices
+from repro.core.batch import ProfileMatrix, shard_hour_counts
+from repro.core.placement import classify_profiles
 from repro.core.reference import ReferenceProfiles
 from repro.errors import DatasetError
 from repro.obs import metrics as obs_metrics
@@ -132,50 +136,40 @@ class ShardPartial:
         )
 
     def merge(self, other: "ShardPartial") -> "ShardPartial":
-        """Combine two disjoint partials into their canonical union.
+        """Combine two disjoint partials: the two-operand :func:`merge_partials`."""
+        return _merge([self, other])
 
-        Concatenates the per-user columns, then re-sorts by global store
-        row so the result is independent of operand order and grouping
-        (associativity + commutativity).  Overlapping rows mean the same
-        user was computed twice -- a sharding bug, refused loudly rather
-        than double-counted.
-        """
-        if len(other) == 0:
-            return self._with_seen(self.n_users_seen + other.n_users_seen)
-        if len(self) == 0:
-            return other._with_seen(self.n_users_seen + other.n_users_seen)
-        rows = np.concatenate([self.rows, other.rows])
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        if bool(np.any(np.diff(rows) == 0)):
-            raise DatasetError("cannot merge overlapping shard partials")
-        user_ids = self.user_ids + other.user_ids
-        return ShardPartial(
-            rows=rows,
-            user_ids=tuple(user_ids[int(i)] for i in order),
-            counts=np.concatenate([self.counts, other.counts])[order],
-            lengths=np.concatenate([self.lengths, other.lengths])[order],
-            flat_mask=np.concatenate([self.flat_mask, other.flat_mask])[order],
-            zone_indices=np.concatenate(
-                [self.zone_indices, other.zone_indices]
-            )[order],
-            placement_counts=self.placement_counts + other.placement_counts,
-            n_users_seen=self.n_users_seen + other.n_users_seen,
-        )
 
-    def _with_seen(self, n_users_seen: int) -> "ShardPartial":
-        if n_users_seen == self.n_users_seen:
-            return self
-        return ShardPartial(
-            rows=self.rows,
-            user_ids=self.user_ids,
-            counts=self.counts,
-            lengths=self.lengths,
-            flat_mask=self.flat_mask,
-            zone_indices=self.zone_indices,
-            placement_counts=self.placement_counts,
-            n_users_seen=n_users_seen,
-        )
+def _merge(partials: Sequence[ShardPartial]) -> ShardPartial:
+    """Canonical union of disjoint partials: one concatenation, one sort.
+
+    The per-user columns are concatenated and re-sorted by global store
+    row, so the result is independent of operand order and grouping
+    (associativity + commutativity).  Overlapping rows mean the same
+    user was computed twice -- a sharding bug, refused loudly rather
+    than double-counted.
+    """
+    if not partials:
+        return ShardPartial.identity()
+    rows = np.concatenate([partial.rows for partial in partials])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    if bool(np.any(np.diff(rows) == 0)):
+        raise DatasetError("cannot merge overlapping shard partials")
+    user_ids = [user_id for partial in partials for user_id in partial.user_ids]
+    columns = {
+        name: np.concatenate([getattr(partial, name) for partial in partials])[order]
+        for name in ("counts", "lengths", "flat_mask", "zone_indices")
+    }
+    return ShardPartial(
+        rows=rows,
+        user_ids=tuple(user_ids[int(i)] for i in order),
+        placement_counts=np.sum(
+            [partial.placement_counts for partial in partials], axis=0
+        ),
+        n_users_seen=sum(partial.n_users_seen for partial in partials),
+        **columns,
+    )
 
 
 def compute_shard_partial(
@@ -187,26 +181,22 @@ def compute_shard_partial(
 ) -> ShardPartial:
     """Reduce one store shard to its :class:`ShardPartial`.
 
-    Runs the per-user half of the pipeline -- Eq. 1 counts via the active
-    :mod:`~repro.core.kernels` backend, the flat-profile predicate and the
-    EMD-nearest zone -- for every user with at least *min_posts* posts.
-    All three are per-user independent given fixed *references*, which is
-    exactly why the shard decomposition is lossless (module docstring).
+    Runs the per-user half of the pipeline -- Eq. 1 counts
+    (:func:`~repro.core.batch.shard_hour_counts`), then the flat-profile
+    predicate and the EMD-nearest zone from one
+    :func:`~repro.core.placement.classify_profiles` pass -- for every user
+    with at least *min_posts* posts.  All three are per-user independent
+    given fixed *references*, which is exactly why the shard
+    decomposition is lossless (module docstring).
     """
-    stamps = np.asarray(shard.stamps, dtype=np.float64)
+    counts = shard_hour_counts(shard)
     lengths = np.asarray(shard.lengths, dtype=np.int64)
-    counts = segment_counts(stamps, lengths, 0.0)
     keep = lengths >= max(int(min_posts), 1)
     kept = np.flatnonzero(keep)
     user_ids = tuple(shard.user_ids[int(i)] for i in kept)
     kept_counts = np.ascontiguousarray(counts[keep])
     matrix = ProfileMatrix.from_counts(user_ids, kept_counts)
-    if len(matrix) > 0:
-        flat = flat_profile_mask(matrix, references, metric=metric)
-        zones = _nearest_zone_indices(matrix, references, metric).astype(np.int64)
-    else:
-        flat = np.zeros(0, dtype=bool)
-        zones = np.zeros(0, dtype=np.int64)
+    flat, zones = classify_profiles(matrix, references, metric)
     return ShardPartial(
         rows=(kept + int(shard.start_index)).astype(np.int64),
         user_ids=user_ids,
@@ -336,8 +326,8 @@ def compute_partials(
     opens the memmapped columns itself -- and results are collected in
     submission order, so the returned list is deterministic regardless of
     worker scheduling.  A pool that cannot be spawned or breaks mid-run
-    degrades to inline computation with a ``RuntimeWarning`` (mirroring
-    the batch engine's fallback policy), never a lost run.
+    degrades to inline computation with a ``RuntimeWarning``, never a
+    lost run.
     """
     bounds = store.shard_bounds(n_shards)
     with trace_span(
@@ -376,19 +366,15 @@ def compute_partials(
         return partials
 
 
-def merge_partials(partials: list[ShardPartial]) -> ShardPartial:
-    """Fold partials into one canonical value (ordered, deterministic).
+def merge_partials(partials: Sequence[ShardPartial]) -> ShardPartial:
+    """Merge every partial into one canonical value.
 
-    The merge is associative and commutative, so a plain left fold is as
-    good as any tree; it is still performed in a deterministic order for
-    legibility.  The merged row set must tile the store exactly -- callers
-    pass ``expected_users`` via the partials' ``n_users_seen`` sum, which
-    :func:`compute_partials` guarantees covers every user once.
+    One concatenation and one stable sort by store row, whatever the
+    number of partials (see :func:`_merge`).  :func:`compute_partials`
+    guarantees the partials tile the store, so the merged
+    ``n_users_seen`` equals the store's user count.
     """
     with obs_metrics.histogram(
         "repro_shard_merge_seconds", "wall time to merge shard partials"
     ).time(), trace_span("shard_merge", n_partials=len(partials)):
-        merged = functools.reduce(
-            ShardPartial.merge, partials, ShardPartial.identity()
-        )
-    return merged
+        return _merge(partials)

@@ -72,12 +72,15 @@ from repro.core.drift import (
     ZoneMigrationEvent,
 )
 from repro.core.em import GaussianMixtureModel, select_mixture
-from repro.core.emd import distance_matrix
 from repro.core.events import PostEvent
 from repro.core.flatness import flat_profile_mask
 from repro.core.gaussian import PAPER_SIGMA
 from repro.core.kernels import segment_unique_cells
-from repro.core.placement import PlacementDistribution, place_profile_matrix
+from repro.core.placement import (
+    PlacementDistribution,
+    classify_profiles,
+    place_profile_matrix,
+)
 from repro.core.profiles import HOURS, Profile
 from repro.core.reference import ReferenceProfiles
 from repro.errors import CheckpointError, EmptyTraceError
@@ -465,7 +468,7 @@ class StreamingGeolocator:
         tests in ``tests/test_streaming_batch.py`` interleave the two
         freely) -- while the heavy lifting (cell binning, per-user
         grouping, deduplication) runs as array operations through the
-        :mod:`repro.core.kernels` segmented dispatcher.  Returns the
+        :mod:`repro.core.kernels` segmented kernel.  Returns the
         number of events ingested.
         """
         stamps = np.ascontiguousarray(timestamps, dtype=np.float64)
@@ -1119,14 +1122,10 @@ class StreamingGeolocator:
         if total <= 0.0:
             return None, False
         matrix = ProfileMatrix(["_"], (counts / total)[None, :])
-        if bool(flat_profile_mask(matrix, self.references, metric=self.metric)[0]):
+        flat, nearest = classify_profiles(matrix, self.references, self.metric)
+        if bool(flat[0]):
             return None, True
-        nearest = int(
-            np.argmin(
-                distance_matrix(matrix, self.references, metric=self.metric), axis=1
-            )[0]
-        )
-        return nearest, False
+        return int(nearest[0]), False
 
     def _place_single(self, state: _UserState) -> "tuple[int | None, bool]":
         """(zone index, flat flag) the next refresh will assign this record."""
@@ -1366,10 +1365,11 @@ class StreamingGeolocator:
 
         Each dirty user's stale contribution is first subtracted, then --
         if they pass the activity threshold -- flatness and the nearest
-        zone are recomputed in one distance call over ``[uniform] +
-        references`` for all dirty users at once.  Distances are per-row
-        independent, so the result is bit-identical to a cold full
-        re-place no matter how the work was batched across snapshots.
+        zone are recomputed in one
+        :func:`~repro.core.placement.classify_profiles` pass for all dirty
+        users at once.  Distances are per-row independent, so the result
+        is bit-identical to a cold full re-place no matter how the work
+        was batched across snapshots.
         """
         if not self._dirty:
             return
@@ -1387,14 +1387,10 @@ class StreamingGeolocator:
             return
         rows = np.vstack([self._users[user_id].mass() for user_id in pending])
         matrix = ProfileMatrix(pending, rows)
-        # Same two calls as the cold pipeline (flat_profile_mask, then the
-        # nearest-zone argmin of place_profile_matrix); distances are
-        # per-row independent, so batching users differently across
-        # snapshots cannot change any individual verdict.
-        flat = flat_profile_mask(matrix, self.references, metric=self.metric)
-        nearest = np.argmin(
-            distance_matrix(matrix, self.references, metric=self.metric), axis=1
-        )
+        # The same classifier the cold pipeline polishes and places with;
+        # distances are per-row independent, so batching users differently
+        # across snapshots cannot change any individual verdict.
+        flat, nearest = classify_profiles(matrix, self.references, self.metric)
         for user_id, is_flat, zone in zip(pending, flat, nearest):
             if is_flat:
                 self._flat_ids.add(user_id)

@@ -8,7 +8,8 @@ signature re-deriving ``NDArray[np.float64]``.
 ``ProfileLike`` names the duck-typed "any profile collection" accepted by
 :func:`repro.core.emd.distance_matrix` and friends: a sequence of
 :class:`~repro.core.profiles.Profile`, a raw ``(N, 24)`` array, a
-:class:`~repro.core.batch.ProfileMatrix` or a
+:class:`~repro.core.batch.ProfileMatrix` or anything with cached
+``stacked()`` / ``cumulative()`` arrays, such as
 :class:`~repro.core.reference.ReferenceProfiles`.  It is importable only
 under ``TYPE_CHECKING`` (the member classes live in modules that import
 this one's consumers), which is all the string-annotation world of
@@ -17,7 +18,7 @@ this one's consumers), which is all the string-annotation world of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any, Protocol, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,8 +35,14 @@ if TYPE_CHECKING:
 
     from repro.core.batch import ProfileMatrix
     from repro.core.profiles import Profile
-    from repro.core.reference import ReferenceProfiles
+
+    class StackedProfiles(Protocol):
+        """A fixed ``(N, 24)`` profile stack with its cached row CDFs."""
+
+        def stacked(self) -> FloatArray: ...
+
+        def cumulative(self) -> FloatArray: ...
 
     ProfileLike = Union[
-        "Sequence[Profile]", FloatArray, "ProfileMatrix", "ReferenceProfiles"
+        "Sequence[Profile]", FloatArray, "ProfileMatrix", StackedProfiles
     ]

@@ -413,6 +413,9 @@ class TraceStore:
             )
         lo = int(self._offsets[start])
         hi = int(self._offsets[stop])
+        obs_metrics.counter(
+            "repro_datasets_store_shards_total", "store shards yielded"
+        ).inc()
         return StoreShard(
             user_ids=tuple(str(u) for u in self._user_ids[start:stop]),
             stamps=self._stamps[lo:hi],
@@ -432,20 +435,8 @@ class TraceStore:
         if max_users <= 0:
             raise DatasetError(f"max_users must be positive, got {max_users}")
         n_users = len(self)
-        shards = obs_metrics.counter(
-            "repro_datasets_store_shards_total", "store shards yielded"
-        )
         for start in range(0, n_users, max_users):
-            stop = min(start + max_users, n_users)
-            lo = int(self._offsets[start])
-            hi = int(self._offsets[stop])
-            shards.inc()
-            yield StoreShard(
-                user_ids=tuple(str(u) for u in self._user_ids[start:stop]),
-                stamps=self._stamps[lo:hi],
-                lengths=np.diff(self._offsets[start : stop + 1]),
-                start_index=start,
-            )
+            yield self.shard(start, min(start + max_users, n_users))
 
     def iter_column_chunks(
         self, max_posts: int = 262_144

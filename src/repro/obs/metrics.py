@@ -20,10 +20,11 @@ runs, retries, polls, snapshots) all report through one
   the :class:`~repro.obs.manifest.RunManifest` embeds.
 
 Metric names follow ``repro_<subsystem>_<name>_<unit>`` (see DESIGN
-"Observability"): e.g. ``repro_batch_parallel_fallback_total``,
+"Observability"): e.g. ``repro_shard_fallback_total``,
 ``repro_streaming_snapshot_seconds``.  Labels are passed as keyword
-arguments and become Prometheus labels: ``counter("repro_batch_builds_total",
-path="shm")`` renders as ``repro_batch_builds_total{path="shm"}``.
+arguments and become Prometheus labels:
+``counter("repro_core_geolocate_runs_total", pipeline="store")`` renders
+as ``repro_core_geolocate_runs_total{pipeline="store"}``.
 """
 
 from __future__ import annotations

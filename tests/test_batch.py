@@ -19,12 +19,14 @@ from repro.core.events import ActivityTrace, TraceSet
 from repro.core.flatness import (
     flat_profile_mask,
     is_flat_profile,
+    polish_profile_matrix,
     polish_trace_set,
     polish_trace_set_reference,
 )
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.placement import (
     PlacementDistribution,
+    classify_profiles,
     place_profile_matrix,
     place_trace_set,
     place_users,
@@ -143,13 +145,6 @@ class TestProfileEquivalence:
         assert matrix.user_ids == ("a",)
         with pytest.raises(EmptyTraceError):
             ProfileMatrix.from_trace_set(traces, skip_empty=False)
-
-    def test_parallel_path_equals_serial(self):
-        crowd = _mixed_crowd(seed=3)
-        serial = ProfileMatrix.from_trace_set(crowd, parallel=False)
-        forced = ProfileMatrix.from_trace_set(crowd, parallel=True, max_workers=2)
-        assert serial.user_ids == forced.user_ids
-        np.testing.assert_allclose(serial.matrix, forced.matrix)
 
     def test_crowd_profile_matches_reference(self):
         crowd = _mixed_crowd(seed=4)
@@ -322,6 +317,91 @@ class TestPlacementEquivalence:
         assert batch_assignments["u"] == -7
 
 
+def _boundary_crowd(seed: int, n_users: int) -> ProfileMatrix:
+    """Zone-shaped, near-flat and random rows, so decisions sit near the
+    flat/zone boundary as well as far from it."""
+    rng = np.random.default_rng(seed)
+    generic = ReferenceProfiles.canonical().generic.mass
+    rows = []
+    for i in range(n_users):
+        kind = i % 3
+        if kind == 0:
+            row = np.roll(generic, int(rng.integers(HOURS)))
+            row = row * rng.uniform(0.6, 1.4, HOURS)
+        elif kind == 1:
+            row = rng.uniform(0.9, 1.1, HOURS) / HOURS
+        else:
+            row = rng.uniform(0.01, 1.0, HOURS)
+        rows.append(row)
+    return ProfileMatrix([f"u{i:03d}" for i in range(n_users)], np.vstack(rows))
+
+
+def _references_of(kind: str, seed: int, twitter: ReferenceProfiles):
+    if kind == "canonical":
+        return ReferenceProfiles.canonical()
+    if kind == "twitter":
+        return twitter
+    generic = np.random.default_rng(seed).uniform(0.01, 1.0, HOURS)
+    return ReferenceProfiles(Profile(generic))
+
+
+class TestOnePassClassifier:
+    """``classify_profiles`` makes the polish and placement decisions of
+    ``polish_profile_matrix`` + ``place_profile_matrix`` in one pass."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 45),
+        kind=st.sampled_from(["canonical", "twitter", "random"]),
+        polish=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_polish_then_place(
+        self, references, seed, n_users, kind, polish
+    ):
+        refs = _references_of(kind, seed, references)
+        matrix = _boundary_crowd(seed, n_users)
+        flat, nearest = classify_profiles(matrix, refs)
+        keep = ~flat if polish else np.ones(len(matrix), dtype=bool)
+        kept_ids = tuple(u for u, k in zip(matrix.user_ids, keep) if k)
+        survivors = matrix
+        if polish:
+            survivors, removed, _ = polish_profile_matrix(matrix, refs)
+            assert removed == tuple(
+                u for u, f in zip(matrix.user_ids, flat) if f
+            )
+        assert survivors.user_ids == kept_ids
+        # The argmin runs over the 24 zone columns only.
+        np.testing.assert_array_equal(
+            nearest, np.argmin(distance_matrix(matrix, refs), axis=1)
+        )
+        if not kept_ids:
+            return
+        assignments, _ = place_profile_matrix(survivors, refs)
+        assert assignments == {
+            u: ZONE_OFFSETS[int(i)] for u, i in zip(kept_ids, nearest[keep])
+        }
+
+    @pytest.mark.parametrize("kind", ["canonical", "twitter"])
+    def test_flat_mask_equals_renormalised_stack_formula(self, references, kind):
+        """The flat test once re-normalised ``[uniform] + references``; on
+        canonical and Twitter-derived references that stack is the
+        references' own, bit for bit, so no decision moved."""
+        refs = _references_of(kind, 0, references)
+        stack = refs.stacked()
+        np.testing.assert_array_equal(
+            stack / stack.sum(axis=1, keepdims=True), stack
+        )
+        matrix = _boundary_crowd(seed=11, n_users=600)
+        combined = np.vstack([np.full((1, HOURS), 1.0 / HOURS), stack])
+        distances = distance_matrix(matrix, combined)
+        flat, _ = classify_profiles(matrix, refs)
+        np.testing.assert_array_equal(
+            flat, distances[:, 0] < distances[:, 1:].min(axis=1)
+        )
+        assert 0 < flat.sum() < len(matrix)
+
+
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("polish", [True, False])
     def test_geolocate_engines_agree(self, polish):
@@ -376,150 +456,6 @@ class TestStreamingEquivalence:
         snapshot = stream.snapshot()
         assert snapshot.has_verdict()
         assert snapshot.n_users_active == len(expected)
-
-
-class TestParallelFallback:
-    """A broken process pool degrades to the serial pass -- loudly."""
-
-    def _crowd(self):
-        rng = np.random.default_rng(17)
-        return TraceSet(
-            ActivityTrace(
-                f"u{i:02d}",
-                np.sort(rng.uniform(0.0, SECONDS_90_DAYS, size=40)),
-            )
-            for i in range(12)
-        )
-
-    def test_broken_pool_warns_and_matches_serial(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.core.batch as batch_module
-
-        def broken(arrays, offset_hours, max_workers, fanout="shm"):
-            raise BrokenProcessPool("worker died mid-build")
-
-        monkeypatch.setattr(batch_module, "_counts_parallel", broken)
-        crowd = self._crowd()
-        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
-            fallback = ProfileMatrix.from_trace_set(crowd, parallel=True)
-        serial = ProfileMatrix.from_trace_set(crowd, parallel=False)
-        assert fallback.user_ids == serial.user_ids
-        np.testing.assert_allclose(fallback.matrix, serial.matrix)
-
-    def test_unspawnable_pool_also_degrades(self, monkeypatch):
-        import repro.core.batch as batch_module
-
-        def unspawnable(arrays, offset_hours, max_workers, fanout="shm"):
-            raise OSError("process spawning disabled")
-
-        monkeypatch.setattr(batch_module, "_counts_parallel", unspawnable)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            matrix = ProfileMatrix.from_trace_set(self._crowd(), parallel=True)
-        assert len(matrix) == 12
-
-    def test_healthy_serial_path_does_not_warn(self):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            ProfileMatrix.from_trace_set(self._crowd(), parallel=False)
-
-
-class TestParallelKernels:
-    """The shared-memory fan-out equals pickle fan-out equals serial."""
-
-    def _columns(self, n_users: int, seed: int = 23):
-        rng = np.random.default_rng(seed)
-        lengths = rng.integers(1, 60, size=n_users)
-        stamps = np.sort(
-            rng.uniform(0.0, SECONDS_90_DAYS, size=int(lengths.sum()))
-        )
-        # Sort within each user's segment, as traces and the store do.
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        stamps = np.concatenate(
-            [np.sort(stamps[offsets[i] : offsets[i + 1]]) for i in range(n_users)]
-        )
-        return stamps, lengths.astype(np.int64)
-
-    def test_shm_equals_pickle_equals_serial(self):
-        from repro.core.batch import (
-            _flat_segment_counts,
-            counts_parallel_pickle,
-            counts_parallel_shm,
-        )
-
-        stamps, lengths = self._columns(120)
-        serial = _flat_segment_counts(stamps, lengths, 3.0)
-        np.testing.assert_array_equal(
-            counts_parallel_shm(stamps, lengths, 3.0), serial
-        )
-        np.testing.assert_array_equal(
-            counts_parallel_pickle(stamps, lengths, 3.0), serial
-        )
-
-    def test_single_user_parallel(self):
-        from repro.core.batch import (
-            _flat_segment_counts,
-            counts_parallel_pickle,
-            counts_parallel_shm,
-        )
-
-        stamps, lengths = self._columns(1)
-        serial = _flat_segment_counts(stamps, lengths, 0.0)
-        np.testing.assert_array_equal(
-            counts_parallel_shm(stamps, lengths, 0.0), serial
-        )
-        np.testing.assert_array_equal(
-            counts_parallel_pickle(stamps, lengths, 0.0), serial
-        )
-
-    def test_max_workers_one_equals_serial(self):
-        from repro.core.batch import (
-            _flat_segment_counts,
-            counts_parallel_pickle,
-            counts_parallel_shm,
-        )
-
-        stamps, lengths = self._columns(17)
-        serial = _flat_segment_counts(stamps, lengths, -4.5)
-        np.testing.assert_array_equal(
-            counts_parallel_shm(stamps, lengths, -4.5, max_workers=1), serial
-        )
-        np.testing.assert_array_equal(
-            counts_parallel_pickle(stamps, lengths, -4.5, max_workers=1),
-            serial,
-        )
-
-    def test_empty_tail_chunk(self):
-        """More requested workers than users: tail chunks must be empty-safe."""
-        from repro.core.batch import counts_parallel_shm, _flat_segment_counts
-
-        stamps, lengths = self._columns(3)
-        serial = _flat_segment_counts(stamps, lengths, 0.0)
-        np.testing.assert_array_equal(
-            counts_parallel_shm(stamps, lengths, 0.0, max_workers=8), serial
-        )
-
-    def test_chunk_bounds_tile_exactly(self):
-        from repro.core.batch import _chunk_bounds
-
-        for n_users in (1, 2, 3, 7, 64, 65, 1000):
-            for workers in (1, 2, 3, 8):
-                bounds = _chunk_bounds(n_users, workers)
-                assert bounds[0][0] == 0
-                assert bounds[-1][1] == n_users
-                for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                    assert hi == lo
-                assert all(hi > lo for lo, hi in bounds)
-
-    def test_zero_users(self):
-        from repro.core.batch import counts_parallel_shm
-
-        counts = counts_parallel_shm(
-            np.zeros(0), np.zeros(0, dtype=np.int64), 0.0
-        )
-        assert counts.shape == (0, HOURS)
 
 
 class TestFastSelect:

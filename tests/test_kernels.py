@@ -1,10 +1,10 @@
-"""Counts-kernel backends and the blocked EMD kernels.
+"""The segmented Eq. 1 kernels and the blocked EMD kernels.
 
-The dispatcher contract is that backends are interchangeable bit for bit:
-the numpy pass is the reference, the numba JIT (when installed) must
-match it exactly, and the blocked ``distance_matrix`` kernels must be
-invariant to the block size down to the last bit -- that exactness is
-what the sharded engine's merge correctness rests on.
+The counts and unique-cells kernels must match per-user oracles on
+unsorted, negative and empty segments, and the blocked
+``distance_matrix`` kernels must be invariant to the block size down to
+the last bit -- that exactness is what the sharded engine's merge
+correctness rests on.
 """
 
 from __future__ import annotations
@@ -14,18 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import emd as emd_module
-from repro.core import kernels
 from repro.core.emd import ALL_DISTANCES, distance_matrix
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    available_backends,
-    kernel_backend,
-    segment_counts,
-    segment_counts_numpy,
-    segment_unique_cells,
-    segment_unique_cells_numpy,
-    set_kernel_backend,
-)
+from repro.core.kernels import segment_counts, segment_unique_cells
 from repro.timebase.clock import split_day_hours
 
 
@@ -72,73 +62,22 @@ class TestNumpyBackend:
         lists = [np.asarray(a, dtype=float) for a in arrays]
         stamps, lengths = _flatten(lists)
         np.testing.assert_array_equal(
-            segment_counts_numpy(stamps, lengths, offset),
+            segment_counts(stamps, lengths, offset),
             _naive_counts(lists, offset),
         )
 
     def test_empty_column_shapes(self):
         empty = np.zeros(0, dtype=float)
-        no_users = segment_counts_numpy(empty, np.zeros(0, dtype=np.int64))
+        no_users = segment_counts(empty, np.zeros(0, dtype=np.int64))
         assert no_users.shape == (0, 24)
-        silent = segment_counts_numpy(empty, np.zeros(3, dtype=np.int64))
+        silent = segment_counts(empty, np.zeros(3, dtype=np.int64))
         np.testing.assert_array_equal(silent, np.zeros((3, 24)))
 
     def test_rows_are_float64(self):
-        counts = segment_counts_numpy(
+        counts = segment_counts(
             np.array([10.0, 3700.0]), np.array([2], dtype=np.int64)
         )
         assert counts.dtype == np.float64
-
-
-class TestBackendDispatch:
-    def test_default_backend_is_listed(self):
-        assert kernel_backend() in available_backends()
-        assert "numpy" in available_backends()
-
-    def test_set_and_restore(self):
-        previous = set_kernel_backend("numpy")
-        try:
-            assert kernel_backend() == "numpy"
-            counts = segment_counts(
-                np.array([100.0, 7300.0]), np.array([2], dtype=np.int64)
-            )
-            assert counts.shape == (1, 24)
-        finally:
-            set_kernel_backend(previous)
-        assert kernel_backend() == previous
-
-    def test_unknown_backend_refused(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_kernel_backend("fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_requested_but_missing_refused(self):
-        with pytest.raises(ValueError, match="numba is not installed"):
-            set_kernel_backend("numba")
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            kernels.segment_counts_numba(
-                np.array([1.0]), np.array([1], dtype=np.int64)
-            )
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaBackend:
-    @given(segments, st.sampled_from([0.0, -5.0, 3.0, 11.5]))
-    @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_numpy(self, arrays, offset):
-        lists = [np.asarray(a, dtype=float) for a in arrays]
-        stamps, lengths = _flatten(lists)
-        np.testing.assert_array_equal(
-            kernels.segment_counts_numba(stamps, lengths, offset),
-            segment_counts_numpy(stamps, lengths, offset),
-        )
-
-    def test_backend_selectable(self):
-        previous = set_kernel_backend("numba")
-        try:
-            assert kernel_backend() == "numba"
-        finally:
-            set_kernel_backend(previous)
 
 
 def _naive_unique(arrays: list, offset: float) -> tuple:
@@ -169,14 +108,14 @@ class TestSegmentUniqueCells:
         """Unsorted, negative and empty segments all deduplicate correctly."""
         lists = [np.asarray(a, dtype=float) for a in arrays]
         stamps, lengths = _flatten(lists)
-        cells, counts = segment_unique_cells_numpy(stamps, lengths, offset)
+        cells, counts = segment_unique_cells(stamps, lengths, offset)
         want_cells, want_counts = _naive_unique(lists, offset)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(cells, want_cells)
 
     def test_empty_column_shapes(self):
         empty = np.zeros(0, dtype=float)
-        cells, counts = segment_unique_cells_numpy(
+        cells, counts = segment_unique_cells(
             empty, np.zeros(3, dtype=np.int64)
         )
         assert cells.shape == (0,) and cells.dtype == np.int64
@@ -186,43 +125,9 @@ class TestSegmentUniqueCells:
         # The same hour cell for two users stays one cell *each*.
         stamps = np.asarray([3600.0, 3660.0, 3600.0], dtype=float)
         lengths = np.asarray([2, 1], dtype=np.int64)
-        cells, counts = segment_unique_cells_numpy(stamps, lengths)
+        cells, counts = segment_unique_cells(stamps, lengths)
         np.testing.assert_array_equal(counts, [1, 1])
         np.testing.assert_array_equal(cells, [1, 1])
-
-    @given(segments, st.sampled_from([0.0, -5.0, 11.5]))
-    @settings(max_examples=30, deadline=None)
-    def test_dispatcher_matches_numpy(self, arrays, offset):
-        lists = [np.asarray(a, dtype=float) for a in arrays]
-        stamps, lengths = _flatten(lists)
-        cells, counts = segment_unique_cells(stamps, lengths, offset)
-        want_cells, want_counts = segment_unique_cells_numpy(
-            stamps, lengths, offset
-        )
-        np.testing.assert_array_equal(cells, want_cells)
-        np.testing.assert_array_equal(counts, want_counts)
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_variant_missing_refused(self):
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            kernels.segment_unique_cells_numba(
-                np.array([1.0]), np.array([1], dtype=np.int64)
-            )
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    @given(segments, st.sampled_from([0.0, -5.0, 3.0, 11.5]))
-    @settings(max_examples=60, deadline=None)
-    def test_numba_bit_identical(self, arrays, offset):
-        lists = [np.asarray(a, dtype=float) for a in arrays]
-        stamps, lengths = _flatten(lists)
-        numba_cells, numba_counts = kernels.segment_unique_cells_numba(
-            stamps, lengths, offset
-        )
-        numpy_cells, numpy_counts = segment_unique_cells_numpy(
-            stamps, lengths, offset
-        )
-        np.testing.assert_array_equal(numba_cells, numpy_cells)
-        np.testing.assert_array_equal(numba_counts, numpy_counts)
 
 
 class TestBlockedDistanceKernels:

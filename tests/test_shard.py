@@ -2,9 +2,9 @@
 
 ``ShardPartial`` must behave as a commutative monoid (Hypothesis pins
 associativity, commutativity and the empty-shard identity), the shard
-bounds must tile the store exactly, and
-``CrowdGeolocator.geolocate_store_sharded`` must reproduce the
-single-shard oracle bit for bit, for any shard and worker count.
+bounds must tile the store exactly, and ``CrowdGeolocator.geolocate_store``
+(also spelled ``geolocate_store_sharded``) must reproduce the whole-store
+oracle of ``store_oracle.py`` bit for bit, for any shard and worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.core.shard import (
 )
 from repro.datasets.store import TraceStore
 from repro.errors import DatasetError, EmptyTraceError
+from store_oracle import geolocate_store_oracle
 
 MIN_POSTS = 10
 
@@ -206,7 +207,7 @@ class TestShardedOracle:
     @pytest.mark.parametrize("n_shards", [1, 2, 8])
     def test_bit_identical_to_geolocate_store(self, shard_store, n_shards):
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
-        oracle = locator.geolocate_store(shard_store, crowd_name="c")
+        oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
         sharded = locator.geolocate_store_sharded(
             shard_store, crowd_name="c", n_shards=n_shards, max_workers=1
         )
@@ -215,8 +216,8 @@ class TestShardedOracle:
 
     def test_bit_identical_without_polish(self, shard_store):
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
-        oracle = locator.geolocate_store(
-            shard_store, crowd_name="c", polish=False
+        oracle = geolocate_store_oracle(
+            locator, shard_store, crowd_name="c", polish=False
         )
         sharded = locator.geolocate_store_sharded(
             shard_store, crowd_name="c", polish=False, n_shards=3
@@ -225,11 +226,31 @@ class TestShardedOracle:
 
     def test_bit_identical_across_worker_pool(self, shard_store):
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
-        oracle = locator.geolocate_store(shard_store, crowd_name="c")
+        oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
         pooled = locator.geolocate_store_sharded(
             shard_store, crowd_name="c", n_shards=4, max_workers=2
         )
         _assert_reports_identical(oracle, pooled)
+
+    @pytest.mark.parametrize("polish", [True, False])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("n_shards", [None, 1, 2, 8])
+    def test_store_entry_points_match_oracle(
+        self, shard_store, n_shards, max_workers, polish
+    ):
+        """Default and explicit shard counts, inline and pooled, polish on/off."""
+        locator = CrowdGeolocator(min_posts=MIN_POSTS)
+        oracle = geolocate_store_oracle(
+            locator, shard_store, crowd_name="c", polish=polish
+        )
+        report = locator.geolocate_store(
+            shard_store,
+            crowd_name="c",
+            polish=polish,
+            n_shards=n_shards,
+            max_workers=max_workers,
+        )
+        _assert_reports_identical(oracle, report)
 
     def test_all_users_below_threshold_raises(self, tmp_path):
         sparse = TraceSet(
@@ -247,7 +268,7 @@ class TestShardedOracle:
 
     def test_broken_pool_degrades_to_inline(self, shard_store, monkeypatch):
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
-        oracle = locator.geolocate_store(shard_store, crowd_name="c")
+        oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
 
         def _broken_pool(*args, **kwargs):
             raise OSError("no process pool in this sandbox")
