@@ -49,7 +49,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.emd import ALL_DISTANCES
-from repro.core.profiles import HOURS
 from repro.core.types import FloatArray, IntArray
 from repro.timebase.zones import ZONE_OFFSETS
 
@@ -152,14 +151,15 @@ class DriftConfig:
     def check_due(self, now_day: int, last_check_day: int) -> bool:
         """Whether a lifecycle check is due at *now_day* for this config.
 
-        The single throttle predicate of the new-cell hook: a user whose
-        last check ran at *last_check_day* is checked again only once
+        The throttle predicate of the new-cell hook: a user whose last
+        check ran at *last_check_day* is checked again only once
         ``check_interval_days`` stream days have elapsed.  The streaming
-        engine's per-event path evaluates it per opened cell; the bulk
-        ingest evaluates it **once per (user, chunk)** against the
-        chunk's newest possible day -- when even that day is not due, no
-        event inside the chunk can fire a check, so the whole chunk is
-        applied with vectorised bookkeeping and zero per-event calls.
+        engine's per-event path applies it at every opened cell; the bulk
+        core evaluates it **once per (user, chunk)** against the newest
+        day the chunk can reach.  When even that day is not due, no event
+        of the user's chunk can fire a check, so the chunk is merged
+        without per-event calls; when it is due, the user's chunk events
+        replay through ``observe()`` in original order.
         """
         return now_day - last_check_day >= self.check_interval_days
 
@@ -356,9 +356,9 @@ class CompositionTimeline:
     Samples are recorded by the streaming engine at snapshot time; a
     second snapshot on the same stream day replaces that day's sample, so
     the timeline length is bounded by campaign days, not snapshot calls.
-    Round-trips through checkpoints (:meth:`as_state` /
-    :meth:`from_state` for JSON, :meth:`arrays` / :meth:`from_arrays`
-    for the binary ``.npz`` columns).
+    Round-trips through checkpoints as two integer columns
+    (:meth:`arrays` / :meth:`from_arrays`), which the JSON checkpoint
+    renders as lists.
     """
 
     def __init__(self) -> None:
@@ -399,27 +399,8 @@ class CompositionTimeline:
 
     # -- checkpoint round-trip --------------------------------------------
 
-    def as_state(self) -> dict[str, Any]:
-        return {
-            "days": list(self._days),
-            "hists": [hist.tolist() for hist in self._hists],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "CompositionTimeline":
-        timeline = cls()
-        for day, hist in zip(state["days"], state["hists"]):
-            if len(hist) != len(ZONE_OFFSETS):
-                raise ValueError(
-                    f"timeline sample has {len(hist)} bins, "
-                    f"expected {len(ZONE_OFFSETS)}"
-                )
-            timeline._days.append(int(day))
-            timeline._hists.append(np.asarray(hist, dtype=np.int64))
-        return timeline
-
     def arrays(self) -> tuple[IntArray, IntArray]:
-        """(days, hists) integer columns for the binary checkpoint."""
+        """(days, hists) integer columns for the checkpoint."""
         days = np.asarray(self._days, dtype=np.int64)
         if self._hists:
             hists = np.vstack(self._hists).astype(np.int64)

@@ -37,18 +37,33 @@ machinery, so drift-adjusted snapshots remain bit-identical to
 (the default) the engine is bit-identical to, and within noise as fast
 as, the pre-drift release -- ``perf_smoke.py`` gates both.
 
+**Bulk intake** (:meth:`StreamingGeolocator.observe_batch`,
+:meth:`StreamingGeolocator.ingest_store`) has one core,
+``_ingest_grouped``: it bins a chunk once into per-user sorted unique
+cells and merges them into the records -- array-backed records in one
+vectorised pass, set-backed ones per user.  With drift on, a user whose
+chunk could fire a lifecycle check replays their events through
+:meth:`StreamingGeolocator.observe` in original chunk order instead.
+Either way the engine lands in exactly the state the per-event loop
+reaches.
+
 A monitoring campaign runs for months, so the geolocator's full state
 (configuration, reference profiles, every user's versioned record, the
 drift configuration and composition timeline) round-trips through
 :meth:`StreamingGeolocator.save_checkpoint` /
 :meth:`StreamingGeolocator.load_checkpoint` -- kill the process at any
-point and the reloaded instance produces the same snapshots.  Two payload
-formats are supported: the JSON document of earlier releases (still
-written by default, still loadable) and a binary ``.npz`` payload whose
-cell sets travel as integer columns, so a million-user checkpoint
-round-trips in seconds.  ``load_checkpoint`` negotiates both the payload
-format and the schema version from the file itself: version-1
-checkpoints written before the drift layer existed load with
+point and the reloaded instance produces the same snapshots.  One codec
+serves both payload formats: :meth:`StreamingGeolocator.binary_state`
+lays the state out as integer and float columns (all users' cells in one
+encoded column), the ``.npz`` payload stores those columns as they are,
+and the JSON document of earlier releases (still written by default,
+still loadable) is :meth:`StreamingGeolocator.state_dict`'s rendering of
+them.  Loading parses either payload back into the same columns and
+restores them in one vectorised pass
+(:meth:`StreamingGeolocator.from_binary_state`), so a million-user
+checkpoint round-trips in seconds.  ``load_checkpoint`` negotiates both
+the payload format and the schema version from the file itself:
+version-1 checkpoints written before the drift layer existed load with
 full-confidence defaults, while a version-2 checkpoint handed to a
 version-1 reader fails loudly with a :class:`CheckpointError`.
 """
@@ -83,7 +98,7 @@ from repro.core.placement import (
 )
 from repro.core.profiles import HOURS, Profile
 from repro.core.reference import ReferenceProfiles
-from repro.errors import CheckpointError, EmptyTraceError
+from repro.errors import CheckpointError, CorruptTraceError, EmptyTraceError
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import trace_span
 from repro.reliability.checkpoint import (
@@ -98,7 +113,6 @@ from repro.reliability.clocks import WallClockFn, wall_now
 if TYPE_CHECKING:
     from repro.core.types import AnyArray, FloatArray, IntArray
     from repro.datasets.store import TraceStore
-from repro.timebase.clock import split_day_hours
 from repro.timebase.zones import ZONE_OFFSETS
 
 #: Checkpoint envelope identifiers for :class:`StreamingGeolocator` state.
@@ -117,7 +131,7 @@ EMPTY_STREAM = "empty-stream"
 UNDER_EVIDENCED = "under-evidenced"
 VERDICT = "verdict"
 
-#: Column sentinel for "no anchor / no day yet" in binary checkpoints
+#: Column sentinel for "no anchor / no day yet" in checkpoint columns
 #: (chosen far outside any reachable day ordinal).
 _NO_DAY = -(2**62)
 
@@ -183,10 +197,14 @@ class _UserState:
     """One user's versioned incremental Eq. 1 record.
 
     Active cells are kept as encoded ``day * 24 + hour`` integers (cheaper
-    to hash and to checkpoint than tuples).  The normalised profile row is
-    cached and invalidated only when a new active cell appears, so
-    snapshots reuse the row of every user whose activity pattern did not
-    change since the previous snapshot.
+    to hash and to checkpoint than tuples), in one of two forms: a sorted
+    int64 array (``_frozen``) for records built by checkpoint restore or
+    by bulk merges, or a python set once :meth:`add` touches the record.
+    The bulk core merges a whole chunk into every array-backed record in
+    one vectorised pass; set-backed records take a per-user loop.  The
+    normalised profile row is cached and invalidated only when a new
+    active cell appears, so snapshots reuse the row of every user whose
+    activity pattern did not change since the previous snapshot.
 
     The record is *versioned*: ``record_version`` starts at 1 and is
     bumped by :meth:`truncate_to` when the drift layer re-estimates the
@@ -219,7 +237,7 @@ class _UserState:
         # again -- most restored users never are, so a million-user
         # checkpoint loads in seconds instead of materialising a million
         # sets up front.
-        self._frozen: FloatArray | None = None
+        self._frozen: IntArray | None = None
         self.counts = np.zeros(HOURS, dtype=float)
         self.n_posts = 0
         self._mass: FloatArray | None = None
@@ -277,11 +295,6 @@ class _UserState:
                 raise EmptyTraceError("no activity accumulated")
             self._mass = self.counts / total
         return self._mass
-
-    def profile(self) -> Profile:
-        if self.counts.sum() <= 0.0:
-            raise EmptyTraceError("no activity accumulated")
-        return Profile(self.counts)
 
     # -- drift-lifecycle helpers ------------------------------------------
 
@@ -469,7 +482,9 @@ class StreamingGeolocator:
         freely) -- while the heavy lifting (cell binning, per-user
         grouping, deduplication) runs as array operations through the
         :mod:`repro.core.kernels` segmented kernel.  Returns the
-        number of events ingested.
+        number of events ingested.  A non-finite timestamp raises
+        :class:`~repro.errors.CorruptTraceError` before any event of the
+        chunk is ingested.
         """
         stamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         if stamps.ndim != 1:
@@ -481,29 +496,18 @@ class StreamingGeolocator:
             )
         if n == 0:
             return 0
+        if isinstance(user_ids, np.ndarray):
+            user_ids = user_ids.astype(str).tolist()
         # Factorise author ids to dense codes numbered in first-appearance
         # order -- state creation order must match the per-event loop (the
         # checkpoint columns follow ``self._users`` insertion order).
-        codes = np.empty(n, dtype=np.int64)
-        if isinstance(user_ids, np.ndarray):
-            uniq_arr, first_seen, inverse = np.unique(
-                user_ids, return_index=True, return_inverse=True
-            )
-            appearance = np.argsort(first_seen, kind="stable")
-            remap = np.empty(appearance.size, dtype=np.int64)
-            remap[appearance] = np.arange(appearance.size, dtype=np.int64)
-            codes[:] = remap[inverse]
-            uniq = [str(u) for u in uniq_arr[appearance]]
-        else:
-            index: dict[str, int] = {}
-            uniq = []
-            for j, user_id in enumerate(user_ids):
-                code = index.get(user_id)
-                if code is None:
-                    code = len(uniq)
-                    index[user_id] = code
-                    uniq.append(user_id)
-                codes[j] = code
+        index: dict[str, int] = {}
+        codes = np.fromiter(
+            (index.setdefault(user_id, len(index)) for user_id in user_ids),
+            dtype=np.int64,
+            count=n,
+        )
+        uniq = list(index)
         lengths = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
         order = np.argsort(codes, kind="stable").astype(np.int64)
         with trace_span("streaming_observe_batch", n_events=n, n_users=len(uniq)):
@@ -529,7 +533,9 @@ class StreamingGeolocator:
         any result: chunk boundaries never split a user, and the store
         columns arrive pre-grouped, so the per-chunk regrouping of
         :meth:`observe_batch` is skipped entirely.  Returns the number of
-        events ingested.
+        events ingested.  A chunk holding a non-finite timestamp raises
+        :class:`~repro.errors.CorruptTraceError` before any of its events
+        is ingested (earlier chunks stay ingested).
 
         *on_chunk*, when given, is called after each ingested chunk with
         ``(events_so_far, max_chunk_timestamp)`` -- the observatory hook
@@ -559,19 +565,28 @@ class StreamingGeolocator:
         stamps: "FloatArray",
         positions: "IntArray | None",
     ) -> None:
-        """Core of the bulk path: ingest a chunk already grouped by user.
+        """The one bulk core: ingest a chunk already grouped by user.
 
         *stamps* holds each user's chunk events back to back, preserving
         their original relative order within the user; *positions* maps
         each grouped event back to its index in the original interleaved
         chunk (``None`` when the grouped order *is* the original order,
-        as for store replay).  Bit-identity with the per-event loop rests
-        on three facts the property tests pin down: counts, day bitmaps
-        and ``max_day`` change only at events that open a new in-record
-        cell; a user's ``n_posts`` at any event equals its pre-chunk value
-        plus the event's within-user ordinal plus one; and the
-        ``min_posts`` promotion fires exactly when the chunk crosses the
-        threshold.  Everything else per-event work does is a no-op.
+        as for store replay).  The chunk is binned once into per-user
+        sorted unique cells.
+
+        With drift on, a user with no confidence record yet, or whose
+        lifecycle check is due (:meth:`DriftConfig.check_due`) at the
+        newest day the chunk can reach, replays their events through
+        :meth:`observe` in original chunk order: migration-log order
+        depends on how users interleave.  Every other user is merged --
+        array-backed records in one :meth:`_vector_apply` pass, set-backed
+        ones through :meth:`_apply_unique_cells`.  Bit-identity with the
+        per-event loop rests on facts the property tests pin down: a
+        merged user's chunk can fire no check; counts, day bitmaps and
+        ``max_day`` change only at events that open a new in-record cell,
+        so a user who opened one is dirty and (drift on) the stream clock
+        ends at their newest ``max_day``; and the ``min_posts`` promotion
+        fires exactly when the chunk crosses the threshold.
         """
         n_users = len(user_ids)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
@@ -581,62 +596,100 @@ class StreamingGeolocator:
             )
         if int(lengths.sum()) != stamps.size:
             raise ValueError("lengths do not cover the stamp column")
-        if n_users and bool((lengths == 0).any()):
+        if stamps.size == 0:
+            return
+        finite = np.isfinite(stamps)
+        if not bool(finite.all()):
+            bad = int(np.argmin(finite))
+            culprit = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+            raise CorruptTraceError(
+                f"user {user_ids[culprit]!r} has a non-finite timestamp "
+                f"({float(stamps[bad])}); nothing of this chunk was ingested"
+            )
+        if bool((lengths == 0).any()):
             # A zero-length user never reaches observe() in the per-event
             # loop, so it must not acquire state here either.
             keep = lengths > 0
             user_ids = [u for u, k in zip(user_ids, keep) if k]
             lengths = lengths[keep]
             n_users = len(user_ids)
-        if stamps.size == 0:
-            return
-        seg_starts = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(lengths, out=seg_starts[1:])
         states: list[_UserState] = []
         for user_id in user_ids:
             state = self._users.get(user_id)
             if state is None:
                 state = self._users[user_id] = _UserState()
             states.append(state)
-        before = [state.n_posts for state in states]
-        if self.drift is None:
-            self._bulk_apply(user_ids, states, lengths, stamps)
-        else:
-            self._bulk_apply_drift(
-                user_ids, states, before, lengths, seg_starts, stamps, positions
-            )
-        for i, state in enumerate(states):
-            state.n_posts = before[i] + int(lengths[i])
-            if before[i] < self.min_posts <= state.n_posts:
+        unique_cells, cell_lengths = segment_unique_cells(stamps, lengths)
+        cell_starts = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(cell_lengths, out=cell_starts[1:])
+        config = self.drift
+        replay = [False] * n_users
+        if config is not None:
+            # Cells are sorted per user, so each segment's last cell holds
+            # the newest day this chunk can reach.
+            newest_days = (unique_cells[cell_starts[1:] - 1] // HOURS).tolist()
+            replay = [
+                state.confidence is None
+                or config.check_due(
+                    max(state.max_day, newest), state.last_check_day
+                )
+                for state, newest in zip(states, newest_days)
+            ]
+        opened: list[int] = []
+        records: list[IntArray] = []
+        vectorised: list[int] = []
+        for i, (state, length) in enumerate(zip(states, lengths.tolist())):
+            if replay[i]:
+                continue
+            record = self._frozen_record(state)
+            if record is not None:
+                records.append(record)
+                vectorised.append(i)
+            elif self._apply_unique_cells(
+                state, unique_cells[cell_starts[i] : cell_starts[i + 1]]
+            ):
+                opened.append(i)
+            before = state.n_posts
+            state.n_posts = before + length
+            if before < self.min_posts <= state.n_posts:
                 # The chunk crossed the activity threshold: exactly one of
                 # its events had n_posts == min_posts in the per-event
                 # loop, which dirties the user even with no new cell.
                 self._dirty.add(user_ids[i])
-        self._n_events += int(stamps.size)
+        if vectorised:
+            opened += self._vector_apply(
+                states, vectorised, records, unique_cells, cell_lengths, cell_starts
+            )
+        for i in opened:
+            self._dirty.add(user_ids[i])
+            # Each opened cell moves the stream clock in the per-event
+            # loop; the newest of them is the user's final max_day.
+            if config is not None and (
+                self._stream_day is None or states[i].max_day > self._stream_day
+            ):
+                self._stream_day = states[i].max_day
+        replayed = 0
+        if any(replay):
+            owner = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
+            events = np.flatnonzero(np.asarray(replay)[owner])
+            if positions is not None:
+                events = events[np.argsort(positions[events], kind="stable")]
+            for user, timestamp in zip(
+                owner[events].tolist(), stamps[events].tolist()
+            ):
+                self.observe(user_ids[user], timestamp)
+            # observe() counted these events already.
+            replayed = int(events.size)
+        self._n_events += int(stamps.size) - replayed
 
-    def _apply_unique_cells(self, state: _UserState, seg: "IntArray") -> bool:
-        """Apply one chunk's sorted unique cells to *state*'s record.
+    @staticmethod
+    def _apply_unique_cells(state: _UserState, seg: "IntArray") -> bool:
+        """Merge one chunk's sorted unique cells into *state*'s record.
 
         Returns True when at least one *in-record* cell opened -- exactly
         the chunks for which the per-event loop would have dirtied the
         user.  ``n_posts`` bookkeeping is left to the caller.
         """
-        if (
-            state.n_posts == 0
-            and state.n_cells() == 0
-            and state.anchor_day is None
-            and state._day_bits is None
-        ):
-            # Fresh user: the chunk is the whole record.  Adopt the sorted
-            # unique slice wholesale with deferred set materialisation
-            # (exactly how checkpoint restore leaves users) -- no
-            # membership tests, no per-cell python.
-            state._cells = None
-            state._frozen = seg.copy()
-            state.counts = np.bincount(seg % HOURS, minlength=HOURS).astype(float)
-            state.max_day = int(seg[-1]) // HOURS
-            state._mass = None
-            return True
         cells = state.cells
         counts = state.counts
         bits = state._day_bits
@@ -680,64 +733,27 @@ class StreamingGeolocator:
             return _EMPTY_CELLS
         return None
 
-    def _bulk_apply(
-        self,
-        user_ids: "Sequence[str]",
-        states: "list[_UserState]",
-        lengths: "IntArray",
-        stamps: "FloatArray",
-    ) -> None:
-        """Drift-off bulk path: one kernel call bins the whole chunk.
-
-        Users whose records are array-backed (fresh, restored, or built by
-        earlier bulk chunks) are diffed and merged in one vectorised pass
-        over the whole chunk; set-backed records take the per-user loop.
-        """
-        unique_cells, cell_lengths = segment_unique_cells(stamps, lengths)
-        cell_starts = np.zeros(len(states) + 1, dtype=np.int64)
-        np.cumsum(cell_lengths, out=cell_starts[1:])
-        records: list[IntArray] = []
-        vectorised: list[int] = []
-        for i, state in enumerate(states):
-            record = self._frozen_record(state)
-            if record is None:
-                seg = unique_cells[cell_starts[i] : cell_starts[i + 1]]
-                if self._apply_unique_cells(state, seg):
-                    self._dirty.add(user_ids[i])
-            else:
-                records.append(record)
-                vectorised.append(i)
-        if vectorised:
-            self._vector_apply(
-                user_ids,
-                states,
-                vectorised,
-                records,
-                unique_cells,
-                cell_lengths,
-                cell_starts,
-            )
-
+    @classmethod
     def _vector_apply(
-        self,
-        user_ids: "Sequence[str]",
+        cls,
         states: "list[_UserState]",
         vectorised: "list[int]",
         records: "list[IntArray]",
         unique_cells: "IntArray",
         cell_lengths: "IntArray",
         cell_starts: "IntArray",
-    ) -> None:
+    ) -> list[int]:
         """Diff + merge one chunk against many records in one numpy pass.
 
         Records and chunk candidates are encoded as ``user * span + cell``
         keys (both sorted user-major, so membership is one searchsorted),
         new cells are spliced into one merged key column, and every user's
         record is re-pointed at its slice of the decoded result.  The
-        per-user outcome -- cells, counts (anchor-masked), ``max_day``,
-        dirty membership -- is identical to running
-        :meth:`_apply_unique_cells` per user, which is the fallback when
-        the key encoding would overflow int64.
+        per-user outcome -- cells, counts (anchor-masked), ``max_day`` --
+        is identical to running :meth:`_apply_unique_cells` per user,
+        which is the fallback when the key encoding would overflow int64.
+        Returns the indices (into *states*) of the users whose record
+        opened an in-record cell.
         """
         n_vec = len(vectorised)
         selector = np.asarray(vectorised, dtype=np.int64)
@@ -766,11 +782,13 @@ class StreamingGeolocator:
         span = cell_max - cell_min + 1
         if n_vec * span >= 2**62:
             # Pathological cell range: the encoded keys would overflow.
-            for i, record in zip(vectorised, records):
-                seg = unique_cells[cell_starts[i] : cell_starts[i + 1]]
-                if self._apply_unique_cells(states[i], seg):
-                    self._dirty.add(user_ids[i])
-            return
+            return [
+                i
+                for i in vectorised
+                if cls._apply_unique_cells(
+                    states[i], unique_cells[cell_starts[i] : cell_starts[i + 1]]
+                )
+            ]
         record_owner = np.repeat(
             np.arange(n_vec, dtype=np.int64), record_lengths
         )
@@ -828,97 +846,7 @@ class StreamingGeolocator:
             if opened[j]:
                 state.counts = state.counts + deltas[j]
                 state._mass = None
-                self._dirty.add(user_ids[i])
-
-    def _bulk_apply_drift(
-        self,
-        user_ids: "Sequence[str]",
-        states: "list[_UserState]",
-        before: "list[int]",
-        lengths: "IntArray",
-        seg_starts: "IntArray",
-        stamps: "FloatArray",
-        positions: "IntArray | None",
-    ) -> None:
-        """Drift-on bulk path: amortised lifecycle checks, exact replay.
-
-        Users whose chunk cannot fire a lifecycle check -- the newest day
-        they could reach is still inside the :meth:`DriftConfig.check_due`
-        throttle -- take the vectorised path with **one** drift
-        bookkeeping step per (user, chunk).  The rest (due for a check, or
-        with no confidence record yet) replay their first-occurrence cells
-        through :meth:`observe`'s exact machinery in original chunk order,
-        because cross-user event interleaving decides the migration-log
-        order.  Duplicate events can never fire a check (they open no
-        cell), so skipping them is exact.
-        """
-        config = self.drift
-        assert config is not None
-        n = int(stamps.size)
-        n_users = len(states)
-        days, hours = split_day_hours(stamps)
-        cells = days * np.int64(HOURS) + hours
-        owner = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
-        if positions is None:
-            positions = np.arange(n, dtype=np.int64)
-        # One candidate per distinct (user, cell): its earliest event in
-        # original order.  Later duplicates are no-ops in the per-event
-        # loop (no cell opens, max_day cannot rise past its first
-        # occurrence, n_posts is finalised separately).
-        order = np.lexsort((positions, cells, owner))
-        ordered_cells = cells[order]
-        ordered_owner = owner[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = (ordered_cells[1:] != ordered_cells[:-1]) | (
-            ordered_owner[1:] != ordered_owner[:-1]
-        )
-        candidates = order[first]
-        candidate_owner = ordered_owner[first]
-        candidate_cells = ordered_cells[first]
-        candidate_starts = np.searchsorted(
-            candidate_owner, np.arange(n_users + 1), side="left"
-        )
-        ranks = np.arange(n, dtype=np.int64) - np.repeat(seg_starts[:-1], lengths)
-        replay = np.zeros(n_users, dtype=bool)
-        for i, state in enumerate(states):
-            # Candidate cells are sorted per user, so the segment's last
-            # entry carries the newest day this chunk can reach.
-            newest = int(candidate_cells[candidate_starts[i + 1] - 1]) // HOURS
-            if state.max_day > newest:
-                newest = state.max_day
-            if state.confidence is not None and not config.check_due(
-                newest, state.last_check_day
-            ):
-                seg = candidate_cells[
-                    candidate_starts[i] : candidate_starts[i + 1]
-                ]
-                if self._apply_unique_cells(state, seg):
-                    self._dirty.add(user_ids[i])
-                    # The stream clock advances at every opened event; its
-                    # chunk-wide maximum is the user's final max_day.
-                    if self._stream_day is None or state.max_day > self._stream_day:
-                        self._stream_day = state.max_day
-            else:
-                replay[i] = True
-        if not bool(replay.any()):
-            return
-        fire = candidates[replay[candidate_owner]]
-        # Original chunk order across users: migration-log order depends
-        # on how users interleave, so the replay must preserve it.
-        fire = fire[np.argsort(positions[fire], kind="stable")]
-        fire_owner = owner[fire].tolist()
-        fire_ranks = ranks[fire].tolist()
-        for g, i, rank in zip(fire.tolist(), fire_owner, fire_ranks):
-            state = states[i]
-            # Patch n_posts to what the per-event loop would hold at this
-            # event; skipped (duplicate) events are settled by the caller.
-            state.n_posts = before[i] + rank
-            opened = state.add(stamps[g])
-            if opened or state.n_posts == self.min_posts:
-                self._dirty.add(user_ids[i])
-            if opened:
-                self._drift_on_new_cell(user_ids[i], state)
+        return [vectorised[j] for j in np.flatnonzero(opened).tolist()]
 
     @property
     def n_events(self) -> int:
@@ -1546,42 +1474,50 @@ class StreamingGeolocator:
     def state_dict(self) -> dict[str, Any]:
         """The full resumable state as plain JSON-serialisable python.
 
-        Per-user counts are not stored: they are a pure function of the
-        active-cell sets and the record anchor, and are rebuilt on load,
-        which keeps the checkpoint minimal and impossible to
-        desynchronise.  The cached placements are likewise omitted -- a
-        restored instance re-places everyone on its first snapshot.
-        Version 2 adds the versioned-record fields (record version,
-        anchor, confidence value and anchor day), the drift configuration
-        and the composition timeline.
+        A rendering of :meth:`binary_state`'s columns, so the two payload
+        formats cannot drift apart.  Per-user counts are not stored: they
+        are a pure function of the active-cell sets and the record anchor,
+        and are rebuilt on load, which keeps the checkpoint minimal and
+        impossible to desynchronise.  The cached placements are likewise
+        omitted -- a restored instance re-places everyone on its first
+        snapshot.  Version 2 adds the versioned-record fields (record
+        version, anchor, confidence value and anchor day), the drift
+        configuration and the composition timeline.
         """
+        meta, arrays = self.binary_state()
+        cells = arrays["cells"]
+        # Encoded cells sort like (day, hour) pairs, so each user's decoded
+        # list is already in the documented order.
+        pairs = np.column_stack((cells // HOURS, cells % HOURS)).tolist()
+        bounds = arrays["cell_offsets"].tolist()
+        fields = (
+            "n_posts", "record_version", "anchor_day", "confidence", "confidence_day"
+        )
+        rows = zip(*(arrays[field].tolist() for field in fields))
         users: dict[str, Any] = {}
-        for user_id, state in self._users.items():
-            confidence = state.confidence
-            users[user_id] = {
-                # Encoded cells sort like (day, hour) pairs, so the
-                # decoded list is already in the documented order.
-                "cells": [
-                    [cell // HOURS, cell % HOURS]
-                    for cell in state.sorted_cells()
-                ],
-                "n_posts": state.n_posts,
-                "record_version": state.record_version,
-                "anchor_day": state.anchor_day,
-                "confidence": 1.0 if confidence is None else confidence.value,
-                "confidence_day": (
-                    self._default_confidence_day(state)
-                    if confidence is None
-                    else confidence.as_of_day
-                ),
+        # Python ids, not the ``np.str_`` column: numpy strings drop
+        # trailing NUL characters.
+        for i, (user_id, row) in enumerate(zip(self._users, rows)):
+            user = {
+                "cells": pairs[bounds[i] : bounds[i + 1]],
+                **dict(zip(fields, row)),
+            }
+            if user["anchor_day"] == _NO_DAY:
+                user["anchor_day"] = None
+            users[user_id] = user
+        timeline: dict[str, Any] | None = None
+        if self.timeline is not None:
+            timeline = {
+                "days": arrays["timeline_days"].tolist(),
+                "hists": arrays["timeline_hists"].tolist(),
             }
         return {
-            "config": self._config_dict(),
-            "generic_profile": [float(x) for x in self.references.generic.mass],
-            "n_events": self._n_events,
-            "stream_day": self._stream_day,
-            "drift": None if self.drift is None else self.drift.as_dict(),
-            "timeline": None if self.timeline is None else self.timeline.as_state(),
+            "config": meta["config"],
+            "generic_profile": arrays["generic_profile"].tolist(),
+            "n_events": meta["n_events"],
+            "stream_day": meta["stream_day"],
+            "drift": meta["drift"],
+            "timeline": timeline,
             "users": users,
         }
 
@@ -1592,26 +1528,28 @@ class StreamingGeolocator:
     def binary_state(self) -> "tuple[dict[str, Any], dict[str, AnyArray]]":
         """The resumable state as (JSON metadata, numpy columns).
 
-        The cell sets of all users are flattened into one encoded
-        ``day * 24 + hour`` int64 column plus a per-user offset table --
-        the same columnar idea as the trace store -- so writing and
-        reading scale with ``numpy`` throughput, not Python object count.
-        Version 2 adds one column per versioned-record field and two
-        timeline columns; the anchor column uses a far-out-of-range
-        sentinel for "no anchor".
+        The one serialiser of both checkpoint formats (:meth:`state_dict`
+        renders these columns as JSON).  The cell sets of all users are
+        flattened into one encoded ``day * 24 + hour`` int64 column plus a
+        per-user offset table -- the same columnar idea as the trace store
+        -- so writing and reading scale with ``numpy`` throughput, not
+        Python object count.  Version 2 adds one column per
+        versioned-record field and two timeline columns; the anchor column
+        uses a far-out-of-range sentinel for "no anchor".
         """
         user_ids = list(self._users)
-        n = len(user_ids)
-        cell_counts = np.fromiter(
-            (self._users[u].n_cells() for u in user_ids),
-            dtype=np.int64,
-            count=n,
+        states = list(self._users.values())
+        n = len(states)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((state.n_cells() for state in states), np.int64, count=n),
+            out=offsets[1:],
         )
-        offsets = np.concatenate([[0], np.cumsum(cell_counts)]).astype(np.int64)
         cells = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i, user_id in enumerate(user_ids):
+        for i, state in enumerate(states):
             # Sorted per user so checkpoint bytes are deterministic.
-            cells[offsets[i] : offsets[i + 1]] = self._users[user_id].sorted_cells()
+            cells[offsets[i] : offsets[i + 1]] = state.sorted_cells()
+        confidences = [state.confidence for state in states]
         meta = {
             "config": self._config_dict(),
             "n_events": self._n_events,
@@ -1623,9 +1561,7 @@ class StreamingGeolocator:
         arrays = {
             "user_ids": np.asarray(user_ids, dtype=np.str_),
             "n_posts": np.fromiter(
-                (self._users[u].n_posts for u in user_ids),
-                dtype=np.int64,
-                count=n,
+                (state.n_posts for state in states), np.int64, count=n
             ),
             "cell_offsets": offsets,
             "cells": cells,
@@ -1633,38 +1569,27 @@ class StreamingGeolocator:
                 self.references.generic.mass, dtype=np.float64
             ),
             "record_version": np.fromiter(
-                (self._users[u].record_version for u in user_ids),
-                dtype=np.int64,
-                count=n,
+                (state.record_version for state in states), np.int64, count=n
             ),
             "anchor_day": np.fromiter(
                 (
-                    _NO_DAY
-                    if self._users[u].anchor_day is None
-                    else self._users[u].anchor_day
-                    for u in user_ids
+                    _NO_DAY if state.anchor_day is None else state.anchor_day
+                    for state in states
                 ),
-                dtype=np.int64,
+                np.int64,
                 count=n,
             ),
             "confidence": np.fromiter(
-                (
-                    1.0
-                    if self._users[u].confidence is None
-                    else self._users[u].confidence.value
-                    for u in user_ids
-                ),
-                dtype=np.float64,
+                (1.0 if c is None else c.value for c in confidences),
+                np.float64,
                 count=n,
             ),
             "confidence_day": np.fromiter(
                 (
-                    self._default_confidence_day(self._users[u])
-                    if self._users[u].confidence is None
-                    else self._users[u].confidence.as_of_day
-                    for u in user_ids
+                    self._default_confidence_day(state) if c is None else c.as_of_day
+                    for state, c in zip(states, confidences)
                 ),
-                dtype=np.int64,
+                np.int64,
                 count=n,
             ),
             "timeline_days": timeline_days,
@@ -1759,77 +1684,107 @@ class StreamingGeolocator:
     ) -> "StreamingGeolocator":
         """Inverse of :meth:`state_dict`.
 
-        The reference profiles are rebuilt from the checkpointed generic
-        profile unless an explicit *references* object is supplied.
-        *version* selects the schema (1 = pre-drift: users restore with
-        full-confidence defaults); *drift* overrides the checkpointed
-        drift configuration -- pass one to enable the drift layer on a
-        version-1 checkpoint.
+        The document is parsed into :meth:`binary_state`'s columns and
+        restored by :meth:`from_binary_state`, so both formats share one
+        restore.  The reference profiles are rebuilt from the checkpointed
+        generic profile unless an explicit *references* object is
+        supplied.  *version* selects the schema (1 = pre-drift: users
+        restore with full-confidence defaults); *drift* overrides the
+        checkpointed drift configuration -- pass one to enable the drift
+        layer on a version-1 checkpoint.
         """
         try:
-            drift_config = cls._negotiate_drift(
-                state.get("drift") if version >= 2 else None, drift, version
-            )
-            geolocator = cls._from_config(
-                state["config"],
-                state["generic_profile"],
-                references,
-                drift=drift_config,
-            )
-            geolocator._n_events = int(state["n_events"])
-            if version >= 2:
-                stream_day = state.get("stream_day")
-                geolocator._stream_day = (
-                    None if stream_day is None else int(stream_day)
-                )
-                timeline_state = state.get("timeline")
-                if geolocator.timeline is not None and timeline_state is not None:
-                    geolocator.timeline = CompositionTimeline.from_state(
-                        timeline_state
-                    )
-            for user_id, user_state in state["users"].items():
-                restored = _UserState()
-                restored.n_posts = int(user_state["n_posts"])
-                if version >= 2:
-                    anchor = user_state.get("anchor_day")
-                    restored.anchor_day = None if anchor is None else int(anchor)
-                    restored.record_version = int(
-                        user_state.get("record_version", 1)
-                    )
-                for day, hour in user_state["cells"]:
-                    cell = int(day) * HOURS + int(hour)
-                    if cell not in restored.cells:
-                        restored.cells.add(cell)
-                        if int(day) > restored.max_day:
-                            restored.max_day = int(day)
-                        if (
-                            restored.anchor_day is None
-                            or int(day) >= restored.anchor_day
-                        ):
-                            restored.counts[int(hour)] += 1.0
-                if drift_config is not None:
-                    if version >= 2:
-                        restored.confidence = UserConfidence(
-                            float(user_state.get("confidence", 1.0)),
-                            int(
-                                user_state.get(
-                                    "confidence_day",
-                                    cls._default_confidence_day(restored),
-                                )
-                            ),
-                        )
-                    else:
-                        restored.confidence = UserConfidence(
-                            1.0, cls._default_confidence_day(restored)
-                        )
-                geolocator._users[user_id] = restored
-        except (KeyError, TypeError, ValueError) as exc:
+            meta, arrays = cls._document_columns(state, version)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed streaming-geolocator state: {exc!r}"
             ) from exc
-        geolocator._dirty.update(geolocator._users)
-        geolocator._seed_stream_day()
-        return geolocator
+        return cls.from_binary_state(
+            meta, arrays, references=references, version=version, drift=drift
+        )
+
+    @staticmethod
+    def _document_columns(
+        state: dict[str, Any], version: int
+    ) -> "tuple[dict[str, Any], dict[str, AnyArray]]":
+        """Parse a :meth:`state_dict` document into checkpoint columns.
+
+        Each user's cells are sorted and de-duplicated, and version-2
+        fields a user lacks take the defaults a fresh record has (the
+        ``confidence_day`` sentinel makes the restore fall back to the
+        record's newest day, as for the binary format).
+        """
+        users = state["users"]
+        records = list(users.values())
+        user_ids = list(users)
+        n = len(records)
+        cell_lists = [record["cells"] for record in records]
+        lengths = np.fromiter(
+            (len(cells) for cells in cell_lists), np.int64, count=n
+        )
+        flat = [pair for cells in cell_lists for pair in cells]
+        pairs = (
+            np.asarray(flat, dtype=np.int64)
+            if flat
+            else np.zeros((0, 2), dtype=np.int64)
+        )
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("user cells must be [day, hour] pairs")
+        owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        hours = pairs[:, 1]
+        outside = (hours < 0) | (hours >= HOURS)
+        if bool(outside.any()):
+            bad = int(np.argmax(outside))
+            raise CheckpointError(
+                f"user {user_ids[int(owner[bad])]!r} has the cell "
+                f"{pairs[bad].tolist()}, whose hour is outside 0..23"
+            )
+        cells = pairs[:, 0] * HOURS + hours
+        order = np.lexsort((cells, owner))
+        cells = cells[order]
+        owner = owner[order]
+        first = np.ones(cells.size, dtype=bool)
+        first[1:] = (cells[1:] != cells[:-1]) | (owner[1:] != owner[:-1])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[first], minlength=n), out=offsets[1:])
+
+        def column(
+            key: str, default: Any, cast: Callable[[Any], Any], dtype: Any = np.int64
+        ) -> AnyArray:
+            values = (record.get(key, default) for record in records)
+            return np.fromiter(map(cast, values), dtype, count=n)
+
+        meta: dict[str, Any] = {
+            "config": state["config"],
+            "n_events": state["n_events"],
+        }
+        arrays: dict[str, AnyArray] = {
+            "user_ids": np.asarray(user_ids, dtype=object),
+            "n_posts": column("n_posts", None, int),
+            "cell_offsets": offsets,
+            "cells": cells[first],
+            "generic_profile": np.asarray(
+                state["generic_profile"], dtype=np.float64
+            ),
+        }
+        if version < 2:
+            return meta, arrays
+        meta["stream_day"] = state.get("stream_day")
+        meta["drift"] = state.get("drift")
+        arrays["record_version"] = column("record_version", 1, int)
+        arrays["anchor_day"] = column(
+            "anchor_day", None, lambda day: _NO_DAY if day is None else int(day)
+        )
+        arrays["confidence"] = column("confidence", 1.0, float, np.float64)
+        arrays["confidence_day"] = column("confidence_day", _NO_DAY, int)
+        timeline = state.get("timeline") or {"days": [], "hists": []}
+        hists = np.asarray(timeline["hists"], dtype=np.int64)
+        arrays["timeline_days"] = np.asarray(timeline["days"], dtype=np.int64)
+        # An empty JSON list has no bin axis.
+        arrays["timeline_hists"] = (
+            hists if hists.size else hists.reshape(0, len(ZONE_OFFSETS))
+        )
+        return meta, arrays
 
     def _seed_stream_day(self) -> None:
         """Derive the stream day from restored records when absent.
@@ -1856,9 +1811,11 @@ class StreamingGeolocator:
         version: int = STREAM_CHECKPOINT_VERSION,
         drift: DriftConfig | None = None,
     ) -> "StreamingGeolocator":
-        """Inverse of :meth:`binary_state`; per-user counts are rebuilt
-        with one vectorised bincount over the whole cell column (masked by
-        each user's record anchor)."""
+        """Inverse of :meth:`binary_state`, and the one restore of both
+        checkpoint formats (:meth:`from_state_dict` parses JSON into these
+        columns).  Per-user counts are rebuilt with one vectorised
+        bincount over the whole cell column (masked by each user's record
+        anchor)."""
         try:
             drift_config = cls._negotiate_drift(
                 meta.get("drift") if version >= 2 else None, drift, version
@@ -1870,18 +1827,18 @@ class StreamingGeolocator:
                 drift=drift_config,
             )
             geolocator._n_events = int(meta["n_events"])
-            user_ids = arrays["user_ids"]
+            user_ids: list[str] = arrays["user_ids"].tolist()
             n_posts = np.asarray(arrays["n_posts"], dtype=np.int64)
             offsets = np.asarray(arrays["cell_offsets"], dtype=np.int64)
             cells = np.asarray(arrays["cells"], dtype=np.int64)
-            n_users = int(user_ids.size)
+            n_users = len(user_ids)
             if offsets.size != n_users + 1 or n_posts.size != n_users:
                 raise CheckpointError(
-                    "binary checkpoint columns disagree on the user count"
+                    "checkpoint columns disagree on the user count"
                 )
             if int(offsets[-1]) != cells.size or int(offsets[0]) != 0:
                 raise CheckpointError(
-                    "binary checkpoint offset table does not cover the cells"
+                    "checkpoint offset table does not cover the cells"
                 )
             if version >= 2:
                 stream_day = meta.get("stream_day")
@@ -1902,7 +1859,7 @@ class StreamingGeolocator:
                 ):
                     if column.size != n_users:
                         raise CheckpointError(
-                            f"binary checkpoint column {name!r} disagrees "
+                            f"checkpoint column {name!r} disagrees "
                             "on the user count"
                         )
                 if geolocator.timeline is not None:
@@ -1926,7 +1883,7 @@ class StreamingGeolocator:
                 crossings[inner - 1] = True
                 if not np.all((deltas > 0) | crossings):
                     raise CheckpointError(
-                        "binary checkpoint has unsorted or duplicate cells"
+                        "checkpoint columns hold unsorted or duplicate cells"
                     )
             counts = np.zeros((n_users, HOURS), dtype=float)
             max_days = np.full(n_users, _NO_DAY, dtype=np.int64)
@@ -1964,7 +1921,7 @@ class StreamingGeolocator:
                     restored.confidence = UserConfidence(
                         float(confidence_col[i]), day_anchor
                     )
-                geolocator._users[str(user_ids[i])] = restored
+                geolocator._users[user_ids[i]] = restored
         except CheckpointError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

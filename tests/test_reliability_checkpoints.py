@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from checkpoint_fixtures import FIXTURE_DIR, RENDERINGS, snapshot_record
 from repro.core.streaming import StreamingGeolocator
 from repro.errors import CheckpointError
 from repro.forum.engine import ForumServer
@@ -180,21 +181,50 @@ class TestStreamingCheckpoint:
         restored = StreamingGeolocator.load_checkpoint(path)
         assert restored.active_profiles() == stream.active_profiles()
 
-    def test_malformed_state_raises_checkpoint_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad_cell",
+        [None, [0, 24], [1, -1]],
+        ids=["users-not-a-mapping", "hour-24", "hour-minus-1"],
+    )
+    def test_malformed_state_raises_checkpoint_error(self, tmp_path, bad_cell):
         path = tmp_path / "stream.json"
         from repro.core.streaming import (
             STREAM_CHECKPOINT_KIND,
             STREAM_CHECKPOINT_VERSION,
         )
 
+        if bad_cell is None:
+            state = {"config": {}, "users": "not-a-mapping"}
+        else:
+            # A valid document but for one cell whose hour is out of
+            # range: [0, 24] used to raise IndexError, and [1, -1] loaded
+            # as hour 23 of day 0 while max_day said day 1.
+            state = StreamingGeolocator().state_dict()
+            state["users"] = {"u": {"cells": [[0, 5], bad_cell], "n_posts": 2}}
         write_checkpoint(
-            path,
-            STREAM_CHECKPOINT_KIND,
-            STREAM_CHECKPOINT_VERSION,
-            {"config": {}, "users": "not-a-mapping"},
+            path, STREAM_CHECKPOINT_KIND, STREAM_CHECKPOINT_VERSION, state
         )
         with pytest.raises(CheckpointError):
             StreamingGeolocator.load_checkpoint(path)
+
+    def test_json_keeps_user_ids_with_trailing_nul(self):
+        stream = StreamingGeolocator(min_posts=1)
+        stream.observe("a\x00", 20 * HOUR)
+        stream.observe("b", 21 * HOUR)
+        restored = StreamingGeolocator.from_state_dict(stream.state_dict())
+        assert list(restored._users) == ["a\x00", "b"]
+        assert restored.state_dict() == stream.state_dict()
+
+    def test_json_cells_are_sorted_and_deduplicated(self):
+        stream = StreamingGeolocator(min_posts=1)
+        for timestamp in (DAY + 3 * HOUR, 2 * HOUR, DAY + 3.5 * HOUR):
+            stream.observe("u", timestamp)
+        state = stream.state_dict()
+        assert state["users"]["u"]["cells"] == [[0, 2], [1, 3]]
+        state["users"]["u"]["cells"] = [[1, 3], [0, 2], [1, 3]]
+        restored = StreamingGeolocator.from_state_dict(state)
+        assert restored.state_dict() == stream.state_dict()
+        assert restored.active_profiles() == stream.active_profiles()
 
 
 class TestBinaryCheckpointEnvelope:
@@ -375,3 +405,57 @@ class TestStreamingBinaryCheckpoint:
         stream = StreamingGeolocator(references)
         with pytest.raises(CheckpointError, match="format"):
             stream.save_checkpoint(tmp_path / "s.bin", format="parquet")
+
+
+class TestFrozenStreamingCheckpoints:
+    """Checkpoints written by an earlier engine load exactly as they did.
+
+    The files under ``tests/fixtures/streaming/`` come from a drift-on
+    campaign with truncated records, migrations and timeline samples (see
+    ``tests/checkpoint_fixtures.py``), together with the writing engine's
+    ``state_dict()`` rendering and snapshot of each.
+    """
+
+    @staticmethod
+    def _columns_equal(left, right):
+        (meta_a, arrays_a), (meta_b, arrays_b) = left, right
+        assert meta_a == meta_b
+        assert set(arrays_a) == set(arrays_b)
+        for key in arrays_a:
+            assert np.array_equal(arrays_a[key], arrays_b[key]), key
+
+    @pytest.mark.parametrize("name", sorted(RENDERINGS))
+    def test_fixture_re_renders_byte_for_byte(self, name):
+        checkpoint, drift = RENDERINGS[name]
+        engine = StreamingGeolocator.load_checkpoint(
+            FIXTURE_DIR / checkpoint, drift=drift
+        )
+        rendering = (FIXTURE_DIR / f"{name}.state.json").read_text(encoding="utf-8")
+        assert json.dumps(engine.state_dict()) == rendering
+        # The writer's rendering restores to the same columns.
+        self._columns_equal(
+            StreamingGeolocator.from_state_dict(json.loads(rendering)).binary_state(),
+            engine.binary_state(),
+        )
+        snapshots = json.loads(
+            (FIXTURE_DIR / "snapshots.json").read_text(encoding="utf-8")
+        )
+        assert snapshot_record(engine.snapshot()) == snapshots[name]
+
+    def test_v2_formats_restore_the_written_columns(self):
+        from repro.core.streaming import (
+            STREAM_CHECKPOINT_KIND,
+            STREAM_CHECKPOINT_VERSION,
+        )
+        from repro.reliability.checkpoint import read_binary_checkpoint
+
+        written = read_binary_checkpoint(
+            FIXTURE_DIR / "v2.npz", STREAM_CHECKPOINT_KIND, STREAM_CHECKPOINT_VERSION
+        )
+        for checkpoint in ("v2.json", "v2.npz"):
+            engine = StreamingGeolocator.load_checkpoint(FIXTURE_DIR / checkpoint)
+            self._columns_equal(engine.binary_state(), written)
+            assert any(
+                state.anchor_day is not None for state in engine._users.values()
+            ), "the fixture must hold a truncated record"
+            assert len(engine.timeline) > 0

@@ -30,6 +30,7 @@ from repro.core.drift import DriftConfig
 from repro.core.events import ActivityTrace, PostEvent
 from repro.core.streaming import BATCH_OBSERVE_THRESHOLD, StreamingGeolocator
 from repro.datasets.store import TraceStore
+from repro.errors import CorruptTraceError
 from repro.synth.drift import build_relocation_scenario
 
 #: Migration events stamp ``wall_time`` from the injectable clock seam;
@@ -45,6 +46,10 @@ SMALL_DRIFT = DriftConfig(
     min_reestimate_cells=6,
     min_history_cells=8,
 )
+
+
+#: Plan ops applied to both sides between segments.
+BETWEEN_OPS = ("snapshot", "roundtrip", "roundtrip_binary")
 
 
 def make_engine(drift: DriftConfig | None) -> StreamingGeolocator:
@@ -97,7 +102,8 @@ def ingest_plans(draw):
 
     Every segment is fed to the oracle per event and to the engine via
     the segment's API; between segments both sides may snapshot or
-    round-trip through a checkpoint.
+    round-trip through a JSON or columnar checkpoint.  Events are either
+    shuffled or in chronological order, as a live stream delivers them.
     """
     n_users = draw(st.integers(min_value=1, max_value=5))
     n_events = draw(st.integers(min_value=0, max_value=140))
@@ -111,6 +117,8 @@ def ingest_plans(draw):
         )
         for _ in range(n_events)
     ]
+    if draw(st.booleans()):
+        events.sort(key=lambda event: event[1])
     plan = []
     cursor = 0
     while cursor < len(events):
@@ -121,7 +129,7 @@ def ingest_plans(draw):
             st.sampled_from(["observe", "events", "batch", "batch_ndarray"])
         )
         plan.append((method, segment))
-        between = draw(st.sampled_from(["none", "snapshot", "roundtrip"]))
+        between = draw(st.sampled_from(("none",) + BETWEEN_OPS))
         if between != "none":
             plan.append((between, ()))
     return plan
@@ -150,6 +158,9 @@ def apply_bulk(engine: StreamingGeolocator, op: str, segment):
     elif op == "roundtrip":
         engine = StreamingGeolocator.from_state_dict(engine.state_dict())
         engine._wall_now = lambda: FROZEN_WALL
+    elif op == "roundtrip_binary":
+        engine = StreamingGeolocator.from_binary_state(*engine.binary_state())
+        engine._wall_now = lambda: FROZEN_WALL
     else:  # pragma: no cover - strategy bug
         raise AssertionError(op)
     return engine
@@ -163,7 +174,7 @@ class TestObserveBatchProperty:
         oracle = make_engine(drift)
         engine = make_engine(drift)
         for op, segment in plan:
-            if op in ("snapshot", "roundtrip"):
+            if op in BETWEEN_OPS:
                 oracle = apply_bulk(oracle, op, segment)
             else:
                 feed_per_event(oracle, segment)
@@ -306,3 +317,50 @@ class TestBatchSurface:
         assert from_array.state_dict() == from_list.state_dict()
         # First-appearance order, not lexicographic order.
         assert list(from_array._users) == ["zeta", "alpha", "mid"]
+
+    def test_merged_chunk_advances_stream_clock(self):
+        """A chunk merged without replay still moves the stream day."""
+        per_event = make_engine(SMALL_DRIFT)
+        per_event.observe("x", 0.0)
+        per_event.observe("x", 86400.0)
+        engine = make_engine(SMALL_DRIFT)
+        engine.observe("x", 0.0)
+        # Checked at day 0, so day 1 is inside the check interval and the
+        # chunk is merged rather than replayed through observe().
+        engine.observe_batch(["x"], [86400.0])
+        assert per_event.heartbeat()["stream_day"] == 1
+        assert engine.heartbeat()["stream_day"] == 1
+        assert_identical(per_event, engine)
+
+
+class TestNonFiniteTimestamps:
+    """Bulk intake refuses NaN/inf stamps before touching any state."""
+
+    @staticmethod
+    def _engine() -> StreamingGeolocator:
+        engine = make_engine(SMALL_DRIFT)
+        engine.observe("a", 3600.0)
+        return engine
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observe_batch_rejects_without_ingesting(self, bad):
+        engine = self._engine()
+        before = engine.state_dict()
+        with pytest.raises(CorruptTraceError, match="'b'"):
+            engine.observe_batch(["a", "b", "c"], [7200.0, bad, 3600.0])
+        assert engine.n_users() == 1
+        assert engine.n_events == 1
+        assert engine.state_dict() == before
+
+    def test_ingest_store_rejects_without_ingesting(self, tmp_path):
+        store = TraceStore.write_columns(
+            [(["b", "c"], np.array([2, 1]), np.array([3600.0, np.nan, 7200.0]))],
+            tmp_path / "bad.store",
+        )
+        engine = self._engine()
+        before = engine.state_dict()
+        with pytest.raises(CorruptTraceError, match="'b'"):
+            engine.ingest_store(store)
+        assert engine.n_users() == 1
+        assert engine.n_events == 1
+        assert engine.state_dict() == before
