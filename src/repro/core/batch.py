@@ -4,12 +4,14 @@ The per-:class:`~repro.core.profiles.Profile` API is convenient but pays a
 Python-object toll per user, which dominates the pipeline on crowds of
 thousands to millions of users.  :class:`ProfileMatrix` stores an entire
 crowd as one contiguous ``(N, 24)`` row-stochastic array keyed by user id
-and is built in a single vectorised pass over *all* timestamps of a
-:class:`~repro.core.events.TraceSet`: every post is encoded into a flat
-``user * span + (day*24 + hour)`` cell, duplicate day-hours (the paper's
-indicator ``a_d(h)``) are dropped, and one ``np.bincount`` accumulates
-the per-hour counts for every user at once
-(:func:`repro.core.kernels.segment_counts`).
+and is built in a single vectorised pass over the crowd's stamp column
+(:meth:`~repro.core.events.TraceSet.columns`: user ids, per-user lengths
+and every timestamp back to back): every post is encoded into a flat
+``user * span + (day*24 + hour)`` cell by the guarded division encoder,
+duplicate day-hours (the paper's indicator ``a_d(h)``) are dropped, and
+one ``np.bincount`` accumulates the per-hour counts for every user at
+once (:func:`repro.core.kernels.segment_counts`).  Users are selected by
+masking the column by lengths, never by rebuilding trace sets.
 
 Out-of-core crowds enter through :meth:`ProfileMatrix.from_store`, which
 walks a :class:`~repro.datasets.store.TraceStore` shard by shard and runs
@@ -43,32 +45,10 @@ from repro.obs.logs import get_logger, log_event
 from repro.obs.progress import ProgressReporter
 
 if TYPE_CHECKING:
-    from repro.core.types import BoolArray, FloatArray
+    from repro.core.types import BoolArray, FloatArray, IntArray
     from repro.datasets.store import StoreShard, TraceStore
 
 _log = get_logger("core")
-
-
-def segmented_hour_counts(
-    timestamp_arrays: list[FloatArray], offset_hours: float = 0.0
-) -> FloatArray:
-    """Eq. 1 numerators for many users in one flat pass.
-
-    *timestamp_arrays* is one array of UTC timestamps per user; the result
-    is an ``(N, 24)`` float array of unique active-cell counts per hour.
-    Users with no posts get an all-zero row (callers decide whether that is
-    an error).
-    """
-    n_users = len(timestamp_arrays)
-    if n_users == 0:
-        return np.zeros((0, HOURS), dtype=float)
-    lengths = np.fromiter(
-        (array.size for array in timestamp_arrays), dtype=np.int64, count=n_users
-    )
-    if int(lengths.sum()) == 0:
-        return np.zeros((n_users, HOURS), dtype=float)
-    stamps = np.concatenate(timestamp_arrays)
-    return segment_counts(stamps, lengths, offset_hours)
 
 
 def shard_hour_counts(shard: "StoreShard", offset_hours: float = 0.0) -> FloatArray:
@@ -79,11 +59,18 @@ def shard_hour_counts(shard: "StoreShard", offset_hours: float = 0.0) -> FloatAr
     all-zero one.  Shared by :meth:`ProfileMatrix.from_store` and the
     sharded engine, and accounted as one profile build.
     """
-    watch = obs_metrics.Stopwatch()
-    counts = segment_counts(
+    return _column_counts(
         np.asarray(shard.stamps, dtype=np.float64), shard.lengths, offset_hours
     )
-    _record_build(len(shard), watch.elapsed_s())
+
+
+def _column_counts(
+    stamps: FloatArray, lengths: IntArray, offset_hours: float
+) -> FloatArray:
+    """Eq. 1 numerators of a stamp column, accounted as one profile build."""
+    watch = obs_metrics.Stopwatch()
+    counts = segment_counts(stamps, lengths, offset_hours)
+    _record_build(int(lengths.size), watch.elapsed_s())
     return counts
 
 
@@ -154,20 +141,33 @@ class ProfileMatrix:
         *,
         skip_empty: bool = True,
     ) -> "ProfileMatrix":
-        """One-pass vectorised Eq. 1 over a whole crowd."""
-        ids: list[str] = []
-        arrays: list[FloatArray] = []
-        for trace in traces:
-            if trace.is_empty():
-                if skip_empty:
-                    continue
-                raise EmptyTraceError(f"user {trace.user_id!r} has no posts")
-            ids.append(trace.user_id)
-            arrays.append(trace.timestamps)
-        watch = obs_metrics.Stopwatch()
-        counts = segmented_hour_counts(arrays, offset_hours)
-        _record_build(len(ids), watch.elapsed_s())
-        return cls(ids, counts)
+        """One-pass vectorised Eq. 1 over a whole crowd's stamp column."""
+        user_ids, lengths, stamps = traces.columns()
+        posted = lengths > 0
+        if not skip_empty and not posted.all():
+            empty = user_ids[int(np.argmin(posted))]
+            raise EmptyTraceError(f"user {empty!r} has no posts")
+        return cls._from_column(user_ids, lengths, stamps, posted, offset_hours)
+
+    @classmethod
+    def _from_column(
+        cls,
+        user_ids: list[str],
+        lengths: IntArray,
+        stamps: FloatArray,
+        keep: BoolArray,
+        offset_hours: float = 0.0,
+    ) -> "ProfileMatrix":
+        """Eq. 1 rows of the users *keep* selects from a stamp column.
+
+        Every selected user must have posts.  Dropped users' stamps are
+        masked out of the column by lengths before the kernel runs.
+        """
+        if not keep.all():
+            stamps = stamps[np.repeat(keep, lengths)]
+            lengths = lengths[keep]
+            user_ids = [user_id for user_id, kept in zip(user_ids, keep) if kept]
+        return cls(user_ids, _column_counts(stamps, lengths, offset_hours))
 
     @classmethod
     def from_profiles(

@@ -21,7 +21,7 @@ from repro.errors import EmptyTraceError
 from repro.timebase.clock import day_ordinal, hour_of_day, split_day_hours
 
 if TYPE_CHECKING:
-    from repro.core.types import FloatArray
+    from repro.core.types import FloatArray, IntArray
 
 
 @dataclass(frozen=True, order=True)
@@ -161,6 +161,20 @@ class TraceSet:
 
     def total_posts(self) -> int:
         return sum(len(trace) for trace in self._traces.values())
+
+    def columns(self) -> tuple[list[str], IntArray, FloatArray]:
+        """The crowd as one stamp column: ``(user_ids, lengths, stamps)``.
+
+        *stamps* holds every trace's sorted timestamps back to back in
+        iteration order, and ``lengths[i]`` is the size of the segment of
+        ``user_ids[i]``: the input of the :mod:`repro.core.kernels` Eq. 1
+        kernels.  Every call concatenates afresh; the column is not
+        cached, so a crowd held in memory is held once.
+        """
+        arrays = [trace._timestamps for trace in self._traces.values()]
+        lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+        stamps = np.concatenate(arrays) if arrays else np.zeros(0, dtype=float)
+        return list(self._traces), lengths, stamps
 
     def filter_users(self, predicate: Callable[["ActivityTrace"], bool]) -> "TraceSet":
         """Keep traces for which ``predicate(trace)`` is true."""

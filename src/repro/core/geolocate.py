@@ -17,8 +17,12 @@ everything the paper reports per forum.
 Every entry point makes the per-user decisions (flat or not, nearest
 zone) with one :func:`~repro.core.placement.classify_profiles` pass and
 hands the survivors to one report assembler.  In-memory crowds
-(:meth:`CrowdGeolocator.geolocate`) build one
-:class:`~repro.core.batch.ProfileMatrix`; columnar stores
+(:meth:`CrowdGeolocator.geolocate`) are handled as one stamp column
+(:meth:`~repro.core.events.TraceSet.columns`): one ``np.isfinite``
+validates it, the activity threshold is a mask over the per-user
+lengths, one :class:`~repro.core.batch.ProfileMatrix` is built from the
+masked column, and ``n_users`` / ``n_posts`` are sums over the lengths;
+columnar stores
 (:meth:`CrowdGeolocator.geolocate_store`) go through the sharded engine
 of :mod:`repro.core.shard`.  ``engine="reference"`` keeps the original
 per-:class:`Profile` pipeline as the correctness oracle.
@@ -205,10 +209,11 @@ class CrowdGeolocator:
     ) -> GeolocationReport:
         """Run the full pipeline on an anonymous crowd's traces.
 
-        *engine* selects the implementation: ``"batch"`` (default) builds
-        the crowd's :class:`ProfileMatrix` exactly once, polishes and
-        places it with one :func:`classify_profiles` pass and shares it
-        with the crowd-profile and Pearson stages; ``"reference"`` runs
+        *engine* selects the implementation: ``"batch"`` (default) takes
+        the crowd's stamp column once, builds its :class:`ProfileMatrix`
+        from the active users' segments, polishes and places it with one
+        :func:`classify_profiles` pass and shares it with the
+        crowd-profile and Pearson stages; ``"reference"`` runs
         the original per-:class:`Profile` pipeline (used as the
         correctness oracle and the benchmark baseline).
 
@@ -243,29 +248,34 @@ class CrowdGeolocator:
             raise ValueError(f"unknown engine {engine!r}; options: batch, reference")
 
         with trace_span("profile_build", crowd=crowd_name):
-            active = traces.with_min_posts(self.min_posts)
-            matrix = ProfileMatrix.from_trace_set(active)
+            user_ids, lengths, stamps = traces.columns()
+            active = lengths >= self.min_posts
+            rows = active & (lengths > 0)
+            matrix = ProfileMatrix._from_column(user_ids, lengths, stamps, rows)
         with trace_span("polish", n_users=len(matrix)):
             flat, nearest = classify_profiles(
                 matrix, self.references, metric=self.metric
             )
             keep = ~flat if polish else np.ones_like(flat)
+            n_removed = int(np.count_nonzero(~keep))
+        hemisphere: tuple[HemisphereResult, ...] = ()
+        if hemisphere_top_n > 0:
             removed_ids = [
                 user_id for user_id, kept in zip(matrix.user_ids, keep) if not kept
             ]
-            crowd = active.without_users(removed_ids) if removed_ids else active
-        hemisphere = (
-            tuple(classify_most_active(crowd, hemisphere_top_n, metric=self.metric))
-            if hemisphere_top_n > 0
-            else ()
-        )
+            crowd = traces.with_min_posts(self.min_posts).without_users(removed_ids)
+            hemisphere = tuple(
+                classify_most_active(crowd, hemisphere_top_n, metric=self.metric)
+            )
         return self._assemble(
             crowd_name,
             matrix.select(keep),
             nearest[keep],
-            n_users=len(crowd),
-            n_posts=crowd.total_posts(),
-            n_removed=len(removed_ids),
+            # Active users include the empty ones when min_posts <= 0;
+            # they never get a row, so polishing never removes them.
+            n_users=int(np.count_nonzero(active)) - n_removed,
+            n_posts=int(lengths[rows][keep].sum()),
+            n_removed=n_removed,
             pipeline="batch",
             watch=watch,
             hemisphere=hemisphere,

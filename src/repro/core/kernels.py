@@ -2,15 +2,41 @@
 
 The batch engine (:mod:`repro.core.batch`), the sharded engine
 (:mod:`repro.core.shard`) and the streaming bulk intake
-(:mod:`repro.core.streaming`) all start from the same input: one
-concatenated timestamp column holding every user's posts back to back,
-plus the per-user segment sizes.  This module turns that column into
-either the ``(n_users, 24)`` count matrix of unique active (day, hour)
-cells (:func:`segment_counts`) or the distinct cells themselves
-(:func:`segment_unique_cells`).  Both are one vectorised numpy pass:
-encode every post as ``user * span + cell``, drop duplicate cells, then
-bincount.  The EMD kernel is cache-blocked numpy too and lives in
-:mod:`repro.core.emd`.
+(:mod:`repro.core.streaming`) all start from the same input: one stamp
+column holding every user's posts back to back, plus the per-user
+segment sizes (:meth:`repro.core.events.TraceSet.columns` for in-memory
+crowds, the memmapped shard columns for stores).  This module turns
+that column into either the ``(n_users, 24)`` count matrix of unique
+active (day, hour) cells (:func:`segment_counts`) or the distinct cells
+themselves (:func:`segment_unique_cells`).  Both are one vectorised
+numpy pass: encode every post as ``user * span + cell``, drop duplicate
+cells, then bincount.  The EMD kernel is cache-blocked numpy too and
+lives in :mod:`repro.core.emd`.
+
+**The cell encoder.**  A post's cell ``day * 24 + hour`` is the number
+of whole hours since the epoch, ``floor(shifted / 3600)``, and
+:func:`_hour_cells` computes it with one float division and one floor
+per post.  :func:`repro.timebase.clock.split_day_hours` remains the
+definition (two floor-divides, a modulo and a clip per post), and the
+encoder equals it cell for cell:
+
+* ``split_day_hours`` is exact -- it returns the floor of the real
+  quotient -- except for a negative stamp whose position within its day
+  lies within 2**-37 s below an hour boundary, where the Python-style
+  modulo ``fmod + 86400`` rounds up onto the boundary.
+* The computed quotient is off the real one by at most ``|q| * 2**-53``;
+  the fractional part ``q - floor(q)`` adds at most 2**-54.
+* So wherever the fractional part lies more than
+  ``tol = bound * 2**-52 + 2**-47`` from both 0 and 1 (``bound`` caps
+  ``|q|`` over the column, and 2**-47 h is more than 2**-37 s), both
+  methods give the floor of the real quotient.
+* Stamps inside that distance are re-encoded by ``split_day_hours``,
+  unless ``floor(q) * 3600 == shifted``: an exact hour multiple, whose
+  every intermediate is an exact integer in both methods, stays on the
+  fast path, so hour-quantised columns do not fall back wholesale.
+* A column holding a non-finite stamp, or one beyond 2**40 hours (where
+  products of cells and 3600 stop being exact), is encoded by
+  ``split_day_hours`` in full.
 """
 
 from __future__ import annotations
@@ -27,6 +53,49 @@ if TYPE_CHECKING:
 #: Hours per day -- duplicated from :mod:`repro.core.profiles` to keep this
 #: module import-light (profiles imports events; kernels must not).
 HOURS = 24
+
+_SECONDS_PER_HOUR = 3600.0
+
+#: Largest ``|cell|`` the division encoder takes; beyond it ``cell * 3600``
+#: may round, so the column is left to :func:`split_day_hours`.
+_MAX_FAST_HOURS = 2.0**40
+
+
+def _hour_cells(stamps: "FloatArray", offset_hours: float) -> "IntArray":
+    """``day * 24 + hour`` of every stamp in zone UTC+offset, as int64.
+
+    Cell for cell equal to ``days * 24 + hours`` of
+    :func:`~repro.timebase.clock.split_day_hours` (the module docstring
+    gives the argument), at the cost of one division and one floor per
+    post instead of two floor-divides, a modulo and a clip.
+    """
+    stamps = np.asarray(stamps, dtype=np.float64)
+    if stamps.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if offset_hours:
+        shifted = stamps + offset_hours * _SECONDS_PER_HOUR
+    else:
+        shifted = stamps
+    quotient = shifted / _SECONDS_PER_HOUR
+    floors = np.floor(quotient)
+    bound = max(-float(floors.min()), float(floors.max()) + 1.0)
+    if not bound <= _MAX_FAST_HOURS:  # also catches NaN and inf
+        days, hours = split_day_hours(shifted)
+        return days * HOURS + hours
+    tol = bound * 2.0**-52 + 2.0**-47
+    # |fraction - 1/2| >= 1/2 - tol  <=>  within tol of an hour boundary.
+    distance = np.subtract(quotient, floors, out=quotient)
+    np.subtract(distance, 0.5, out=distance)
+    np.abs(distance, out=distance)
+    near = distance >= 0.5 - tol
+    cells = floors.astype(np.int64)
+    if near.any():
+        doubtful = np.flatnonzero(near)
+        doubtful = doubtful[floors[doubtful] * _SECONDS_PER_HOUR != shifted[doubtful]]
+        if doubtful.size:
+            days, hours = split_day_hours(shifted[doubtful])
+            cells[doubtful] = days * HOURS + hours
+    return cells
 
 
 def _sorted_unique(values: "IntArray") -> "IntArray":
@@ -46,18 +115,16 @@ def _sorted_unique(values: "IntArray") -> "IntArray":
     return ordered[keep]
 
 
-def _unique_codes(
+def _unique_cells(
     stamps: "FloatArray", lengths: "IntArray", offset_hours: float
-) -> "tuple[IntArray, int, int]":
-    """Sorted unique ``user * span + (cell - cell_min)`` codes of a column.
+) -> "tuple[IntArray, IntArray]":
+    """Every distinct (user, cell) pair of a column, by user then cell.
 
-    Returns ``(codes, span, cell_min)``: ``codes // span`` is the owning
-    user's index and ``codes % span + cell_min`` the ``day * 24 + hour``
-    cell.  *stamps* must be non-empty.
+    Returns ``(owners, cells)``: the owning user's index and the
+    ``day * 24 + hour`` cell of each pair.  *stamps* must be non-empty.
     """
     user_index = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    days, hours = split_day_hours(stamps, offset_hours)
-    cells = days * HOURS + hours
+    cells = _hour_cells(stamps, offset_hours)
     cell_min = int(cells.min())
     span = int(cells.max()) - cell_min + 1
     encoded = user_index * span + (cells - cell_min)
@@ -70,14 +137,16 @@ def _unique_codes(
         keep = np.empty(encoded.shape, dtype=bool)
         keep[0] = True
         np.not_equal(deltas, 0, out=keep[1:])
-        return encoded[keep], span, cell_min
-    return _sorted_unique(encoded), span, cell_min
+        return user_index[keep], cells[keep]
+    unique = _sorted_unique(encoded)
+    owners = unique // span
+    return owners, unique - owners * span + cell_min
 
 
 def segment_counts(
     stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
 ) -> "FloatArray":
-    """Vectorised Eq. 1 counts over a pre-concatenated timestamp column.
+    """Vectorised Eq. 1 counts over a stamp column.
 
     *stamps* holds every user's timestamps back to back; *lengths* gives
     the per-user segment sizes.  Returns ``(len(lengths), 24)`` counts of
@@ -87,10 +156,14 @@ def segment_counts(
     n_users = int(lengths.size)
     if stamps.size == 0:
         return np.zeros((n_users, HOURS), dtype=float)
-    unique, span, cell_min = _unique_codes(stamps, lengths, offset_hours)
-    owners = unique // span
-    unique_hours = (unique % span + cell_min) % HOURS
-    flat = np.bincount(owners * HOURS + unique_hours, minlength=n_users * HOURS)
+    owners, cells = _unique_cells(stamps, lengths, offset_hours)
+    # owners * 24 + cells % 24, in place: numpy's integer remainder costs
+    # several times a floor-division by a scalar.
+    codes = cells // HOURS
+    codes *= -HOURS
+    codes += cells
+    codes += owners * HOURS
+    flat = np.bincount(codes, minlength=n_users * HOURS)
     return flat.reshape(n_users, HOURS).astype(float)
 
 
@@ -106,7 +179,7 @@ def segment_unique_cells(
     Returns ``(cells, cell_lengths)``: one concatenated int64 cell column,
     ascending within each user's segment, plus the per-user segment sizes
     (``cell_lengths.sum() == cells.size``).  Both kernels share
-    :func:`_unique_codes`, so they agree cell for cell.
+    :func:`_unique_cells`, so they agree cell for cell.
     """
     n_users = int(lengths.size)
     if stamps.size == 0:
@@ -114,8 +187,6 @@ def segment_unique_cells(
             np.zeros(0, dtype=np.int64),
             np.zeros(n_users, dtype=np.int64),
         )
-    unique, span, cell_min = _unique_codes(stamps, lengths, offset_hours)
-    owners = unique // span
-    out_cells = unique - owners * span + cell_min
+    owners, cells = _unique_cells(stamps, lengths, offset_hours)
     cell_lengths = np.bincount(owners, minlength=n_users).astype(np.int64)
-    return out_cells, cell_lengths
+    return cells, cell_lengths

@@ -270,6 +270,10 @@ class _UserState:
         self.n_posts += 1
         day = int(timestamp // 86400.0)
         hour = int((timestamp % 86400.0) // 3600.0)
+        if hour == HOURS:
+            # Clipped as split_day_hours clips: a tiny negative stamp's
+            # remainder rounds up to a whole day.
+            hour = HOURS - 1
         if day > self.max_day:
             self.max_day = day
         cell = day * HOURS + hour

@@ -87,9 +87,10 @@ class StoreShard:
     """One contiguous block of users, zero-copy views into the stamp column.
 
     ``stamps`` concatenates the shard's users back to back and ``lengths``
-    gives the per-user segment sizes -- exactly the layout the batch Eq. 1
-    kernel (:func:`repro.core.batch.segmented_hour_counts`'s flat core)
-    consumes, so shards flow into profile rows without repacking.
+    gives the per-user segment sizes -- the stamp column the Eq. 1
+    kernels (:func:`repro.core.kernels.segment_counts`) consume, the
+    same layout as :meth:`repro.core.events.TraceSet.columns`, so shards
+    flow into profile rows without repacking.
     """
 
     user_ids: tuple[str, ...]

@@ -155,7 +155,10 @@ def hour_of_day(timestamp: float, offset_hours: float = 0.0) -> int:
     This is the quantity the paper's Eq. 1 indicator ``a_d(h)`` is keyed on.
     """
     shifted = timestamp + offset_hours * SECONDS_PER_HOUR
-    return int((shifted % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
+    hour = int((shifted % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
+    # The clip of split_day_hours: a tiny negative stamp's remainder
+    # rounds up to SECONDS_PER_DAY, which would read as hour 24.
+    return min(hour, HOURS_PER_DAY - 1)
 
 
 def split_day_hours(

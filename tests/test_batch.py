@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import ProfileMatrix, segmented_hour_counts
+from repro.core.batch import ProfileMatrix
 from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.flatness import (
@@ -24,6 +24,7 @@ from repro.core.flatness import (
     polish_trace_set_reference,
 )
 from repro.core.geolocate import CrowdGeolocator
+from repro.core.kernels import segment_counts
 from repro.core.placement import (
     PlacementDistribution,
     classify_profiles,
@@ -110,8 +111,8 @@ class TestProfileEquivalence:
     @given(trace_set_strategy)
     @settings(max_examples=25, deadline=None)
     def test_segmented_counts_equal_per_trace_counts(self, traces):
-        arrays = [trace.timestamps for trace in traces]
-        segmented = segmented_hour_counts(arrays)
+        _, lengths, stamps = traces.columns()
+        segmented = segment_counts(stamps, lengths)
         for i, trace in enumerate(traces):
             np.testing.assert_array_equal(
                 segmented[i], active_hour_counts(trace.timestamps)

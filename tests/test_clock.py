@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,7 @@ from repro.timebase.clock import (
     make_timestamp,
     nth_weekday_of_month,
     ordinal_to_civil,
+    split_day_hours,
     weekday,
 )
 
@@ -151,6 +153,24 @@ class TestTimestamps:
         ts = make_timestamp(2016, 1, 1, hour=23)
         assert day_ordinal(ts) == 0
         assert day_ordinal(ts, offset_hours=2) == 1
+
+    @pytest.mark.parametrize(
+        "stamp, offset",
+        [
+            (-1e-13, 0.0),
+            (-5e-324, 0.0),
+            (float(np.nextafter(-86400.0, -np.inf)), 0.0),
+            (float(np.nextafter(3600.0, 0.0)), -1.0),
+        ],
+    )
+    def test_just_before_midnight_is_hour_23(self, stamp, offset):
+        """A remainder that rounds up to a whole day still reads hour 23."""
+        assert hour_of_day(stamp, offset) == 23
+        days, hours = split_day_hours(np.asarray([stamp]), offset)
+        assert (day_ordinal(stamp, offset), hour_of_day(stamp, offset)) == (
+            days[0],
+            hours[0],
+        )
 
     @given(st.integers(0, 365), st.integers(0, 23), st.integers(-11, 12))
     def test_offset_shift_consistency(self, day, hour, offset):

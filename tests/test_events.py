@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,11 @@ class TestPostEvent:
         event = PostEvent(make_timestamp(2016, 1, 1, hour=23), "u")
         assert event.hour(offset_hours=3) == 2
         assert event.day(offset_hours=3) == 1
+
+    def test_hour_just_before_midnight(self):
+        """A tiny negative stamp is hour 23 of day -1, never hour 24."""
+        event = PostEvent(-1e-13, "u")
+        assert (event.day(), event.hour()) == (-1, 23)
 
     def test_ordering_by_time(self):
         early = PostEvent(10.0, "b")
@@ -122,6 +128,26 @@ class TestTraceSet:
         traces = TraceSet([_trace()])
         assert "alice" in traces
         assert "bob" not in traces
+
+    def test_columns(self):
+        traces = TraceSet(
+            [
+                ActivityTrace("b", [30.0, 10.0]),
+                ActivityTrace("empty"),
+                ActivityTrace("a", [5.0]),
+            ]
+        )
+        user_ids, lengths, stamps = traces.columns()
+        assert user_ids == ["b", "empty", "a"]
+        assert lengths.dtype == np.int64 and lengths.tolist() == [2, 0, 1]
+        assert stamps.dtype == np.float64 and stamps.tolist() == [10.0, 30.0, 5.0]
+        stamps[0] = -1.0  # a fresh concatenation, not a view of a trace
+        assert traces["b"].timestamps[0] == 10.0
+
+    def test_columns_of_empty_set(self):
+        user_ids, lengths, stamps = TraceSet().columns()
+        assert user_ids == [] and lengths.shape == (0,) and stamps.shape == (0,)
+        assert stamps.dtype == np.float64
 
     def test_total_posts(self):
         traces = TraceSet([_trace(user="a", days=range(3)), _trace(user="b", days=range(2))])

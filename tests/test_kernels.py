@@ -1,10 +1,12 @@
 """The segmented Eq. 1 kernels and the blocked EMD kernels.
 
 The counts and unique-cells kernels must match per-user oracles on
-unsorted, negative and empty segments, and the blocked
-``distance_matrix`` kernels must be invariant to the block size down to
-the last bit -- that exactness is what the sharded engine's merge
-correctness rests on.
+unsorted, negative and empty segments, on stamps at and next to hour and
+day boundaries, on stamps far from the epoch and on hour-quantised
+segments; their division-based cell encoder must equal
+``split_day_hours`` cell for cell.  The blocked ``distance_matrix``
+kernels must be invariant to the block size down to the last bit -- that
+exactness is what the sharded engine's merge correctness rests on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import emd as emd_module
 from repro.core.emd import ALL_DISTANCES, distance_matrix
-from repro.core.kernels import segment_counts, segment_unique_cells
+from repro.core.kernels import _hour_cells, segment_counts, segment_unique_cells
 from repro.timebase.clock import split_day_hours
 
 
@@ -43,11 +45,57 @@ def _flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return stamps, lengths
 
 
+#: Largest stamp magnitude drawn, in seconds (about 31,700 years).
+MAX_STAMP_S = 1e12
+
+
+def _nudged(value: float, steps: int) -> float:
+    """*value* moved *steps* representable floats up (or down if negative)."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
+#: Whole hours and whole days as hour counts, up to MAX_STAMP_S either way.
+hour_multiples = st.one_of(
+    st.integers(-int(MAX_STAMP_S // 3600), int(MAX_STAMP_S // 3600)),
+    st.integers(-int(MAX_STAMP_S // 86400), int(MAX_STAMP_S // 86400)).map(
+        lambda day: day * 24
+    ),
+    st.integers(-50, 50),
+)
+
+#: Stamps at an hour or day boundary, a few floats to either side of one,
+#: or picoseconds off one (where split_day_hours' modulo rounds).
+boundary_stamps = st.one_of(
+    st.builds(
+        lambda hours, steps: _nudged(hours * 3600.0, steps),
+        hour_multiples,
+        st.integers(-2, 2),
+    ),
+    st.builds(
+        lambda hours, delta: hours * 3600.0 + delta,
+        hour_multiples,
+        st.floats(-2e-11, 2e-11),
+    ),
+)
+
+stamp_values = st.one_of(
+    st.floats(-3e5, 3e6, allow_nan=False, allow_infinity=False),
+    st.floats(-MAX_STAMP_S, MAX_STAMP_S, allow_nan=False, allow_infinity=False),
+    boundary_stamps,
+)
+
 segments = st.lists(
-    st.lists(
-        st.floats(-3e5, 3e6, allow_nan=False, allow_infinity=False),
-        min_size=0,
-        max_size=25,
+    st.one_of(
+        st.lists(stamp_values, min_size=0, max_size=25),
+        # Hour-quantised: every stamp an exact hour multiple.
+        st.lists(
+            st.integers(-2_000, 80_000).map(lambda hours: hours * 3600.0),
+            min_size=0,
+            max_size=25,
+        ),
     ),
     min_size=0,
     max_size=12,
@@ -78,6 +126,38 @@ class TestNumpyBackend:
             np.array([10.0, 3700.0]), np.array([2], dtype=np.int64)
         )
         assert counts.dtype == np.float64
+
+
+class TestHourCellEncoder:
+    """The division encoder equals ``split_day_hours`` cell for cell."""
+
+    @given(
+        st.lists(
+            st.one_of(stamp_values, st.sampled_from([np.nan, np.inf, -np.inf])),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 5.5, -3.0, 0.25]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_split_day_hours(self, values, offset):
+        stamps = np.asarray(values, dtype=float)
+        # NaN and inf cast to int64 with a RuntimeWarning; their cells are
+        # whatever split_day_hours makes of them.
+        with np.errstate(invalid="ignore"):
+            days, hours = split_day_hours(stamps, offset)
+            cells = _hour_cells(stamps, offset)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, days * 24 + hours)
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [-1e-13, -5e-324, -3600.0 - 4e-12, float(np.nextafter(-3600.0, -np.inf))],
+    )
+    def test_negative_stamps_where_the_modulo_rounds(self, stamp):
+        """split_day_hours' rounded modulo, not the exact floor, decides."""
+        stamps = np.asarray([stamp])
+        days, hours = split_day_hours(stamps)
+        np.testing.assert_array_equal(_hour_cells(stamps, 0.0), days * 24 + hours)
 
 
 def _naive_unique(arrays: list, offset: float) -> tuple:

@@ -333,6 +333,30 @@ class TestBatchSurface:
         assert_identical(per_event, engine)
 
 
+class TestStampJustBeforeMidnight:
+    """A stamp whose day remainder rounds up to 86400 s is hour 23.
+
+    ``observe()`` clips the hour as ``split_day_hours`` does, so per-event
+    and bulk intake file the post in the same cell of the previous day.
+    """
+
+    @pytest.mark.parametrize("drift", [None, SMALL_DRIFT], ids=["plain", "drift"])
+    @pytest.mark.parametrize(
+        "stamp",
+        [-1e-13]
+        + [float(np.nextafter(-86400.0 * k, -np.inf)) for k in (0, 1, 3)],
+    )
+    def test_observe_and_observe_batch_agree(self, stamp, drift):
+        per_event = make_engine(drift)
+        per_event.observe("u", stamp)
+        bulk = make_engine(drift)
+        bulk.observe_batch(["u"], np.asarray([stamp]))
+        ((day, hour),) = per_event.state_dict()["users"]["u"]["cells"]
+        assert hour == 23
+        assert day == int(stamp // 86400.0)
+        assert_identical(per_event, bulk)
+
+
 class TestNonFiniteTimestamps:
     """Bulk intake refuses NaN/inf stamps before touching any state."""
 
