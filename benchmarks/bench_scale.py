@@ -134,48 +134,6 @@ def _traces(user_ids, stamps, lengths):
         yield ActivityTrace(user_id, stamps[offsets[i] : offsets[i + 1]])
 
 
-def _binary_columns(user_ids, stamps, lengths, *, min_posts: int):
-    """The streaming geolocator's checkpoint columns, built vectorised.
-
-    Encodes every post's (day, hour) cell, de-duplicates per user, and
-    packs the result in the exact layout of
-    :meth:`StreamingGeolocator.binary_state` -- the bench restores from
-    this instead of replaying millions of ``observe`` calls one by one.
-    """
-    n_users = len(user_ids)
-    owners = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
-    cells = (stamps // 86400.0).astype(np.int64) * 24 + (
-        (stamps % 86400.0) // 3600.0
-    ).astype(np.int64)
-    span = int(cells.max()) - int(cells.min()) + 1
-    base = int(cells.min())
-    unique = np.unique(owners * span + (cells - base))
-    unique_owner = unique // span
-    unique_cells = unique % span + base
-    counts = np.bincount(unique_owner, minlength=n_users)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    meta = {
-        "config": {
-            "metric": "linear",
-            "min_posts": min_posts,
-            "sigma_init": 2.5,
-            "max_components": 4,
-            "min_users_for_verdict": 10,
-        },
-        "n_events": int(stamps.size),
-    }
-    arrays = {
-        "user_ids": np.asarray(user_ids, dtype=np.str_),
-        "n_posts": np.asarray(lengths, dtype=np.int64),
-        "cell_offsets": offsets,
-        "cells": unique_cells.astype(np.int64),
-        "generic_profile": np.asarray(
-            parametric_generic_profile().mass, dtype=np.float64
-        ),
-    }
-    return meta, arrays
-
-
 def _time(func, *, repeat: int = 1) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -280,8 +238,8 @@ def run(
             results["jsonl_load_s"] / results["store_load_s"], 2
         )
 
-        meta, arrays = _binary_columns(user_ids, stamps, lengths, min_posts=30)
-        geo = StreamingGeolocator.from_binary_state(meta, arrays)
+        geo = StreamingGeolocator(min_posts=30)
+        geo.ingest_store(store)
 
         def cold_snapshot():
             geo.invalidate_all()

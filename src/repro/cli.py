@@ -895,62 +895,9 @@ def _cmd_stats(context, args) -> None:
         )
 
 
-def _changed_lint_paths(base: str, requested: "list[str]") -> "list[str]":
-    """Python files changed vs *base* (plus untracked), within *requested*."""
-    import subprocess
-
-    def _git(*cmd: str) -> str:
-        try:
-            proc = subprocess.run(
-                ["git", *cmd], capture_output=True, text=True
-            )
-        except FileNotFoundError:
-            raise SystemExit("lint: --changed requires git on PATH")
-        if proc.returncode != 0:
-            raise SystemExit(
-                f"lint: git {' '.join(cmd)} failed: {proc.stderr.strip()}"
-            )
-        return proc.stdout
-
-    toplevel = Path(_git("rev-parse", "--show-toplevel").strip())
-    names = [
-        name
-        for out in (
-            _git("diff", "--name-only", "-z", base, "--"),
-            _git("ls-files", "--others", "--exclude-standard", "-z"),
-        )
-        for name in out.split("\0")
-        if name
-    ]
-    scope_roots = [Path(p).resolve() for p in requested]
-    changed: set[str] = set()
-    for name in names:
-        if not name.endswith(".py"):
-            continue
-        candidate = toplevel / name
-        if not candidate.is_file():
-            continue  # deleted in the diff
-        resolved = candidate.resolve()
-        if any(
-            resolved == root or resolved.is_relative_to(root)
-            for root in scope_roots
-        ):
-            changed.add(str(candidate))
-    return sorted(changed)
-
-
 def _cmd_lint(context, args) -> None:
     """Run the project's static-analysis rules (see repro.lintkit)."""
-    from repro.lintkit import (
-        all_rules,
-        render_api_surface,
-        render_json,
-        render_text,
-        run_project_lint,
-    )
-    from repro.lintkit.baseline import render_baseline
-    from repro.lintkit.engine import _baseline_resolver
-    from repro.lintkit.graph_rules import API_SURFACE_FILE
+    from repro.lintkit import all_rules, lint_paths, render_json, render_text
 
     if args.list_rules:
         rows = [(rule_id, rule.summary) for rule_id, rule in all_rules().items()]
@@ -962,70 +909,14 @@ def _cmd_lint(context, args) -> None:
         return
     select = [r.strip() for r in args.select.split(",")] if args.select else None
     ignore = [r.strip() for r in args.ignore.split(",")] if args.ignore else None
-    paths = list(args.paths)
-    if args.changed is not None:
-        paths = _changed_lint_paths(args.changed, paths)
-        if not paths:
-            print("all clean (no changed python files in scope)")
-            return
     try:
-        result = run_project_lint(
-            paths,
-            select=select,
-            ignore=ignore,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            baseline=args.baseline,
-        )
+        findings = lint_paths(args.paths, select=select, ignore=ignore)
     except KeyError as exc:
         raise SystemExit(f"lint: {exc.args[0]}")
-    except ValueError as exc:
-        raise SystemExit(f"lint: {exc}")
-    findings = result.findings
-    if args.graph_out:
-        if result.index is None:
-            raise SystemExit(
-                "lint: --graph-out needs the whole-program pass; lint a "
-                "scope that includes library code"
-            )
-        Path(args.graph_out).write_text(
-            json.dumps(result.index.graph_payload(), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"graph written to {args.graph_out}")
-    if args.write_api_baseline:
-        if result.index is None or result.root is None:
-            raise SystemExit(
-                "lint: --write-api-baseline needs the whole-program pass; "
-                "lint a scope that includes library code"
-            )
-        surface_path = result.root / API_SURFACE_FILE
-        surface_path.write_text(render_api_surface(result.index), encoding="utf-8")
-        print(f"api surface written to {surface_path}")
-        return
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            render_baseline(findings, _baseline_resolver(result.root)),
-            encoding="utf-8",
-        )
-        print(
-            f"baseline with {len(findings)} finding"
-            f"{'s' if len(findings) != 1 else ''} written to "
-            f"{args.write_baseline}"
-        )
-        return
     if args.format == "json":
-        meta = {
-            "baselined": result.baselined,
-            "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
-            "whole_program": result.index is not None,
-        }
-        print(render_json(findings, meta=meta))
+        print(render_json(findings))
     else:
         print(render_text(findings))
-        if result.baselined:
-            print(f"({result.baselined} baselined)")
     if findings:
         raise SystemExit(1)
 
@@ -1458,8 +1349,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint = sub.add_parser(
         "lint",
-        help="project-aware static analysis (per-file rules DC001..DC011 "
-        "plus whole-program passes DC012..DC016; see --list-rules)",
+        help="project-aware static analysis, one file at a time (rules "
+        "DC001..DC005 and DC007..DC011; see --list-rules)",
         parents=parents,
     )
     lint.add_argument(
@@ -1490,51 +1381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="lint only files changed vs the git ref BASE (default HEAD); "
-        "the whole-program index is still built so graph rules stay sound",
-    )
-    lint.add_argument(
-        "--graph-out",
-        default=None,
-        metavar="PATH",
-        help="write the import/call-graph JSON to PATH",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in the baseline file at PATH",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write all current findings to PATH as a baseline and exit 0",
-    )
-    lint.add_argument(
-        "--write-api-baseline",
-        action="store_true",
-        help="regenerate api_surface.json at the project root (DC016's "
-        "recorded public API surface)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the on-disk lint index cache",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="lint index cache directory (default: "
-        "<project-root>/.darkcrowd_cache)",
     )
     sub.add_parser("all", help="everything", parents=parents)
     return parser

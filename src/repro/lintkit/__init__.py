@@ -2,26 +2,18 @@
 
 ``darkcrowd lint`` runs an AST-based engine over the source tree and
 enforces the conventions the pipeline's *reproducibility* leans on:
-injectable clocks, seeded RNG, observability naming, shared-memory
-hygiene, and a handful of classic Python footguns.  Since v2 the engine
-is *whole-program*: a cached project index (symbols, imports, call
-graph) feeds graph rules that reason across files -- unseeded RNG
-reachable from public entry points, set-order taint flowing into
-serialisation sinks, unpicklable pool dispatch, checkpoint version
-drift, and API-surface drift.  See :mod:`repro.lintkit.rules` for the
-per-file catalogue (DC001..DC011), :mod:`repro.lintkit.graph_rules` for
-the whole-program catalogue (DC012..DC016) and the README "Static
-analysis" section for the rationale table.
+injectable clocks, seeded RNG, observability naming, and a handful of
+classic Python footguns.  Every rule looks at one file at a time; see
+:mod:`repro.lintkit.rules` for the catalogue (DC001..DC005,
+DC007..DC011) and the README "Static analysis" section for the
+rationale table.
 
 Programmatic use::
 
-    from repro.lintkit import lint_paths, render_text, run_project_lint
+    from repro.lintkit import lint_paths, render_text
 
     findings = lint_paths(["src", "tests"])
     report = render_text(findings)
-
-    result = run_project_lint(["src"], use_cache=True)
-    graph = result.index.graph_payload()
 
 Per-line suppression (documents an intentional exception)::
 
@@ -31,27 +23,14 @@ Per-line suppression (documents an intentional exception)::
 from repro.lintkit.engine import (
     DEFAULT_EXCLUDED_DIRS,
     PARSE_ERROR_ID,
-    ProjectLintResult,
+    detect_project_root,
     iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
-    run_project_lint,
-)
-from repro.lintkit.graph_rules import (
-    API_SURFACE_FILE,
-    ProjectContext,
-    render_api_surface,
-)
-from repro.lintkit.index import (
-    IndexCache,
-    ModuleFacts,
-    ProjectIndex,
-    detect_project_root,
 )
 from repro.lintkit.model import FileContext, Finding
 from repro.lintkit.registry import (
-    GraphRule,
     Rule,
     all_rules,
     get_rule,
@@ -66,19 +45,12 @@ from repro.lintkit.reporters import (
 )
 
 __all__ = [
-    "API_SURFACE_FILE",
     "DEFAULT_EXCLUDED_DIRS",
     "PARSE_ERROR_ID",
     "REPORT_KIND",
     "REPORT_VERSION",
     "FileContext",
     "Finding",
-    "GraphRule",
-    "IndexCache",
-    "ModuleFacts",
-    "ProjectContext",
-    "ProjectIndex",
-    "ProjectLintResult",
     "Rule",
     "all_rules",
     "detect_project_root",
@@ -88,9 +60,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register",
-    "render_api_surface",
     "render_json",
     "render_text",
     "resolve_selection",
-    "run_project_lint",
 ]

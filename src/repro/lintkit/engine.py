@@ -1,40 +1,30 @@
 """The analysis driver: parse once, walk once, dispatch to every rule.
 
-The per-file half is deliberately small: it parses each file with
-:mod:`ast`, builds the per-file context (import-alias table, parent
-map, suppression lines), then performs a single depth-first walk
-dispatching each node to the rules that declared a ``visit_<NodeType>``
-hook.
-
-The whole-program half (:func:`run_project_lint`) layers project
-orchestration on top: it detects the project root, extracts
-:class:`~repro.lintkit.index.ModuleFacts` from every file (served from
-the content-hash cache when warm), assembles the
-:class:`~repro.lintkit.index.ProjectIndex`, and runs the registered
-:class:`~repro.lintkit.registry.GraphRule` passes (DC012..DC016) over
-it.  Graph rules only engage when the lint scope contains library code
--- linting a lone fixture file stays as cheap as v1.
+Each file is parsed with :mod:`ast`, the per-file context (import-alias
+table, parent map, suppression lines) is built, and a single depth-first
+walk dispatches each node to the rules that declared a
+``visit_<NodeType>`` hook.  Every rule sees one file at a time;
+:func:`lint_paths` is a loop of :func:`lint_file` over
+:func:`iter_python_files`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.lintkit.model import SUPPRESS_PATTERN, FileContext, Finding
-from repro.lintkit.registry import GraphRule, Rule, resolve_selection
+from repro.lintkit.registry import Rule, resolve_selection
 
 __all__ = [
     "DEFAULT_EXCLUDED_DIRS",
     "PARSE_ERROR_ID",
-    "ProjectLintResult",
+    "detect_project_root",
     "iter_python_files",
     "lint_source",
     "lint_file",
     "lint_paths",
-    "run_project_lint",
 ]
 
 #: Directory names never descended into.  ``fixtures`` keeps the known-bad
@@ -58,6 +48,9 @@ DEFAULT_EXCLUDED_DIRS = frozenset(
 
 #: Pseudo-rule id attached to files the parser rejects outright.
 PARSE_ERROR_ID = "DC000"
+
+#: Markers that terminate the project-root walk-up.
+_ROOT_MARKERS = ("pyproject.toml", ".git")
 
 
 def _collect_aliases(tree: ast.Module) -> dict[str, str]:
@@ -125,9 +118,30 @@ def _build_context(source: str, path: str) -> FileContext:
     )
 
 
-def _run_file_rules(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
-    """Single AST walk dispatching to every applicable per-file rule."""
-    scoped = [rule for rule in rules if rule.applies_to(ctx)]
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    rules: "Sequence[Rule] | None" = None,
+) -> list[Finding]:
+    """Lint Python *source* as if it lived at *path*.
+
+    The *path* drives rule scoping (e.g. DC005 only checks ``core/``), so
+    tests can exercise scoped rules on fixture text by spoofing the path.
+    """
+    active = list(rules) if rules is not None else resolve_selection()
+    try:
+        ctx = _build_context(source, path)
+    except SyntaxError as exc:
+        return [
+            Finding(
+                path=path,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                rule_id=PARSE_ERROR_ID,
+                message=f"cannot parse file: {exc.msg}",
+            )
+        ]
+    scoped = [rule for rule in active if rule.applies_to(ctx)]
     if scoped:
         for node in ast.walk(ctx.tree):
             for rule in scoped:
@@ -137,37 +151,8 @@ def _run_file_rules(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
     return sorted(ctx.findings)
 
 
-def _parse_error(path: str, exc: SyntaxError) -> Finding:
-    return Finding(
-        path=path,
-        line=exc.lineno or 1,
-        col=(exc.offset or 1) - 1,
-        rule_id=PARSE_ERROR_ID,
-        message=f"cannot parse file: {exc.msg}",
-    )
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: "Sequence[Rule] | None" = None,
-) -> list[Finding]:
-    """Lint Python *source* as if it lived at *path* (per-file rules only).
-
-    The *path* drives rule scoping (e.g. DC005 only checks ``core/``), so
-    tests can exercise scoped rules on fixture text by spoofing the path.
-    Graph rules need a project; they run through :func:`run_project_lint`.
-    """
-    active = list(rules) if rules is not None else resolve_selection()
-    try:
-        ctx = _build_context(source, path)
-    except SyntaxError as exc:
-        return [_parse_error(path, exc)]
-    return _run_file_rules(ctx, active)
-
-
 def lint_file(path: "str | Path", rules: "Sequence[Rule] | None" = None) -> list[Finding]:
-    """Lint one file on disk (per-file rules only)."""
+    """Lint one file on disk."""
     file_path = Path(path)
     try:
         source = file_path.read_text(encoding="utf-8")
@@ -184,6 +169,17 @@ def lint_file(path: "str | Path", rules: "Sequence[Rule] | None" = None) -> list
     return lint_source(source, path=str(file_path), rules=rules)
 
 
+def detect_project_root(start: "str | Path") -> "Path | None":
+    """Nearest ancestor of *start* carrying a project marker, or None."""
+    current = Path(start).resolve()
+    if current.is_file():
+        current = current.parent
+    for candidate in (current, *current.parents):
+        if any((candidate / marker).exists() for marker in _ROOT_MARKERS):
+            return candidate
+    return None
+
+
 def _exclusion_base(entry_path: Path) -> Path:
     """The directory exclusion components are computed against.
 
@@ -191,8 +187,6 @@ def _exclusion_base(entry_path: Path) -> Path:
     ``tests/fixtures`` excluded no matter how the tree was named), the
     entry itself otherwise.
     """
-    from repro.lintkit.index import detect_project_root
-
     resolved = entry_path.resolve()
     root = detect_project_root(resolved)
     if root is not None and resolved.is_relative_to(root):
@@ -243,275 +237,14 @@ def _is_excluded(
     )
 
 
-# ---------------------------------------------------------------------------
-# whole-program orchestration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProjectLintResult:
-    """Everything a project lint run produced, beyond the finding list."""
-
-    findings: list[Finding]
-    root: "Path | None"
-    files: list[Path]
-    index: "object | None" = None  # ProjectIndex when graph rules ran
-    cache_hits: int = 0
-    cache_misses: int = 0
-    baselined: int = 0
-
-
-def _classify(parts: "tuple[str, ...]") -> "tuple[bool, bool]":
-    """(is_test, is_library) from root-relative path components."""
-    name = parts[-1] if parts else ""
-    is_test = (
-        "tests" in parts[:-1]
-        or name.startswith("test_")
-        or name == "conftest.py"
-    )
-    is_library = "repro" in parts[:-1] and not is_test
-    return is_test, is_library
-
-
-def _rel_key(path: Path, root: "Path | None") -> str:
-    resolved = path.resolve()
-    if root is not None and resolved.is_relative_to(root):
-        return resolved.relative_to(root).as_posix()
-    return resolved.as_posix()
-
-
-def _baseline_resolver(root: "Path | None"):
-    """Finding -> (normalized path, source line text) for baseline keys."""
-
-    def resolver(finding: Finding) -> "tuple[str, str]":
-        candidate = Path(finding.path)
-        try:
-            resolved = candidate.resolve()
-        except OSError:
-            return finding.path, ""
-        if root is not None and resolved.is_relative_to(root):
-            normalized = resolved.relative_to(root).as_posix()
-        else:
-            normalized = finding.path.replace("\\", "/")
-        try:
-            line_text = resolved.read_text(encoding="utf-8").splitlines()[
-                finding.line - 1
-            ]
-        except (OSError, UnicodeDecodeError, IndexError):
-            line_text = ""
-        return normalized, line_text
-
-    return resolver
-
-
-def run_project_lint(
-    paths: Iterable["str | Path"],
-    select: "list[str] | None" = None,
-    ignore: "list[str] | None" = None,
-    *,
-    use_cache: bool = False,
-    cache_dir: "str | Path | None" = None,
-    baseline: "str | Path | None" = None,
-) -> ProjectLintResult:
-    """Lint *paths* with per-file and whole-program rules.
-
-    Graph rules (DC012..DC016) run when a project root is detected and
-    the scope includes library code; the index then covers the whole
-    ``<root>/src`` tree (plus everything in scope) so reachability and
-    API checks stay sound even when only a subset is being reported on
-    (``--changed``).  Module-anchored graph findings outside the
-    requested scope are dropped; artifact-level findings (DESIGN.md,
-    api_surface.json) are always reported.
-    """
-    from repro.lintkit import index as index_mod
-    from repro.lintkit.baseline import filter_findings, load_baseline
-    from repro.lintkit.graph_rules import ProjectContext
-
-    rules = resolve_selection(select=select, ignore=ignore)
-    file_rules = [rule for rule in rules if not isinstance(rule, GraphRule)]
-    graph_rules = [rule for rule in rules if isinstance(rule, GraphRule)]
-
-    scope_files = list(iter_python_files(paths))
-    root: "Path | None" = None
-    for entry in paths:
-        root = index_mod.detect_project_root(Path(entry))
-        if root is not None:
-            break
-    if root is None and scope_files:
-        root = index_mod.detect_project_root(scope_files[0])
-
-    display: dict[str, str] = {}
-    for file_path in scope_files:
-        display.setdefault(_rel_key(file_path, root), str(file_path))
-
-    graph_active = bool(graph_rules) and root is not None
-    if graph_active:
-        graph_active = any(
-            _classify(tuple(rel.split("/")))[1] for rel in display
-        )
-
-    index_files: dict[str, Path] = {}
-    for file_path in scope_files:
-        index_files.setdefault(_rel_key(file_path, root), file_path)
-    if graph_active and root is not None:
-        src_dir = root / "src"
-        if src_dir.is_dir():
-            for file_path in iter_python_files([src_dir]):
-                index_files.setdefault(_rel_key(file_path, root), file_path)
-
-    cache = index_mod.IndexCache(None)
-    if use_cache and root is not None:
-        directory = Path(cache_dir) if cache_dir else root / ".darkcrowd_cache"
-        cache = index_mod.IndexCache(directory)
-    signature = "files-v2:" + ",".join(
-        sorted(rule.rule_id for rule in file_rules)
-    )
-
-    findings: list[Finding] = []
-    all_facts: list = []
-    for rel in sorted(index_files):
-        file_path = index_files[rel]
-        in_scope = rel in display
-        shown_path = display.get(rel, str(file_path))
-        try:
-            data = file_path.read_bytes()
-        except OSError as exc:
-            if in_scope:
-                findings.append(
-                    Finding(
-                        path=shown_path,
-                        line=1,
-                        col=0,
-                        rule_id=PARSE_ERROR_ID,
-                        message=f"cannot read file: {exc}",
-                    )
-                )
-            continue
-        digest = index_mod.content_digest(data)
-        parts = tuple(rel.split("/"))
-        is_test, is_library = _classify(parts)
-
-        cached_findings = (
-            cache.get_findings(rel, digest, signature) if in_scope else None
-        )
-        facts = cache.get_facts(rel, digest) if graph_active else None
-        file_findings: "list[Finding] | None" = None
-        if cached_findings is not None:
-            # Cached findings store root-relative paths; re-display them
-            # the way this invocation named the file.
-            file_findings = [
-                replace(finding, path=shown_path) for finding in cached_findings
-            ]
-
-        needs_parse = (graph_active and facts is None) or (
-            in_scope and file_findings is None
-        )
-        if needs_parse:
-            ctx: "FileContext | None" = None
-            try:
-                source = data.decode("utf-8")
-                ctx = _build_context(source, shown_path)
-            except UnicodeDecodeError as exc:
-                if in_scope and file_findings is None:
-                    file_findings = [
-                        Finding(
-                            path=shown_path,
-                            line=1,
-                            col=0,
-                            rule_id=PARSE_ERROR_ID,
-                            message=f"cannot read file: {exc}",
-                        )
-                    ]
-            except SyntaxError as exc:
-                if in_scope and file_findings is None:
-                    file_findings = [_parse_error(shown_path, exc)]
-            if ctx is not None:
-                if in_scope and file_findings is None:
-                    file_findings = _run_file_rules(ctx, file_rules)
-                if graph_active and facts is None:
-                    facts = index_mod.extract_module_facts(
-                        ctx,
-                        module=index_mod.module_name_for(
-                            file_path, root if root is not None else file_path.parent
-                        ),
-                        rel_path=rel,
-                        digest=digest,
-                        is_test=is_test,
-                        is_library=is_library,
-                    )
-            elif graph_active and facts is None:
-                # Unreadable/unparsable: an empty fact record keeps the
-                # cache warm and the index consistent.
-                facts = index_mod.ModuleFacts(
-                    path=rel,
-                    module=index_mod.module_name_for(
-                        file_path, root if root is not None else file_path.parent
-                    ),
-                    content_hash=digest,
-                    is_test=is_test,
-                    is_library=is_library,
-                )
-            cache.put(
-                rel,
-                digest,
-                facts=facts,
-                signature=signature if in_scope and file_findings is not None else None,
-                findings=(
-                    [replace(f, path=rel) for f in file_findings]
-                    if in_scope and file_findings is not None
-                    else None
-                ),
-            )
-
-        if in_scope and file_findings:
-            findings.extend(file_findings)
-        if facts is not None:
-            all_facts.append(facts)
-
-    project_index = None
-    if graph_active and root is not None:
-        project_index = index_mod.ProjectIndex(root, all_facts)
-        project_ctx = ProjectContext(
-            root=root, index=project_index, display=display
-        )
-        for rule in graph_rules:
-            rule.check(project_ctx)
-        findings.extend(project_ctx.findings)
-
-    baselined = 0
-    if baseline is not None:
-        entries = load_baseline(baseline)
-        findings, baselined = filter_findings(
-            findings, entries, _baseline_resolver(root)
-        )
-
-    cache.save()
-    return ProjectLintResult(
-        findings=sorted(findings),
-        root=root,
-        files=scope_files,
-        index=project_index,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        baselined=baselined,
-    )
-
-
 def lint_paths(
     paths: Iterable["str | Path"],
     select: "list[str] | None" = None,
     ignore: "list[str] | None" = None,
-    *,
-    use_cache: bool = False,
-    cache_dir: "str | Path | None" = None,
-    baseline: "str | Path | None" = None,
 ) -> list[Finding]:
     """Lint files and directory trees; the main library entry point."""
-    return run_project_lint(
-        paths,
-        select=select,
-        ignore=ignore,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        baseline=baseline,
-    ).findings
+    rules = resolve_selection(select=select, ignore=ignore)
+    findings: list[Finding] = []
+    for file_path in iter_python_files(paths):
+        findings.extend(lint_file(file_path, rules=rules))
+    return sorted(findings)

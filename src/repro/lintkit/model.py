@@ -48,7 +48,7 @@ class FileContext:
     lines: list[str]
     #: local name -> fully dotted origin ("np" -> "numpy").
     aliases: dict[str, str] = field(default_factory=dict)
-    #: child AST node -> parent AST node, for lifecycle/ancestry rules.
+    #: child AST node -> parent AST node, for ancestry rules.
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
     #: physical line -> rule ids suppressed there ("all" disables every rule).
     suppressions: dict[int, set[str]] = field(default_factory=dict)

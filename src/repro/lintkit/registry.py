@@ -1,9 +1,9 @@
 """Rule registry: every rule class registers itself under its id.
 
 Rules subclass :class:`Rule` and call :func:`register`; the CLI and the
-engine look them up here.  ``--select`` / ``--ignore`` resolve through
-:func:`resolve_selection`, which rejects unknown ids loudly rather than
-silently checking nothing.
+engine look them up here.  Every rule sees one parsed file at a time.
+``--select`` / ``--ignore`` resolve through :func:`resolve_selection`,
+which rejects unknown ids loudly rather than silently checking nothing.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ import ast
 from typing import TYPE_CHECKING, Callable, ClassVar, TypeVar
 
 if TYPE_CHECKING:
-    from repro.lintkit.graph_rules import ProjectContext
     from repro.lintkit.model import FileContext
 
 __all__ = [
-    "GraphRule",
     "Rule",
     "register",
     "all_rules",
@@ -48,32 +46,13 @@ class Rule:
         return getattr(self, f"visit_{type(node).__name__}", None)
 
 
-class GraphRule(Rule):
-    """Whole-program rule: runs once per project, not once per file.
-
-    Graph rules see the :class:`~repro.lintkit.graph_rules.ProjectContext`
-    -- symbol table, call graph, reachability, public API surface --
-    instead of a single file's AST.  They never receive ``visit_*``
-    dispatch (``applies_to`` is False for every file) and only run when
-    the engine detects a project root and the lint scope includes
-    library code.
-    """
-
-    def applies_to(self, ctx: "FileContext") -> bool:
-        return False
-
-    def check(self, project: "ProjectContext") -> None:
-        raise NotImplementedError
-
-
 _REGISTRY: dict[str, type[Rule]] = {}
 
 R = TypeVar("R", bound=type[Rule])
 
 
 def _ensure_builtin_rules() -> None:
-    """Import the rule modules so their ``@register`` decorators have run."""
-    import repro.lintkit.graph_rules  # noqa: F401  (import for side effect)
+    """Import the rule module so its ``@register`` decorators have run."""
     import repro.lintkit.rules  # noqa: F401  (import for side effect)
 
 

@@ -15,8 +15,8 @@ from repro.lintkit.registry import all_rules
 __all__ = ["REPORT_KIND", "REPORT_VERSION", "render_text", "render_json"]
 
 REPORT_KIND = "darkcrowd-lint-report"
-#: v2: optional "meta" block (cache hit/miss counts, baselined tally,
-#: whether the whole-program pass ran).  Everything in v1 is unchanged.
+#: v2 made a "meta" block optional; none is emitted, so a v2 report
+#: carries exactly the v1 fields.
 REPORT_VERSION = 2
 
 
@@ -30,12 +30,7 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    indent: "int | None" = 2,
-    *,
-    meta: "dict[str, object] | None" = None,
-) -> str:
+def render_json(findings: Sequence[Finding], indent: "int | None" = 2) -> str:
     """Stable machine-readable report (schema asserted by the test suite)."""
     rules = {
         rule_id: {"summary": rule.summary, "rationale": rule.rationale}
@@ -57,6 +52,4 @@ def render_json(
         ],
         "rules": rules,
     }
-    if meta is not None:
-        payload["meta"] = meta
     return json.dumps(payload, indent=indent, sort_keys=True)

@@ -3,9 +3,11 @@
 Each rule encodes one invariant that, when silently broken, destroys a
 property the paper's methodology needs -- bit-reproducible Eq. 1
 profiles, deterministic retries and checkpoints, resumable campaigns,
-leak-free parallel kernels, or the streaming engine's incremental win.
-The rule ids are stable (``DC001`` .. ``DC011``) and suppressible per
-line with ``# darkcrowd: disable=DCnnn``.
+or the streaming engine's incremental win.  Every rule looks at one
+file at a time.  The rule ids are stable (``DC001`` .. ``DC005`` and
+``DC007`` .. ``DC011``; ``DC006`` and ``DC012`` .. ``DC016`` are retired
+and never reused) and suppressible per line with
+``# darkcrowd: disable=DCnnn``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "ObsNameRule",
     "PrintInLibraryRule",
     "FloatEqualityRule",
-    "SharedMemoryLifecycleRule",
     "MutableDefaultRule",
     "SwallowedExceptionRule",
     "ColdSnapshotRule",
@@ -43,8 +44,10 @@ _WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-#: Constructors of *seedable* RNG state; module-level draws are the hazard.
-_SEEDED_RNG_FACTORIES = frozenset({"default_rng"})
+#: Constructors of seedable RNG state: the sanctioned path when given a
+#: seed, an OS-entropy generator when called bare, with a literal ``None``
+#: seed, or as a dataclass ``default_factory``.
+_RNG_FACTORIES = frozenset({"numpy.random.default_rng", "random.Random"})
 
 _METRIC_FACTORIES = frozenset(
     {
@@ -100,34 +103,66 @@ class WallClockRule(Rule):
             )
 
 
+def _unseeded(node: ast.Call) -> bool:
+    """No seed at all, or a literal ``None`` one (positional or ``seed=``)."""
+    if not node.args and not node.keywords:
+        return True
+    if node.args:
+        seed: "ast.expr | None" = node.args[0]
+    else:
+        seed = next((kw.value for kw in node.keywords if kw.arg == "seed"), None)
+    return isinstance(seed, ast.Constant) and seed.value is None
+
+
 @register
 class GlobalRngRule(Rule):
-    """DC002: draws from the unseeded process-global RNG state."""
+    """DC002: unseeded RNG -- global-state draws or seedless generators."""
 
     rule_id: ClassVar[str] = "DC002"
     summary: ClassVar[str] = (
-        "unseeded global RNG (np.random.* module functions, bare random.*)"
+        "unseeded RNG (np.random.* module functions, bare random.*, "
+        "default_rng()/random.Random() without a seed)"
     )
     rationale: ClassVar[str] = (
         "Synthetic crowds, fault schedules and EM reseeds must draw from an "
         "explicitly seeded Generator / random.Random instance, never the "
-        "shared module-level state another import can perturb."
+        "shared module-level state another import can perturb, and never a "
+        "generator seeded from OS entropy: either one breaks replay from a "
+        "manifest seed."
     )
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         resolved = ctx.resolve(node.func)
+        if resolved in _RNG_FACTORIES:
+            if _unseeded(node):
+                ctx.report(
+                    self.rule_id,
+                    node,
+                    f"{resolved}() with no seed (or a None one) draws OS entropy; "
+                    "pass an explicit seed so the run replays",
+                )
+            return
+        for keyword in node.keywords:
+            if keyword.arg != "default_factory":
+                continue
+            factory = ctx.resolve(keyword.value)
+            if factory in _RNG_FACTORIES:
+                ctx.report(
+                    self.rule_id,
+                    node,
+                    f"default_factory={factory} builds an unseeded generator "
+                    "per instance; pass an explicitly seeded one",
+                )
         if resolved is None:
             return
         for prefix, label in (("numpy.random.", "numpy"), ("random.", "stdlib")):
             if not resolved.startswith(prefix):
                 continue
             tail = resolved[len(prefix):]
-            # Constructors of seedable state (default_rng, Random,
-            # RandomState, PCG64, ...) are the sanctioned path; the
-            # hazard is lowercase module-level draw functions.
+            # Constructors of seedable state (Generator, RandomState,
+            # PCG64, ...) are the sanctioned path; the hazard is
+            # lowercase module-level draw functions.
             if "." in tail or not tail or not tail[0].islower():
-                return
-            if tail in _SEEDED_RNG_FACTORIES:
                 return
             ctx.report(
                 self.rule_id,
@@ -236,61 +271,6 @@ class FloatEqualityRule(Rule):
                     "or a non-float sentinel",
                 )
                 return
-
-
-@register
-class SharedMemoryLifecycleRule(Rule):
-    """DC006: SharedMemory blocks acquired without guaranteed release."""
-
-    rule_id: ClassVar[str] = "DC006"
-    summary: ClassVar[str] = (
-        "SharedMemory(...) outside a with-block or try whose finally "
-        "closes/unlinks"
-    )
-    rationale: ClassVar[str] = (
-        "A leaked shared_memory block survives the process on /dev/shm; a "
-        "long campaign that leaks one per batch starves the host.  Every "
-        "acquisition must sit under a with-block or a try whose finally "
-        "calls close()/unlink()."
-    )
-
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        func = node.func
-        name = (
-            func.attr
-            if isinstance(func, ast.Attribute)
-            else func.id if isinstance(func, ast.Name) else None
-        )
-        if name != "SharedMemory":
-            return
-        if self._released(node, ctx):
-            return
-        ctx.report(
-            self.rule_id,
-            node,
-            "SharedMemory acquired without a with-block or a finally that "
-            "close()s/unlink()s it; the block outlives the process on leak",
-        )
-
-    @staticmethod
-    def _released(node: ast.AST, ctx: FileContext) -> bool:
-        child: ast.AST = node
-        parent = ctx.parents.get(child)
-        while parent is not None:
-            if isinstance(parent, ast.withitem):
-                return True
-            if isinstance(parent, ast.Try) and child in parent.body:
-                for final_node in parent.finalbody:
-                    for inner in ast.walk(final_node):
-                        if (
-                            isinstance(inner, ast.Call)
-                            and isinstance(inner.func, ast.Attribute)
-                            and inner.func.attr in ("close", "unlink")
-                        ):
-                            return True
-            child = parent
-            parent = ctx.parents.get(child)
-        return False
 
 
 @register

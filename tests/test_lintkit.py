@@ -7,12 +7,15 @@ descends into, so the self-lint test at the bottom can assert the whole
 shipped tree is clean while the corpus of known violations sits inside
 it.  Scoped rules (DC001's clocks exemption, DC004's library-only scope,
 DC005's ``core/`` scope) are exercised by spoofing the path given to
-:func:`lint_source`.
+:func:`lint_source`.  The rule tables in README and DESIGN.md Sec. 9 are
+checked against the registry, so a rule cannot be added or retired
+without its documentation following.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ from repro.lintkit import (
     REPORT_KIND,
     REPORT_VERSION,
     all_rules,
+    detect_project_root,
     get_rule,
     iter_python_files,
     lint_paths,
@@ -43,11 +47,10 @@ CORE_PATH = "src/repro/core/kernel.py"
 #: rule id -> number of findings its bad fixture must produce.
 EXPECTED_BAD_FINDINGS = {
     "DC001": 4,
-    "DC002": 4,
+    "DC002": 11,
     "DC003": 5,
     "DC004": 1,
     "DC005": 2,
-    "DC006": 1,
     "DC007": 4,
     "DC008": 2,
     "DC009": 2,
@@ -56,15 +59,53 @@ EXPECTED_BAD_FINDINGS = {
 }
 
 
+#: Ids of deleted rules; never reused, never documented as live.
+RETIRED_RULES = frozenset({"DC006", "DC012", "DC013", "DC014", "DC015", "DC016"})
+
+
 def fixture_source(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def _table_rule_ids(doc: str, heading: str) -> list[str]:
+    """Rule ids named in the table rows of the section under *heading*."""
+    text = (REPO / doc).read_text(encoding="utf-8")
+    section = text.split(f"\n{heading}", 1)[1].split("\n## ", 1)[0]
+    return [
+        rule_id
+        for line in section.splitlines()
+        if line.startswith("|")
+        for rule_id in re.findall(r"\bDC\d{3}\b", line)
+    ]
+
+
 class TestRegistry:
-    def test_all_sixteen_rules_registered(self):
-        assert sorted(all_rules()) == [f"DC00{i}" for i in range(1, 10)] + [
-            f"DC0{i}" for i in range(10, 17)
+    def test_all_ten_rules_registered(self):
+        assert sorted(all_rules()) == [
+            "DC001",
+            "DC002",
+            "DC003",
+            "DC004",
+            "DC005",
+            "DC007",
+            "DC008",
+            "DC009",
+            "DC010",
+            "DC011",
         ]
+
+    @pytest.mark.parametrize(
+        "doc, heading",
+        [
+            ("README.md", "## Static analysis"),
+            ("DESIGN.md", "## 9. Enforced invariants (static analysis)"),
+        ],
+        ids=["README", "DESIGN"],
+    )
+    def test_doc_rule_tables_match_the_registry(self, doc, heading):
+        ids = _table_rule_ids(doc, heading)
+        assert sorted(ids) == sorted(all_rules())
+        assert not RETIRED_RULES & set(ids)
 
     def test_every_rule_documents_itself(self):
         for rule_id, rule_class in all_rules().items():
@@ -242,6 +283,36 @@ class TestFileDiscovery:
     def test_default_excludes_cover_caches(self):
         assert {"__pycache__", ".mypy_cache", "fixtures"} <= set(DEFAULT_EXCLUDED_DIRS)
 
+    # Exclusion is root-relative, so it holds for every path spelling.
+
+    def test_relative_invocation_excludes_fixtures(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+        files = list(iter_python_files([Path("tests")]))
+        assert files and not [
+            p for p in files if "fixtures" in p.resolve().parts
+        ]
+
+    def test_dotted_invocation_excludes_fixtures(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+        files = list(iter_python_files([Path("tests") / ".." / "tests"]))
+        assert files and not [
+            p for p in files if "fixtures" in p.resolve().parts
+        ]
+
+    def test_fixture_dir_named_directly_is_still_excluded(self):
+        # Naming the corpus *directory* does not sneak it in; only
+        # explicit files bypass.
+        assert list(iter_python_files([REPO / "tests" / "fixtures"])) == []
+
+    def test_detect_project_root_stops_at_marker(self, tmp_path):
+        root = tmp_path / "proj"
+        module = root / "src" / "repro" / "pipeline.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("x = 1\n", encoding="utf-8")
+        (root / "pyproject.toml").write_text("", encoding="utf-8")
+        assert detect_project_root(module) == root
+        assert detect_project_root(REPO / "src") == REPO
+
 
 class TestCliLint:
     def test_lint_clean_paths_exits_zero(self, capsys):
@@ -260,6 +331,7 @@ class TestCliLint:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == REPORT_KIND
         assert payload["n_findings"] == 4
+        assert "meta" not in payload
 
     def test_lint_unknown_rule_id_fails_loudly(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -275,5 +347,5 @@ class TestCliLint:
 
 class TestSelfLint:
     def test_shipped_tree_is_clean(self):
-        findings = lint_paths([REPO / "src", REPO / "tests"])
+        findings = lint_paths([REPO / "src", REPO / "tests", REPO / "benchmarks"])
         assert findings == [], render_text(findings)

@@ -30,6 +30,12 @@ from store_oracle import geolocate_store_oracle
 
 MIN_POSTS = 10
 
+#: A pool that cannot run its workers falls back inline with a
+#: RuntimeWarning and still matches the oracle; erroring on the warning
+#: makes every pooled test fail on that silent fallback (e.g. an
+#: unpicklable worker).
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _crowd(n_users: int, seed: int) -> TraceSet:
     """Mixed crowd: zoned users, flat (bot-like) users, low-activity users."""
