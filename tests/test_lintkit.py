@@ -142,6 +142,35 @@ class TestRuleFixtures:
         source = fixture_source(f"{rule_id.lower()}_good.py")
         assert lint_source(source, path=CORE_PATH) == []
 
+    def test_dc002_flags_unseeded_generator_factories(self):
+        # Every default_rng / random.Random line in the bad fixture is a
+        # seedless call or default_factory, the dead helper's included.
+        source = fixture_source("dc002_bad.py")
+        factory_lines = {
+            number
+            for number, text in enumerate(source.splitlines(), start=1)
+            if "default_rng" in text or "random.Random" in text
+        }
+        flagged = {f.line for f in lint_source(source, path=CORE_PATH)}
+        assert len(factory_lines) == 7
+        assert factory_lines <= flagged
+
+    def test_dc002_passes_seeded_generator_factories(self):
+        for call in (
+            "np.random.default_rng(7)",
+            "np.random.default_rng(seed=7)",
+            "np.random.default_rng(seed)",
+            "random.Random(seed)",
+            "field(default_factory=lambda: np.random.default_rng(seed))",
+        ):
+            source = (
+                "import random\nfrom dataclasses import field\n\n"
+                f"import numpy as np\n\nseed = 7\nvalue = {call}\n"
+            )
+            assert lint_source(source, path=CORE_PATH) == [], call
+        unseeded = "import numpy as np\n\nvalue = np.random.default_rng(seed=None)\n"
+        assert [f.rule_id for f in lint_source(unseeded, path=CORE_PATH)] == ["DC002"]
+
     def test_findings_carry_location_and_message(self):
         findings = lint_source(fixture_source("dc004_bad.py"), path=CORE_PATH)
         (finding,) = findings
@@ -303,6 +332,24 @@ class TestFileDiscovery:
         # Naming the corpus *directory* does not sneak it in; only
         # explicit files bypass.
         assert list(iter_python_files([REPO / "tests" / "fixtures"])) == []
+
+    def test_absolute_invocation_excludes_fixtures(self, tmp_path):
+        # The base is the detected root, so a project that itself sits
+        # under an excluded name is still linted, minus its own fixtures.
+        root = tmp_path / "fixtures" / "proj"
+        (root / "tests" / "fixtures").mkdir(parents=True)
+        (root / "pyproject.toml").write_text("", encoding="utf-8")
+        kept = root / "tests" / "test_case.py"
+        kept.write_text("x = 1\n", encoding="utf-8")
+        (root / "tests" / "fixtures" / "case_bad.py").write_text(
+            "x = 1\n", encoding="utf-8"
+        )
+        assert list(iter_python_files([(root / "tests").resolve()])) == [kept]
+
+    def test_explicit_file_still_bypasses(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+        target = Path("tests") / "fixtures" / "lintkit" / "dc007_bad.py"
+        assert list(iter_python_files([target])) == [target]
 
     def test_detect_project_root_stops_at_marker(self, tmp_path):
         root = tmp_path / "proj"
