@@ -16,8 +16,9 @@ million-user run):
   ``geolocate_store`` at its default sharding, with the verdict
   equality asserted,
 * **snapshot / checkpoint** (below :data:`MAX_INMEMORY_USERS`) -- the
-  streaming geolocator's warm-snapshot + checkpoint layers from the
-  previous scale PR.
+  streaming geolocator's cold and warm snapshots and ``.npz`` checkpoint
+  save and load, each timed :data:`STREAMING_REPEATS` times (best as
+  ``<layer>_s``, median as ``<layer>_median_s``).
 
 Results are merged into ``BENCH_core.json`` under the ``"scale"`` key
 (the ``full``/``smoke`` sections written by :mod:`perf_baseline` are
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -63,6 +65,10 @@ CHUNK_USERS = 100_000
 
 #: Fresh events streamed before each warm snapshot.
 WARM_EVENTS = 1_000
+
+#: Timed repeats of each streaming layer (snapshots and checkpoint I/O);
+#: the best and the median are recorded.
+STREAMING_REPEATS = 5
 
 #: Shards used for the sharded-engine sweep (fixed so worker counts are
 #: compared on identical work units).
@@ -134,13 +140,23 @@ def _traces(user_ids, stamps, lengths):
         yield ActivityTrace(user_id, stamps[offsets[i] : offsets[i + 1]])
 
 
-def _time(func, *, repeat: int = 1) -> float:
-    best = float("inf")
+def _times(func, *, repeat: int = 1) -> list[float]:
+    times = []
     for _ in range(repeat):
         start = time.perf_counter()
         func()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def _time(func, *, repeat: int = 1) -> float:
+    return min(_times(func, repeat=repeat))
+
+
+def _record(results: dict, name: str, times: list[float]) -> None:
+    """``<name>_s`` (best) and ``<name>_median_s`` of *times*."""
+    results[f"{name}_s"] = round(min(times), 4)
+    results[f"{name}_median_s"] = round(statistics.median(times), 4)
 
 
 def _bench_sharded(store: TraceStore, workers_sweep: list[int]) -> dict:
@@ -245,26 +261,38 @@ def run(
             geo.invalidate_all()
             return geo.snapshot()
 
-        results["snapshot_cold_s"] = round(_time(cold_snapshot, repeat=2), 4)
+        results["streaming_repeats"] = STREAMING_REPEATS
+        _record(
+            results,
+            "snapshot_cold",
+            _times(cold_snapshot, repeat=STREAMING_REPEATS),
+        )
 
-        warm_best = float("inf")
+        warm = []
         clock = [int(stamps.max()) + 1]
-        for _ in range(3):
+        for _ in range(STREAMING_REPEATS):
             for k in range(WARM_EVENTS):
                 geo.observe(user_ids[k % n_users], float(clock[0]))
                 clock[0] += 7_200  # every event lands in a fresh cell
-            warm_best = min(warm_best, _time(geo.snapshot))
-        results["snapshot_warm_s"] = round(warm_best, 4)
+            warm += _times(geo.snapshot)
+        _record(results, "snapshot_warm", warm)
         results["snapshot_speedup"] = round(
             results["snapshot_cold_s"] / results["snapshot_warm_s"], 2
         )
 
         ckpt = Path(tmp) / "crowd.ckpt.npz"
-        results["checkpoint_save_s"] = round(
-            _time(lambda: geo.save_checkpoint(ckpt), repeat=2), 4
+        _record(
+            results,
+            "checkpoint_save",
+            _times(lambda: geo.save_checkpoint(ckpt), repeat=STREAMING_REPEATS),
         )
-        results["checkpoint_load_s"] = round(
-            _time(lambda: StreamingGeolocator.load_checkpoint(ckpt), repeat=2), 4
+        _record(
+            results,
+            "checkpoint_load",
+            _times(
+                lambda: StreamingGeolocator.load_checkpoint(ckpt),
+                repeat=STREAMING_REPEATS,
+            ),
         )
 
     return results

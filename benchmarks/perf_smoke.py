@@ -170,16 +170,38 @@ def _drift_inertness_check() -> bool:
     ``snapshot_reference()`` oracle.
     """
     from _shared import synthetic_crowd
-    from repro.core.streaming import StreamingGeolocator, _UserState
+    from repro.core.profiles import HOURS
+    from repro.core.streaming import StreamingGeolocator
 
     class _PreDriftReplica(StreamingGeolocator):
+        # A copy of StreamingGeolocator.observe (core/streaming.py) that
+        # leaves out only its drift lines: the ``day >= table.anchor[row]``
+        # test, the ``table.bits`` update and the ``_drift_on_new_cell``
+        # call.  The rest mirrors observe() statement for statement, so a
+        # change to how observe() updates the user table is made here too.
         def observe(self, user_id: str, timestamp: float) -> None:
-            state = self._users.get(user_id)
-            if state is None:
-                state = self._users[user_id] = _UserState()
-            opened_cell = state.add(float(timestamp))
-            if opened_cell or state.n_posts == self.min_posts:
-                self._dirty.add(user_id)
+            table = self._table
+            row = table.index.get(user_id)
+            if row is None:
+                row = table.add(user_id)
+            posts = table.posts[row] + 1
+            table.posts[row] = posts
+            day = int(timestamp // 86400.0)
+            hour = int((timestamp % 86400.0) // 3600.0)
+            if hour == HOURS:
+                hour = HOURS - 1
+            if day > table.max_day[row]:
+                table.max_day[row] = day
+            cell = day * HOURS + hour
+            cells = table.sets[row]
+            if cells is None:
+                cells = table.thaw(row)
+            opened_cell = cell not in cells
+            if opened_cell:
+                cells.add(cell)
+                table.flat_counts[row * HOURS + hour] += 1.0
+            if opened_cell or posts == self.min_posts:
+                self._dirty.add(row)
             self._n_events += 1
 
     crowd = synthetic_crowd(400, seed=29)

@@ -13,9 +13,9 @@ Three mechanisms, following the ADR-003 confidence-lifecycle design
 (decay + signal-driven reset + re-verification):
 
 * :class:`UserConfidence` -- every placed user carries a confidence score
-  in [0, 1] that decays passively with stream time
-  (``decay_per_day``) and is reset to full whenever fresh evidence
-  re-confirms the current placement.
+  in [0, 1] that decays passively with stream time (``decay_per_day``,
+  :func:`decayed_confidence` for one record or a column of them) and is
+  reset to full whenever fresh evidence re-confirms the current placement.
 * :class:`ChangePointDetector` -- the active signal: the user's
   rolling-window profile (last ``window_days`` of Eq. 1 cells) is
   compared against their historical profile with the same EMD the
@@ -49,12 +49,13 @@ from typing import Any
 import numpy as np
 
 from repro.core.emd import ALL_DISTANCES
-from repro.core.types import FloatArray, IntArray
+from repro.core.types import BoolArray, FloatArray, IntArray
 from repro.timebase.zones import ZONE_OFFSETS
 
 __all__ = [
     "DriftConfig",
     "UserConfidence",
+    "decayed_confidence",
     "ChangePointDetector",
     "ZoneMigrationEvent",
     "CompositionSample",
@@ -148,7 +149,7 @@ class DriftConfig:
                 f"{sorted(ALL_DISTANCES)}"
             )
 
-    def check_due(self, now_day: int, last_check_day: int) -> bool:
+    def check_due(self, now_day: IntArray, last_check_day: IntArray) -> BoolArray:
         """Whether a lifecycle check is due at *now_day* for this config.
 
         The throttle predicate of the new-cell hook: a user whose last
@@ -194,6 +195,18 @@ class DriftConfig:
         )
 
 
+def decayed_confidence(
+    value: "float | FloatArray", as_of_day: "int | IntArray", now_day: int, decay_per_day: float
+) -> FloatArray:
+    """*value*, anchored at *as_of_day*, less ``decay_per_day`` per day to
+    *now_day* and clamped as ``min(1.0, max(0.0, x))`` is, element-wise:
+    a NaN (a checkpoint column is taken as written) reads as 0.0, stale."""
+    elapsed = np.maximum(now_day - as_of_day, 0)
+    decayed = value - decay_per_day * elapsed
+    floored = np.where(decayed > 0.0, decayed, 0.0)
+    return np.where(floored < 1.0, floored, 1.0)
+
+
 @dataclass
 class UserConfidence:
     """One user's confidence record: a value in [0, 1] anchored at a day.
@@ -209,8 +222,7 @@ class UserConfidence:
 
     def effective(self, now_day: int, decay_per_day: float) -> float:
         """Confidence at *now_day* after passive decay."""
-        elapsed = max(0, now_day - self.as_of_day)
-        return float(min(1.0, max(0.0, self.value - decay_per_day * elapsed)))
+        return float(decayed_confidence(self.value, self.as_of_day, now_day, decay_per_day))
 
     def reset(self, day: int, value: float = 1.0) -> None:
         """Anchor the confidence at *value* (fresh evidence / re-verified)."""

@@ -21,7 +21,19 @@ from repro.errors import EmptyTraceError
 from repro.timebase.clock import day_ordinal, hour_of_day, split_day_hours
 
 if TYPE_CHECKING:
-    from repro.core.types import FloatArray, IntArray
+    from repro.core.types import AnyArray, FloatArray, IntArray
+
+
+def id_column(user_ids: list[str], error: type[Exception]) -> "AnyArray":
+    """*user_ids* as the unicode column the columnar files store; numpy
+    strings drop trailing NULs, so *error* names an id that would read back
+    as another, possibly colliding, one."""
+    column = np.asarray(user_ids, dtype=np.str_)
+    stored = column.tolist()
+    if stored != user_ids:
+        bad = next(u for u, kept in zip(user_ids, stored) if u != kept)
+        raise error(f"user id {bad!r} ends in a NUL, which the id column drops")
+    return column
 
 
 @dataclass(frozen=True, order=True)

@@ -9,17 +9,18 @@ ask for the current verdict at any point -- the convergence experiment
 (:func:`repro.analysis.streaming_experiments.run_convergence_experiment`)
 then answers *how many days of monitoring a given forum needs*.
 
-Incremental state is kept per user as a **versioned record**: the (day,
-hour) active-cell counts of Eq. 1, a record version, and -- when the
-temporal-drift layer is enabled -- a confidence score in [0, 1] with
-passive time decay (:mod:`repro.core.drift`).  An update is O(1), and so
-is most of a snapshot: the geolocator caches every user's zone
-assignment and flat/active status, together with the 25-bin placement
-histogram, and a *dirty set* records exactly which users changed (a post
-landing in a new Eq. 1 cell, or a user crossing the activity threshold)
-since the last snapshot.  ``snapshot()`` re-places only the dirty users
-and patches the histogram by count deltas, making its cost O(dirty +
-bins) instead of O(all users); the always-cold pipeline is preserved as
+All incremental state lives in one **user table**: a row per user in
+first-observation order and a column per field of their versioned Eq. 1
+record -- post count, active (day, hour) cells, a ``(rows, 24)`` count
+matrix, record version and anchor, the cached zone, and, when the
+temporal-drift layer is on, a confidence score in [0, 1] with passive
+time decay (:mod:`repro.core.drift`).  An update is O(1), and so is most
+of a snapshot: a *dirty set* of rows records exactly which users changed
+(a post landing in a new Eq. 1 cell, or a user crossing the activity
+threshold) since the last snapshot.  ``snapshot()`` re-places only the
+dirty rows -- one gather, one classifier pass -- and patches the 24-bin
+placement histogram by bincounts of their old and new zones, so its cost
+is O(dirty + bins); the always-cold pipeline is kept as
 :meth:`StreamingGeolocator.snapshot_reference`, the oracle the
 incremental path is property-tested against.
 
@@ -40,8 +41,9 @@ as, the pre-drift release -- ``perf_smoke.py`` gates both.
 **Bulk intake** (:meth:`StreamingGeolocator.observe_batch`,
 :meth:`StreamingGeolocator.ingest_store`) has one core,
 ``_ingest_grouped``: it bins a chunk once into per-user sorted unique
-cells and merges them into the records -- array-backed records in one
-vectorised pass, set-backed ones per user.  With drift on, a user whose
+cells, appends new users as one block of rows and merges the rest --
+array-backed rows in one vectorised pass, set-backed ones per user.  With
+drift on, a user whose
 chunk could fire a lifecycle check replays their events through
 :meth:`StreamingGeolocator.observe` in original chunk order instead.
 Either way the engine lands in exactly the state the per-event loop
@@ -54,24 +56,25 @@ drift configuration and composition timeline) round-trips through
 :meth:`StreamingGeolocator.load_checkpoint` -- kill the process at any
 point and the reloaded instance produces the same snapshots.  One codec
 serves both payload formats: :meth:`StreamingGeolocator.binary_state`
-lays the state out as integer and float columns (all users' cells in one
-encoded column), the ``.npz`` payload stores those columns as they are,
-and the JSON document of earlier releases (still written by default,
-still loadable) is :meth:`StreamingGeolocator.state_dict`'s rendering of
-them.  Loading parses either payload back into the same columns and
-restores them in one vectorised pass
-(:meth:`StreamingGeolocator.from_binary_state`), so a million-user
-checkpoint round-trips in seconds.  ``load_checkpoint`` negotiates both
-the payload format and the schema version from the file itself:
-version-1 checkpoints written before the drift layer existed load with
-full-confidence defaults, while a version-2 checkpoint handed to a
-version-1 reader fails loudly with a :class:`CheckpointError`.
+writes the table's columns as they are (all users' cells in one encoded
+column), the ``.npz`` payload stores them, and the JSON document of
+earlier releases (still written by default, still loadable) is
+:meth:`StreamingGeolocator.state_dict`'s rendering of them.  Loading
+parses either payload back into the same columns, which become the
+table's (:meth:`StreamingGeolocator.from_binary_state`), so a
+million-user checkpoint round-trips in seconds.  ``load_checkpoint``
+negotiates both the payload format and the schema version from the file
+itself: version-1 checkpoints written before the drift layer existed
+load with full-confidence defaults, while a version-2 checkpoint handed
+to a version-1 reader fails loudly with a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence, Sized
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -83,11 +86,11 @@ from repro.core.drift import (
     CompositionTimeline,
     ConfidenceSummary,
     DriftConfig,
-    UserConfidence,
     ZoneMigrationEvent,
+    decayed_confidence,
 )
 from repro.core.em import GaussianMixtureModel, select_mixture
-from repro.core.events import PostEvent
+from repro.core.events import PostEvent, id_column
 from repro.core.flatness import flat_profile_mask
 from repro.core.gaussian import PAPER_SIGMA
 from repro.core.kernels import segment_unique_cells
@@ -111,7 +114,7 @@ from repro.reliability.checkpoint import (
 from repro.reliability.clocks import WallClockFn, wall_now
 
 if TYPE_CHECKING:
-    from repro.core.types import AnyArray, FloatArray, IntArray
+    from repro.core.types import AnyArray, BoolArray, FloatArray, IntArray
     from repro.datasets.store import TraceStore
 from repro.timebase.zones import ZONE_OFFSETS
 
@@ -134,9 +137,6 @@ VERDICT = "verdict"
 #: Column sentinel for "no anchor / no day yet" in checkpoint columns
 #: (chosen far outside any reachable day ordinal).
 _NO_DAY = -(2**62)
-
-#: Shared empty record for users the bulk path has not yet given cells.
-_EMPTY_CELLS: "IntArray" = np.zeros(0, dtype=np.int64)
 
 #: A freshly truncated record keeps getting its zone re-checked (and
 #: corrected via ``reason="refine"`` events) until it holds this many
@@ -193,145 +193,338 @@ class StreamSnapshot:
         return self.mixture is not None
 
 
-class _UserState:
-    """One user's versioned incremental Eq. 1 record.
+#: Zone-column sentinel: the row is unplaced (dirty, under-evidenced) or flat.
+_UNPLACED = -1
 
-    Active cells are kept as encoded ``day * 24 + hour`` integers (cheaper
-    to hash and to checkpoint than tuples), in one of two forms: a sorted
-    int64 array (``_frozen``) for records built by checkpoint restore or
-    by bulk merges, or a python set once :meth:`add` touches the record.
-    The bulk core merges a whole chunk into every array-backed record in
-    one vectorised pass; set-backed records take a per-user loop.  The
-    normalised profile row is cached and invalidated only when a new
-    active cell appears, so snapshots reuse the row of every user whose
-    activity pattern did not change since the previous snapshot.
 
-    The record is *versioned*: ``record_version`` starts at 1 and is
-    bumped by :meth:`truncate_to` when the drift layer re-estimates the
-    user from their recent window -- ``counts`` then covers only cells
-    with ``day >= anchor_day`` while the cell set keeps the full history
-    for deduplication.  ``confidence`` (a
-    :class:`~repro.core.drift.UserConfidence`) and the lazily built
-    per-day hour bitmasks exist only when the drift layer asks for them;
-    with drift disabled every new field is inert.
+def _pick(column: "list[Any]", rows: "IntArray") -> "list[Any]":
+    """``column[rows]`` of a list column, gathered in C (no Python loop)."""
+    if rows.size == 0:
+        return []
+    picked = itemgetter(*rows.tolist())(column)
+    return list(picked) if rows.size > 1 else [picked]
+
+
+def _segments(starts: "IntArray", lengths: "IntArray") -> "IntArray":
+    """Indices of the segments ``[starts[i], starts[i] + lengths[i])``, in turn."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
+
+
+class _UserTable:
+    """Every user's versioned incremental Eq. 1 record, one column per field.
+
+    Row ``i`` is the ``i``-th user observed (``index`` maps id to row), so
+    whole-crowd passes lay users out in first-observation order.  Fields
+    the per-event path touches on every post (post count, newest day,
+    last check day, anchor) are Python lists, whose item updates cost
+    what an attribute update does; whole-crowd passes convert them once.
+    The Eq. 1 counts are one ``(rows, 24)`` float64 matrix; the record
+    version, cached zone (:data:`_UNPLACED` when unplaced or flat) and
+    cell slice bounds are int64 columns, grown by doubling.
+
+    Cells are encoded ``day * 24 + hour``.  A row built by bulk intake or
+    restore holds a sorted slice ``arena[start:stop]`` of one shared cell
+    arena, so a chunk is diffed against all its users' records in one
+    vectorised pass; a row becomes a python set (``start == -1``) once
+    :meth:`StreamingGeolocator.observe` touches it.  The arena is
+    compacted once re-merged slices leave more dead cells than live ones.
+
+    :meth:`truncate` opens a new record version when the drift layer
+    re-estimates a user: the counts then cover only days ``>= anchor``
+    while the cells keep the whole history for deduplication.  The
+    confidence columns (``conf_day == _NO_DAY``: no record yet) and the
+    lazily built per-day hour bitmaps serve the drift layer only.
     """
 
     __slots__ = (
-        "_cells",
-        "_frozen",
-        "counts",
-        "n_posts",
-        "_mass",
-        "record_version",
-        "confidence",
-        "anchor_day",
-        "last_check_day",
-        "max_day",
-        "_day_bits",
+        "index", "ids", "posts", "max_day", "last_check", "anchor", "conf_value",
+        "conf_day", "sets", "bits", "counts", "flat_counts", "version", "zone",
+        "start", "stop", "arena", "arena_size", "garbage",
     )
 
     def __init__(self) -> None:
-        self._cells: set[int] | None = set()
-        # Checkpoint restore leaves the cells as a sorted int64 slice and
-        # defers building the python set until this user is observed
-        # again -- most restored users never are, so a million-user
-        # checkpoint loads in seconds instead of materialising a million
-        # sets up front.
-        self._frozen: IntArray | None = None
-        self.counts = np.zeros(HOURS, dtype=float)
-        self.n_posts = 0
-        self._mass: FloatArray | None = None
-        # -- versioned-record / drift-lifecycle fields -------------------
-        self.record_version = 1
-        self.confidence: UserConfidence | None = None
-        self.anchor_day: int | None = None
-        self.last_check_day: int = _NO_DAY
-        self.max_day: int = _NO_DAY
-        self._day_bits: dict[int, int] | None = None
+        self.index: dict[str, int] = {}
+        self.ids: list[str] = []
+        self.posts: list[int] = []
+        self.max_day: list[int] = []
+        self.last_check: list[int] = []
+        self.anchor: list[int] = []
+        self.conf_value: list[float] = []
+        self.conf_day: list[int] = []
+        self.sets: list[set[int] | None] = []
+        self.bits: list[dict[int, int] | None] = []
+        self.counts: FloatArray = np.zeros((0, HOURS), dtype=np.float64)
+        # A flat view of the counts: the per-event update indexes it with
+        # one integer, cheaper than a (row, hour) pair.
+        self.flat_counts: FloatArray = self.counts.reshape(-1)
+        self.version: IntArray = np.zeros(0, dtype=np.int64)
+        self.zone: IntArray = np.zeros(0, dtype=np.int64)
+        self.start: IntArray = np.zeros(0, dtype=np.int64)
+        self.stop: IntArray = np.zeros(0, dtype=np.int64)
+        self.arena: IntArray = np.zeros(0, dtype=np.int64)
+        self.arena_size = 0
+        self.garbage = 0
 
-    @property
-    def cells(self) -> set[int]:
-        if self._cells is None:
-            self._cells = set(self._frozen.tolist())
-        return self._cells
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def n_cells(self) -> int:
-        if self._cells is None:
-            return int(self._frozen.size)
-        return len(self._cells)
+    def _reserve(self, extra: int) -> int:
+        """Make room for *extra* more rows; returns the first of them."""
+        first = len(self.ids)
+        capacity = self.zone.size
+        if first + extra > capacity:
+            capacity = max(first + extra, 2 * capacity, 64)
+            fills = {"counts": 0.0, "version": 1, "zone": _UNPLACED, "start": 0, "stop": 0}
+            for name, fill in fills.items():
+                old = getattr(self, name)
+                grown = np.full((capacity,) + old.shape[1:], fill, dtype=old.dtype)
+                grown[:first] = old[:first]
+                setattr(self, name, grown)
+            self.flat_counts = self.counts.reshape(-1)
+        return first
 
-    def sorted_cells(self) -> list[int]:
-        if self._cells is None:
-            return self._frozen.tolist()
-        return sorted(self._cells)
+    def add(self, user_id: str) -> int:
+        """A new set-backed row for *user_id* (the per-event path)."""
+        row = self._reserve(1)
+        self.index[user_id] = row
+        self.ids.append(user_id)
+        self.posts.append(0)
+        for column in (self.max_day, self.last_check, self.anchor, self.conf_day):
+            column.append(_NO_DAY)
+        self.conf_value.append(1.0)
+        self.sets.append(set())
+        self.bits.append(None)
+        self.start[row] = -1
+        return row
 
-    def add(self, timestamp: float) -> bool:
-        """Record one post; True when it opened a new in-record cell."""
-        self.n_posts += 1
-        day = int(timestamp // 86400.0)
-        hour = int((timestamp % 86400.0) // 3600.0)
-        if hour == HOURS:
-            # Clipped as split_day_hours clips: a tiny negative stamp's
-            # remainder rounds up to a whole day.
-            hour = HOURS - 1
-        if day > self.max_day:
-            self.max_day = day
-        cell = day * HOURS + hour
-        if cell in self.cells:
-            return False
-        self._cells.add(cell)
-        if self.anchor_day is not None and day < self.anchor_day:
-            # A straggler from before the current record's anchor: keep it
-            # for deduplication, but a truncated record never re-absorbs
-            # pre-migration history.
-            return False
-        self.counts[hour] += 1.0
-        if self._day_bits is not None:
-            self._day_bits[day] = self._day_bits.get(day, 0) | (1 << hour)
-        self._mass = None
-        return True
+    def append(
+        self,
+        user_ids: "list[str]",
+        posts: "IntArray",
+        cells: "IntArray",
+        cell_lengths: "IntArray",
+        anchors: "IntArray | None" = None,
+    ) -> "IntArray":
+        """New array-backed rows holding *cells*; returns their row numbers.
 
-    def mass(self) -> FloatArray:
-        """Cached normalised 24-vector of the current record's cells."""
-        if self._mass is None:
-            total = self.counts.sum()
-            if total <= 0.0:
-                raise EmptyTraceError("no activity accumulated")
-            self._mass = self.counts / total
-        return self._mass
-
-    # -- drift-lifecycle helpers ------------------------------------------
-
-    def ensure_confidence(self, day: int) -> UserConfidence:
-        """This user's confidence record, created at full on first use."""
-        if self.confidence is None:
-            self.confidence = UserConfidence(1.0, day)
-        return self.confidence
-
-    def day_bits(self) -> dict[int, int]:
-        """``day -> 24-bit hour mask`` of the current record (lazy).
-
-        Built once from the cell set (or the frozen checkpoint slice) and
-        maintained incrementally by :meth:`add` afterwards, so window
-        queries cost O(window days), not O(record cells).
+        *cells* holds each user's sorted unique cells back to back.  The
+        counts take the cells at or after each row's anchor (all of them
+        when *anchors* is None); the newest day is the last cell's.
         """
-        if self._day_bits is None:
-            bits: dict[int, int] = {}
-            anchor = self.anchor_day
-            source: Iterable[int]
-            if self._cells is None:
-                source = self._frozen.tolist()
-            else:
-                source = self._cells
-            for encoded in source:
-                day, hour = divmod(int(encoded), HOURS)
-                if anchor is None or day >= anchor:
+        k = len(user_ids)
+        first = self._reserve(k)
+        rows = np.arange(first, first + k, dtype=np.int64)
+        self.index.update(zip(user_ids, rows.tolist()))
+        self.ids += user_ids
+        self.posts += posts.tolist()
+        ends = np.cumsum(cell_lengths)
+        days = cells // HOURS
+        newest = np.full(k, _NO_DAY, dtype=np.int64)
+        filled = cell_lengths > 0
+        newest[filled] = days[ends[filled] - 1]
+        self.max_day += newest.tolist()
+        self.last_check += [_NO_DAY] * k
+        self.anchor += [_NO_DAY] * k if anchors is None else anchors.tolist()
+        self.conf_value += [1.0] * k
+        self.conf_day += [_NO_DAY] * k
+        self.sets += [None] * k
+        self.bits += [None] * k
+        # row * 24 + hour, spared numpy's slow integer modulo.
+        keys = (np.repeat(rows - first, cell_lengths) - days) * HOURS + cells
+        if anchors is not None:
+            keys = keys[days >= np.repeat(anchors, cell_lengths)]
+        self.counts[first : first + k] = np.bincount(
+            keys, minlength=k * HOURS
+        ).reshape(k, HOURS)
+        self.store(rows, cells, cell_lengths)
+        return rows
+
+    # -- cell records --------------------------------------------------------
+
+    def thaw(self, row: int) -> set[int]:
+        """Turn *row*'s sorted slice into the set the per-event path updates."""
+        start, stop = int(self.start[row]), int(self.stop[row])
+        cells = set(self.arena[start:stop].tolist())
+        self.sets[row] = cells
+        self.start[row] = -1
+        self.garbage += stop - start
+        return cells
+
+    def gather(self, rows: "IntArray") -> "tuple[IntArray, IntArray]":
+        """The slices of array-backed *rows* back to back, and their lengths."""
+        starts = self.start[rows]
+        lengths = self.stop[rows] - starts
+        return self.arena[_segments(starts, lengths)], lengths
+
+    def store(self, rows: "IntArray", cells: "IntArray", lengths: "IntArray") -> None:
+        """Point array-backed *rows* at *cells*, their new records in turn."""
+        self.garbage += int((self.stop[rows] - self.start[rows]).sum())
+        begin = self.arena_size
+        end = begin + cells.size
+        if end > self.arena.size:
+            grown = np.empty(max(end, 2 * self.arena.size), dtype=np.int64)
+            grown[:begin] = self.arena[:begin]
+            self.arena = grown
+        self.arena[begin:end] = cells
+        self.arena_size = end
+        self.stop[rows] = begin + np.cumsum(lengths)
+        self.start[rows] = self.stop[rows] - lengths
+        if 2 * self.garbage > self.arena_size:
+            live = np.flatnonzero(self.start[: len(self.ids)] >= 0)
+            cells, lengths = self.gather(live)
+            self.arena, self.arena_size, self.garbage = cells, cells.size, 0
+            self.stop[live] = np.cumsum(lengths)
+            self.start[live] = self.stop[live] - lengths
+
+    def cell_column(self) -> "tuple[IntArray, IntArray]":
+        """``(offsets, cells)``: every row's sorted cells, in row order."""
+        n = len(self.ids)
+        starts = self.start[:n]
+        frozen = starts >= 0
+        lengths = np.where(frozen, self.stop[:n] - starts, 0)
+        loose = np.flatnonzero(~frozen).tolist()
+        lengths[loose] = [len(self.sets[row] or ()) for row in loose]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        if not loose and np.array_equal(starts, offsets[:-1]):
+            # The arena holds every record in row order, as after a bulk
+            # replay or a restore.
+            return offsets, self.arena[: offsets[-1]].copy()
+        cells = np.empty(int(offsets[-1]), dtype=np.int64)
+        rows = np.flatnonzero(frozen)
+        cells[_segments(offsets[rows], lengths[rows])] = self.gather(rows)[0]
+        for row in loose:
+            cells[offsets[row] : offsets[row + 1]] = sorted(self.sets[row] or ())
+        return offsets, cells
+
+    def merge_set(self, row: int, seg: "IntArray") -> bool:
+        """Merge one chunk's sorted unique cells into *row* as a set.
+
+        Returns True when at least one *in-record* cell opened -- exactly
+        the chunks for which the per-event loop would have dirtied the
+        user.  Post counts are left to the caller.
+        """
+        cells = self.sets[row]
+        if cells is None:
+            cells = self.thaw(row)
+        counts = self.counts[row]
+        bits = self.bits[row]
+        anchor = self.anchor[row]
+        max_day = self.max_day[row]
+        opened = False
+        for cell in seg.tolist():
+            if cell in cells:
+                continue
+            cells.add(cell)
+            day = cell // HOURS
+            if day > max_day:
+                max_day = day
+            if day < anchor:
+                # Pre-anchor straggler: deduplicated, never re-counted.
+                continue
+            counts[cell % HOURS] += 1.0
+            if bits is not None:
+                bits[day] = bits.get(day, 0) | (1 << (cell % HOURS))
+            opened = True
+        self.max_day[row] = max_day
+        return opened
+
+    def merge_frozen(
+        self, rows: "IntArray", cand: "IntArray", cand_lengths: "IntArray"
+    ) -> "BoolArray":
+        """Diff + merge one chunk into many array-backed rows in one pass.
+
+        Records and candidates are encoded as ``row * span + cell`` keys
+        (both sorted row-major, so membership is one searchsorted), new
+        cells are spliced into one merged key column, and each row points
+        at its slice of the result: per row, what :meth:`merge_set` gives,
+        which is the fallback when the keys would overflow int64.  Returns
+        which rows opened an in-record cell.
+        """
+        n_rows = rows.size
+        records, record_lengths = self.gather(rows)
+        owner = np.repeat(np.arange(n_rows, dtype=np.int64), cand_lengths)
+        new_cells, new_owner = cand, owner
+        merged, merged_lengths = cand, cand_lengths
+        if records.size:
+            cell_min = min(int(cand.min()), int(records.min()))
+            span = max(int(cand.max()), int(records.max())) - cell_min + 1
+            if n_rows * span >= 2**62:
+                # Pathological cell range: the encoded keys would overflow.
+                ends = np.cumsum(cand_lengths)
+                bounds = zip(rows.tolist(), (ends - cand_lengths).tolist(), ends.tolist())
+                flags = [self.merge_set(r, cand[a:b]) for r, a, b in bounds]
+                return np.asarray(flags, dtype=bool)
+            record_keys = (
+                np.repeat(np.arange(n_rows, dtype=np.int64), record_lengths) * span
+                + (records - cell_min)
+            )
+            cand_keys = owner * span + (cand - cell_min)
+            at = np.minimum(np.searchsorted(record_keys, cand_keys), record_keys.size - 1)
+            new_mask = record_keys[at] != cand_keys
+            new_keys = cand_keys[new_mask]
+            new_cells, new_owner = cand[new_mask], owner[new_mask]
+            merged_keys = np.insert(record_keys, np.searchsorted(record_keys, new_keys), new_keys)
+            merged = merged_keys % span + cell_min
+            merged_lengths = record_lengths + np.bincount(new_owner, minlength=n_rows)
+        # In-record (counted) new cells: at or after the record anchor.
+        anchors = np.asarray(_pick(self.anchor, rows), dtype=np.int64)
+        counted = (new_cells // HOURS) >= anchors[new_owner]
+        counted_owner = new_owner[counted]
+        deltas = np.bincount(
+            counted_owner * HOURS + new_cells[counted] % HOURS,
+            minlength=n_rows * HOURS,
+        ).reshape(n_rows, HOURS)
+        opened = np.bincount(counted_owner, minlength=n_rows) > 0
+        self.counts[rows[opened]] += deltas[opened].astype(float)
+        self.store(rows, merged, merged_lengths)
+        # The newest day is the record's last cell's: duplicates and
+        # stragglers can never raise it past their first occurrence.
+        newest = merged[np.cumsum(merged_lengths) - 1] // HOURS
+        for row, day in zip(rows.tolist(), newest.tolist()):
+            self.max_day[row] = day
+        return opened
+
+    def masses(self, rows: "IntArray") -> "FloatArray":
+        """Eq. 1 profile rows (counts over their sums) of *rows*."""
+        counts = self.counts[rows]
+        totals = counts.sum(axis=1, keepdims=True)
+        if bool((totals <= 0.0).any()):
+            raise EmptyTraceError("no activity accumulated")
+        return counts / totals
+
+    # -- drift-lifecycle helpers ---------------------------------------------
+
+    def reset_confidence(self, row: int, day: int) -> None:
+        """Anchor *row*'s confidence at full on *day* (fresh evidence)."""
+        self.conf_value[row] = 1.0
+        self.conf_day[row] = int(day)
+
+    def day_bits(self, row: int) -> dict[int, int]:
+        """``day -> 24-bit hour mask`` of *row*'s current record (lazy).
+
+        Built once from the row's cells (turning it set-backed) and
+        maintained by the per-event path afterwards, so window queries
+        cost O(window days), not O(record cells).
+        """
+        bits = self.bits[row]
+        if bits is None:
+            cells = self.sets[row]
+            if cells is None:
+                cells = self.thaw(row)
+            anchor = self.anchor[row]
+            bits = {}
+            for encoded in cells:
+                day, hour = divmod(encoded, HOURS)
+                if day >= anchor:
                     bits[day] = bits.get(day, 0) | (1 << hour)
-            self._day_bits = bits
-        return self._day_bits
+            self.bits[row] = bits
+        return bits
 
     @staticmethod
-    def _counts_of_bits(bits_by_day: Iterable[int]) -> FloatArray:
+    def counts_of_bits(bits_by_day: Iterable[int]) -> FloatArray:
         counts = np.zeros(HOURS, dtype=float)
         for bits in bits_by_day:
             while bits:
@@ -340,9 +533,9 @@ class _UserState:
                 bits &= bits - 1
         return counts
 
-    def window_counts(self, start_day: int, end_day: int) -> FloatArray:
-        """Hour counts of record cells with day in [start_day, end_day]."""
-        bits_by_day = self.day_bits()
+    def window_counts(self, row: int, start_day: int, end_day: int) -> FloatArray:
+        """Hour counts of *row*'s record cells with day in [start_day, end_day]."""
+        bits_by_day = self.day_bits(row)
         selected: Iterable[int]
         if len(bits_by_day) <= end_day - start_day + 1:
             selected = (
@@ -353,18 +546,17 @@ class _UserState:
             selected = (
                 bits_by_day.get(day, 0) for day in range(start_day, end_day + 1)
             )
-        return self._counts_of_bits(selected)
+        return self.counts_of_bits(selected)
 
-    def truncate_to(self, anchor_day: int) -> None:
+    def truncate(self, row: int, anchor_day: int) -> None:
         """Open a new record version holding only days >= *anchor_day*."""
         kept = {
-            day: bits for day, bits in self.day_bits().items() if day >= anchor_day
+            day: bits for day, bits in self.day_bits(row).items() if day >= anchor_day
         }
-        self._day_bits = kept
-        self.counts = self._counts_of_bits(kept.values())
-        self.anchor_day = anchor_day
-        self.record_version += 1
-        self._mass = None
+        self.bits[row] = kept
+        self.counts[row] = self.counts_of_bits(kept.values())
+        self.anchor[row] = anchor_day
+        self.version[row] += 1
 
 
 class StreamingGeolocator:
@@ -407,12 +599,11 @@ class StreamingGeolocator:
         self.sigma_init = sigma_init
         self.max_components = max_components
         self.min_users_for_verdict = min_users_for_verdict
-        self._users: dict[str, _UserState] = {}
+        self._table = _UserTable()
         self._n_events = 0
-        # Incremental placement state (see class docstring invariant).
-        self._dirty: set[str] = set()
-        self._zone_of: dict[str, int] = {}
-        self._flat_ids: set[str] = set()
+        # Incremental placement state (see class docstring invariant): the
+        # rows to re-place, besides the table's zone column.
+        self._dirty: set[int] = set()
         self._hist = np.zeros(len(ZONE_OFFSETS), dtype=np.int64)
         self._matrix_cache: ProfileMatrix | None = None
         # -- temporal-drift layer (inert when drift is None) --------------
@@ -438,17 +629,43 @@ class StreamingGeolocator:
 
     def observe(self, user_id: str, timestamp: float) -> None:
         """Feed one (author, UTC timestamp) observation."""
-        state = self._users.get(user_id)
-        if state is None:
-            state = self._users[user_id] = _UserState()
-        # No float() coercion: the binning arithmetic in _UserState.add is
-        # bit-identical for python floats, ints and numpy float64 scalars.
-        opened_cell = state.add(timestamp)
-        if opened_cell or state.n_posts == self.min_posts:
-            self._dirty.add(user_id)
+        table = self._table
+        row = table.index.get(user_id)
+        if row is None:
+            row = table.add(user_id)
+        posts = table.posts[row] + 1
+        table.posts[row] = posts
+        # No float() coercion: this binning is bit-identical for python
+        # floats, ints and numpy float64 scalars.
+        day = int(timestamp // 86400.0)
+        hour = int((timestamp % 86400.0) // 3600.0)
+        if hour == HOURS:
+            # Clipped as split_day_hours clips: a tiny negative stamp's
+            # remainder rounds up to a whole day.
+            hour = HOURS - 1
+        if day > table.max_day[row]:
+            table.max_day[row] = day
+        cell = day * HOURS + hour
+        cells = table.sets[row]
+        if cells is None:
+            cells = table.thaw(row)
+        opened = False
+        # A straggler from before a truncated record's anchor is kept for
+        # deduplication, but the record never re-absorbs pre-migration
+        # history.
+        if cell not in cells:
+            cells.add(cell)
+            if day >= table.anchor[row]:
+                table.flat_counts[row * HOURS + hour] += 1.0
+                bits = table.bits[row]
+                if bits is not None:
+                    bits[day] = bits.get(day, 0) | (1 << hour)
+                opened = True
+        if opened or posts == self.min_posts:
+            self._dirty.add(row)
         self._n_events += 1
-        if self.drift is not None and opened_cell:
-            self._drift_on_new_cell(user_id, state)
+        if opened and self.drift is not None:
+            self._drift_on_new_cell(user_id, row)
 
     def observe_events(self, events: Iterable[PostEvent]) -> None:
         """Feed many events; large sized inputs take the vectorised path.
@@ -503,8 +720,8 @@ class StreamingGeolocator:
         if isinstance(user_ids, np.ndarray):
             user_ids = user_ids.astype(str).tolist()
         # Factorise author ids to dense codes numbered in first-appearance
-        # order -- state creation order must match the per-event loop (the
-        # checkpoint columns follow ``self._users`` insertion order).
+        # order -- row creation order must match the per-event loop (the
+        # checkpoint columns follow the table's row order).
         index: dict[str, int] = {}
         codes = np.fromiter(
             (index.setdefault(user_id, len(index)) for user_id in user_ids),
@@ -582,9 +799,10 @@ class StreamingGeolocator:
         lifecycle check is due (:meth:`DriftConfig.check_due`) at the
         newest day the chunk can reach, replays their events through
         :meth:`observe` in original chunk order: migration-log order
-        depends on how users interleave.  Every other user is merged --
-        array-backed records in one :meth:`_vector_apply` pass, set-backed
-        ones through :meth:`_apply_unique_cells`.  Bit-identity with the
+        depends on how users interleave.  Every other user is merged: new
+        users are appended to the table as one block, array-backed rows
+        merge in one :meth:`_UserTable.merge_frozen` pass and set-backed
+        ones through :meth:`_UserTable.merge_set`.  Bit-identity with the
         per-event loop rests on facts the property tests pin down: a
         merged user's chunk can fire no check; counts, day bitmaps and
         ``max_day`` change only at events that open a new in-record cell,
@@ -617,65 +835,73 @@ class StreamingGeolocator:
             user_ids = [u for u, k in zip(user_ids, keep) if k]
             lengths = lengths[keep]
             n_users = len(user_ids)
-        states: list[_UserState] = []
-        for user_id in user_ids:
-            state = self._users.get(user_id)
-            if state is None:
-                state = self._users[user_id] = _UserState()
-            states.append(state)
-        unique_cells, cell_lengths = segment_unique_cells(stamps, lengths)
-        cell_starts = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(cell_lengths, out=cell_starts[1:])
+        table = self._table
+        found = np.fromiter(
+            map(table.index.get, user_ids, repeat(-1)), dtype=np.int64, count=n_users
+        )
+        fresh = found < 0
+        cells, cell_lengths = segment_unique_cells(stamps, lengths)
+        ends = np.cumsum(cell_lengths)
+        starts = ends - cell_lengths
         config = self.drift
-        replay = [False] * n_users
-        if config is not None:
+        # With drift on, new users have no confidence record yet: they are
+        # replayed below, and observe() adds their rows in chunk order.
+        replay = fresh.copy() if config is not None else np.zeros(n_users, dtype=bool)
+        if config is None and fresh.any():
+            everyone = bool(fresh.all())
+            added = table.append(
+                list(user_ids) if everyone else list(compress(user_ids, fresh.tolist())),
+                lengths[fresh],
+                cells if everyone else cells[np.repeat(fresh, cell_lengths)],
+                cell_lengths[fresh],
+            )
+            self._dirty.update(added.tolist())  # every new user opened a cell
+        old = np.flatnonzero(~fresh)
+        if config is not None and old.size:
+            rows = found[old]
             # Cells are sorted per user, so each segment's last cell holds
             # the newest day this chunk can reach.
-            newest_days = (unique_cells[cell_starts[1:] - 1] // HOURS).tolist()
-            replay = [
-                state.confidence is None
-                or config.check_due(
-                    max(state.max_day, newest), state.last_check_day
-                )
-                for state, newest in zip(states, newest_days)
-            ]
-        opened: list[int] = []
-        records: list[IntArray] = []
-        vectorised: list[int] = []
-        for i, (state, length) in enumerate(zip(states, lengths.tolist())):
-            if replay[i]:
-                continue
-            record = self._frozen_record(state)
-            if record is not None:
-                records.append(record)
-                vectorised.append(i)
-            elif self._apply_unique_cells(
-                state, unique_cells[cell_starts[i] : cell_starts[i + 1]]
-            ):
-                opened.append(i)
-            before = state.n_posts
-            state.n_posts = before + length
-            if before < self.min_posts <= state.n_posts:
-                # The chunk crossed the activity threshold: exactly one of
-                # its events had n_posts == min_posts in the per-event
-                # loop, which dirties the user even with no new cell.
-                self._dirty.add(user_ids[i])
-        if vectorised:
-            opened += self._vector_apply(
-                states, vectorised, records, unique_cells, cell_lengths, cell_starts
+            due = (np.asarray(_pick(table.conf_day, rows)) == _NO_DAY) | config.check_due(
+                np.maximum(np.asarray(_pick(table.max_day, rows)), cells[ends[old] - 1] // HOURS),
+                np.asarray(_pick(table.last_check, rows)),
             )
-        for i in opened:
-            self._dirty.add(user_ids[i])
-            # Each opened cell moves the stream clock in the per-event
-            # loop; the newest of them is the user's final max_day.
-            if config is not None and (
-                self._stream_day is None or states[i].max_day > self._stream_day
-            ):
-                self._stream_day = states[i].max_day
+            replay[old[due]] = True
+            old = old[~due]
+        if old.size:
+            rows = found[old]
+            before = np.asarray(_pick(table.posts, rows), dtype=np.int64)
+            after = before + lengths[old]
+            for row, count in zip(rows.tolist(), after.tolist()):
+                table.posts[row] = count
+            # A chunk crossing the activity threshold held exactly one event
+            # with n_posts == min_posts in the per-event loop, which dirties
+            # the user even with no new cell.
+            crossed = (before < self.min_posts) & (after >= self.min_posts)
+            self._dirty.update(rows[crossed].tolist())
+            frozen = table.start[rows] >= 0
+            opened = [
+                row
+                for user, row in zip(old[~frozen].tolist(), rows[~frozen].tolist())
+                if table.merge_set(row, cells[starts[user] : ends[user]])
+            ]
+            if frozen.any():
+                hit = np.zeros(n_users, dtype=bool)
+                hit[old[frozen]] = True
+                grew = table.merge_frozen(
+                    rows[frozen], cells[np.repeat(hit, cell_lengths)], cell_lengths[hit]
+                )
+                opened += rows[frozen][grew].tolist()
+            self._dirty.update(opened)
+            if config is not None and opened:
+                # Each opened cell moves the stream clock in the per-event
+                # loop; the newest of them is the user's final newest day.
+                newest = max(_pick(table.max_day, np.asarray(opened)))
+                if self._stream_day is None or newest > self._stream_day:
+                    self._stream_day = newest
         replayed = 0
-        if any(replay):
+        if replay.any():
             owner = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
-            events = np.flatnonzero(np.asarray(replay)[owner])
+            events = np.flatnonzero(replay[owner])
             if positions is not None:
                 events = events[np.argsort(positions[events], kind="stable")]
             for user, timestamp in zip(
@@ -686,178 +912,12 @@ class StreamingGeolocator:
             replayed = int(events.size)
         self._n_events += int(stamps.size) - replayed
 
-    @staticmethod
-    def _apply_unique_cells(state: _UserState, seg: "IntArray") -> bool:
-        """Merge one chunk's sorted unique cells into *state*'s record.
-
-        Returns True when at least one *in-record* cell opened -- exactly
-        the chunks for which the per-event loop would have dirtied the
-        user.  ``n_posts`` bookkeeping is left to the caller.
-        """
-        cells = state.cells
-        counts = state.counts
-        bits = state._day_bits
-        anchor = state.anchor_day
-        max_day = state.max_day
-        opened = False
-        for cell in seg.tolist():
-            if cell in cells:
-                continue
-            cells.add(cell)
-            day = cell // HOURS
-            if day > max_day:
-                max_day = day
-            if anchor is not None and day < anchor:
-                # Pre-anchor straggler: deduplicated, never re-counted.
-                continue
-            counts[cell % HOURS] += 1.0
-            if bits is not None:
-                bits[day] = bits.get(day, 0) | (1 << (cell % HOURS))
-            opened = True
-        state.max_day = max_day
-        if opened:
-            state._mass = None
-        return opened
-
-    @staticmethod
-    def _frozen_record(state: _UserState) -> "IntArray | None":
-        """*state*'s record as a sorted cell array, or None if set-backed.
-
-        Records touched only by the bulk path stay as sorted int64 arrays
-        (the checkpoint-restore representation), which is what lets one
-        chunk be diffed against *all* its users' records in a single
-        vectorised pass.  Records with per-event history (a materialised
-        set, or drift day-bitmaps) fall back to the per-user loop.
-        """
-        if state._day_bits is not None:
-            return None
-        if state._cells is None:
-            return state._frozen
-        if state.n_posts == 0 and not state._cells and state.anchor_day is None:
-            return _EMPTY_CELLS
-        return None
-
-    @classmethod
-    def _vector_apply(
-        cls,
-        states: "list[_UserState]",
-        vectorised: "list[int]",
-        records: "list[IntArray]",
-        unique_cells: "IntArray",
-        cell_lengths: "IntArray",
-        cell_starts: "IntArray",
-    ) -> list[int]:
-        """Diff + merge one chunk against many records in one numpy pass.
-
-        Records and chunk candidates are encoded as ``user * span + cell``
-        keys (both sorted user-major, so membership is one searchsorted),
-        new cells are spliced into one merged key column, and every user's
-        record is re-pointed at its slice of the decoded result.  The
-        per-user outcome -- cells, counts (anchor-masked), ``max_day`` --
-        is identical to running :meth:`_apply_unique_cells` per user,
-        which is the fallback when the key encoding would overflow int64.
-        Returns the indices (into *states*) of the users whose record
-        opened an in-record cell.
-        """
-        n_vec = len(vectorised)
-        selector = np.asarray(vectorised, dtype=np.int64)
-        if n_vec == len(states):
-            cand = unique_cells
-            cand_lengths = cell_lengths
-        else:
-            cand = np.concatenate(
-                [
-                    unique_cells[cell_starts[i] : cell_starts[i + 1]]
-                    for i in vectorised
-                ]
-            )
-            cand_lengths = cell_lengths[selector]
-        record_lengths = np.fromiter(
-            (record.size for record in records), dtype=np.int64, count=n_vec
-        )
-        record_cells = (
-            np.concatenate(records) if record_lengths.any() else _EMPTY_CELLS
-        )
-        cell_min = int(cand.min())
-        cell_max = int(cand.max())
-        if record_cells.size:
-            cell_min = min(cell_min, int(record_cells.min()))
-            cell_max = max(cell_max, int(record_cells.max()))
-        span = cell_max - cell_min + 1
-        if n_vec * span >= 2**62:
-            # Pathological cell range: the encoded keys would overflow.
-            return [
-                i
-                for i in vectorised
-                if cls._apply_unique_cells(
-                    states[i], unique_cells[cell_starts[i] : cell_starts[i + 1]]
-                )
-            ]
-        record_owner = np.repeat(
-            np.arange(n_vec, dtype=np.int64), record_lengths
-        )
-        cand_owner = np.repeat(np.arange(n_vec, dtype=np.int64), cand_lengths)
-        record_keys = record_owner * span + (record_cells - cell_min)
-        cand_keys = cand_owner * span + (cand - cell_min)
-        if record_keys.size:
-            at = np.minimum(
-                np.searchsorted(record_keys, cand_keys), record_keys.size - 1
-            )
-            new_mask = record_keys[at] != cand_keys
-        else:
-            new_mask = np.ones(cand_keys.size, dtype=bool)
-        new_keys = cand_keys[new_mask]
-        new_cells = cand[new_mask]
-        new_owner = cand_owner[new_mask]
-        merged_keys = np.insert(
-            record_keys, np.searchsorted(record_keys, new_keys), new_keys
-        )
-        merged_owner = merged_keys // span
-        merged_cells = merged_keys - merged_owner * span + cell_min
-        merged_starts = np.zeros(n_vec + 1, dtype=np.int64)
-        np.cumsum(
-            record_lengths + np.bincount(new_owner, minlength=n_vec),
-            out=merged_starts[1:],
-        )
-        # In-record (counted) new cells: at or after the record anchor.
-        anchors = np.fromiter(
-            (
-                _NO_DAY if states[i].anchor_day is None else states[i].anchor_day
-                for i in vectorised
-            ),
-            dtype=np.int64,
-            count=n_vec,
-        )
-        counted_mask = (new_cells // HOURS) >= anchors[new_owner]
-        counted_owner = new_owner[counted_mask]
-        counted_cells = new_cells[counted_mask]
-        deltas = (
-            np.bincount(
-                counted_owner * HOURS + counted_cells % HOURS,
-                minlength=n_vec * HOURS,
-            )
-            .reshape(n_vec, HOURS)
-            .astype(float)
-        )
-        opened = np.bincount(counted_owner, minlength=n_vec) > 0
-        for j, i in enumerate(vectorised):
-            state = states[i]
-            state._cells = None
-            state._frozen = merged_cells[merged_starts[j] : merged_starts[j + 1]]
-            # max_day equals the record's newest cell day: duplicates and
-            # stragglers can never raise it past their first occurrence.
-            state.max_day = int(merged_cells[merged_starts[j + 1] - 1]) // HOURS
-            if opened[j]:
-                state.counts = state.counts + deltas[j]
-                state._mass = None
-        return [vectorised[j] for j in np.flatnonzero(opened).tolist()]
-
     @property
     def n_events(self) -> int:
         return self._n_events
 
     def n_users(self) -> int:
-        return len(self._users)
+        return len(self._table)
 
     def n_dirty(self) -> int:
         """Users whose cached placement must be refreshed at next snapshot."""
@@ -880,7 +940,7 @@ class StreamingGeolocator:
         checkpointed = self._checkpoint_events or 0
         beat: dict[str, float] = {
             "events_total": float(self._n_events),
-            "users_seen": float(len(self._users)),
+            "users_seen": float(len(self._table)),
             # Placements standing in the histogram as of the last refresh
             # (0 until the first snapshot; never recomputed here -- a
             # heartbeat must not trigger the O(dirty) refresh).
@@ -909,7 +969,7 @@ class StreamingGeolocator:
         mutate shared state behind the geolocator's back (e.g. swapping
         reference profiles in place).
         """
-        self._dirty.update(self._users)
+        self._dirty.update(range(len(self._table)))
         self._matrix_cache = None
 
     # -- temporal-drift lifecycle -----------------------------------------
@@ -925,26 +985,23 @@ class StreamingGeolocator:
         self._migration_subscribers.append(callback)
         return callback
 
-    def _drift_on_new_cell(self, user_id: str, state: _UserState) -> None:
+    def _drift_on_new_cell(self, user_id: str, row: int) -> None:
         """Advance the stream clock and run the throttled lifecycle check."""
         config = self.drift
         if config is None:
             return
-        day = state.max_day
+        table = self._table
+        day = table.max_day[row]
         if self._stream_day is None or day > self._stream_day:
             self._stream_day = day
-        confidence = state.ensure_confidence(day)
-        if day - state.last_check_day < config.check_interval_days:
+        if table.conf_day[row] == _NO_DAY:
+            # This user's confidence record, created at full on first use.
+            table.reset_confidence(row, day)
+        if day - table.last_check[row] < config.check_interval_days:
             return
-        self._drift_check(user_id, state, confidence, day)
+        self._drift_check(user_id, row, day)
 
-    def _drift_check(
-        self,
-        user_id: str,
-        state: _UserState,
-        confidence: UserConfidence,
-        now_day: int,
-    ) -> None:
+    def _drift_check(self, user_id: str, row: int, now_day: int) -> None:
         """One confidence-lifecycle step: decay, compare, maybe re-estimate.
 
         The recent window (last ``window_days`` of the record) is compared
@@ -957,33 +1014,34 @@ class StreamingGeolocator:
         detector = self._detector
         if config is None or detector is None:
             return
-        state.last_check_day = now_day
+        table = self._table
+        table.last_check[row] = now_day
         obs_metrics.counter(
             "repro_stream_drift_checks_total",
             "per-user confidence-lifecycle checks run",
         ).inc()
         if user_id in self._pending_refine:
-            self._refine(user_id, state, confidence, now_day)
+            self._refine(user_id, row, now_day)
             if user_id in self._pending_refine:
                 # Still settling: the record is too young for the
                 # change-point machinery to say anything new.
                 return
         window_start = now_day - config.window_days + 1
-        window = state.window_counts(window_start, now_day)
+        window = table.window_counts(row, window_start, now_day)
         if window.sum() < config.min_window_cells:
             # Casual posters: "recent behaviour" just spans more days for
             # them.  Stretch the window back (up to 4x) until it holds
             # enough cells, instead of leaving them forever uncheckable.
             limit = now_day - 4 * config.window_days + 1
-            bits = state.day_bits()
+            bits = table.day_bits(row)
             for day in sorted(
                 (d for d in bits if limit <= d < window_start), reverse=True
             ):
-                window = window + _UserState._counts_of_bits((bits[day],))
+                window = window + table.counts_of_bits((bits[day],))
                 window_start = day
                 if window.sum() >= config.min_window_cells:
                     break
-        history = state.counts - window
+        history = table.counts[row] - window
         window_ok, history_ok = detector.has_evidence(window, history)
         if not window_ok:
             # Too little recent evidence to judge; confidence keeps
@@ -992,19 +1050,20 @@ class StreamingGeolocator:
         if not history_ok:
             # Young record: the window *is* the record, nothing to drift
             # from -- fresh consistent evidence re-verifies.
-            confidence.reset(now_day)
+            table.reset_confidence(row, now_day)
             return
         score = detector.score(window, history)
-        effective = confidence.effective(now_day, config.decay_per_day)
+        value, as_of_day = table.conf_value[row], table.conf_day[row]
+        effective = float(decayed_confidence(value, as_of_day, now_day, config.decay_per_day))
         if score > config.screen_threshold:
             # The windowed score dilutes as post-change data bleeds into
             # the history, so it only screens; the localised split score
             # (undiluted, pure prefix vs pure suffix) makes the call.
-            anchor, split_score = self._split_change_day(state, now_day)
+            anchor, split_score = self._split_change_day(row, now_day)
             if detector.fires(split_score):
                 self._reestimate(
                     user_id,
-                    state,
+                    row,
                     now_day,
                     anchor,
                     split_score,
@@ -1013,15 +1072,15 @@ class StreamingGeolocator:
                 )
                 return
         if effective >= config.confidence_threshold:
-            confidence.reset(now_day)
+            table.reset_confidence(row, now_day)
             return
         # Confidence has decayed below threshold without a change-point.
         # Re-verify from the window first (ADR-003): a window placing
         # within one zone of the full record (placement itself has ~1 h
         # of chronotype noise) restores confidence without touching the
         # record; only a clearly disagreeing window migrates.
-        window_index, window_flat = self._place_from_counts(window, state)
-        record_index, record_flat = self._place_single(state)
+        window_index, window_flat = self._place_from_counts(window, row)
+        record_index, record_flat = self._place_from_counts(table.counts[row], row)
         agrees = window_flat == record_flat and (
             (window_index is None and record_index is None)
             or (
@@ -1031,12 +1090,12 @@ class StreamingGeolocator:
             )
         )
         if agrees:
-            confidence.reset(now_day)
+            table.reset_confidence(row, now_day)
             return
-        anchor, split_score = self._split_change_day(state, now_day)
+        anchor, split_score = self._split_change_day(row, now_day)
         self._reestimate(
             user_id,
-            state,
+            row,
             now_day,
             anchor,
             split_score if split_score >= 0.0 else score,
@@ -1045,10 +1104,10 @@ class StreamingGeolocator:
         )
 
     def _place_from_counts(
-        self, counts: FloatArray, state: _UserState
+        self, counts: FloatArray, row: int
     ) -> "tuple[int | None, bool]":
-        """(zone index, flat flag) a record with *counts* would be assigned."""
-        if state.n_posts < self.min_posts:
+        """(zone index, flat flag) *row* would be assigned with *counts*."""
+        if self._table.posts[row] < self.min_posts:
             return None, False
         total = counts.sum()
         if total <= 0.0:
@@ -1059,10 +1118,6 @@ class StreamingGeolocator:
             return None, True
         return int(nearest[0]), False
 
-    def _place_single(self, state: _UserState) -> "tuple[int | None, bool]":
-        """(zone index, flat flag) the next refresh will assign this record."""
-        return self._place_from_counts(state.counts, state)
-
     def zone_index_of(self, user_id: str) -> "int | None":
         """Index into ``ZONE_OFFSETS`` of *user_id*'s current placement.
 
@@ -1070,17 +1125,17 @@ class StreamingGeolocator:
         Clean users are read from the incremental cache; dirty ones are
         placed fresh, so the answer never depends on snapshot cadence.
         """
-        if user_id not in self._dirty:
-            return self._zone_of.get(user_id)
-        state = self._users.get(user_id)
-        if state is None:
+        table = self._table
+        row = table.index.get(user_id)
+        if row is None:
             return None
-        index, flat = self._place_single(state)
+        if row not in self._dirty:
+            zone = int(table.zone[row])
+            return None if zone == _UNPLACED else zone
+        index, flat = self._place_from_counts(table.counts[row], row)
         return None if flat else index
 
-    def _split_change_day(
-        self, state: _UserState, now_day: int
-    ) -> "tuple[int, float]":
+    def _split_change_day(self, row: int, now_day: int) -> "tuple[int, float]":
         """(most likely change day, localised split score) for the record.
 
         The rolling window usually *straddles* the actual change (checks
@@ -1098,11 +1153,12 @@ class StreamingGeolocator:
         detector = self._detector
         if config is None or detector is None:
             return now_day, -1.0
-        bits = state.day_bits()
+        table = self._table
+        bits = table.day_bits(row)
         if not bits:
             return now_day, -1.0
         active_days = sorted(bits)
-        total = state.counts.astype(float)
+        total = table.counts[row].astype(float)
         # Tiny split sides have huge EMD sampling noise, and the argmax
         # over a record's worth of candidate splits would happily pick a
         # six-cell tail and call it a migration -- the size discount in
@@ -1115,7 +1171,7 @@ class StreamingGeolocator:
         best_day = active_days[0]
         best_score = -1.0
         for day in active_days[:-1]:
-            prefix = prefix + _UserState._counts_of_bits((bits[day],))
+            prefix = prefix + table.counts_of_bits((bits[day],))
             suffix = total - prefix
             if prefix.sum() < min_side or suffix.sum() < min_side:
                 continue
@@ -1128,7 +1184,7 @@ class StreamingGeolocator:
     def _reestimate(
         self,
         user_id: str,
-        state: _UserState,
+        row: int,
         now_day: int,
         anchor: int,
         score: float,
@@ -1150,7 +1206,8 @@ class StreamingGeolocator:
         config = self.drift
         if config is None:
             return
-        recent = state.window_counts(anchor, now_day)
+        table = self._table
+        recent = table.window_counts(row, anchor, now_day)
         if float(recent.sum()) < config.min_reestimate_cells:
             obs_metrics.counter(
                 "repro_stream_drift_deferrals_total",
@@ -1163,12 +1220,12 @@ class StreamingGeolocator:
             # cells, which would drag the reported old zone toward the
             # new one.
             old_index, was_flat = self._place_from_counts(
-                state.counts - recent, state
+                table.counts[row] - recent, row
             )
-            state.truncate_to(anchor)
-            new_index, new_flat = self._place_single(state)
-            state.ensure_confidence(now_day).reset(now_day)
-            self._dirty.add(user_id)
+            table.truncate(row, anchor)
+            new_index, new_flat = self._place_from_counts(table.counts[row], row)
+            table.reset_confidence(row, now_day)
+            self._dirty.add(row)
             self._matrix_cache = None
         obs_metrics.counter(
             "repro_stream_drift_reestimates_total",
@@ -1183,7 +1240,7 @@ class StreamingGeolocator:
             confidence=effective,
             window_cells=int(recent.sum()),
             reason=reason,
-            record_version=state.record_version,
+            record_version=int(table.version[row]),
             wall_time=self._wall_now(),
         )
         # The zone is re-checked at later lifecycle checks until the
@@ -1193,13 +1250,7 @@ class StreamingGeolocator:
             return
         self._emit_migration(event)
 
-    def _refine(
-        self,
-        user_id: str,
-        state: _UserState,
-        confidence: UserConfidence,
-        now_day: int,
-    ) -> None:
+    def _refine(self, user_id: str, row: int, now_day: int) -> None:
         """Correct a recent migration's zone as its thin record fills in.
 
         A migration is announced from whatever post-change evidence has
@@ -1219,14 +1270,15 @@ class StreamingGeolocator:
         if config is None:
             del self._pending_refine[user_id]
             return
-        cells = float(state.counts.sum())
+        table = self._table
+        cells = float(table.counts[row].sum())
         settled = cells >= _REFINE_SETTLED_FACTOR * config.min_reestimate_cells
         if settled:
             del self._pending_refine[user_id]
-        new_index, new_flat = self._place_single(state)
+        new_index, new_flat = self._place_from_counts(table.counts[row], row)
         if new_flat:
             return
-        confidence.reset(now_day)
+        table.reset_confidence(row, now_day)
         new_offset = None if new_index is None else int(ZONE_OFFSETS[new_index])
         if new_offset is None or new_offset == prior.new_offset:
             return
@@ -1236,10 +1288,10 @@ class StreamingGeolocator:
             new_offset=new_offset,
             day=now_day,
             emd_score=prior.emd_score,
-            confidence=confidence.value,
+            confidence=table.conf_value[row],
             window_cells=int(cells),
             reason="refine",
-            record_version=state.record_version,
+            record_version=int(table.version[row]),
             wall_time=self._wall_now(),
         )
         if not settled:
@@ -1263,12 +1315,12 @@ class StreamingGeolocator:
         if config is None:
             raise ValueError("confidence summary requires the drift layer")
         now_day = self._stream_day if self._stream_day is not None else 0
-        values = [
-            state.confidence.effective(now_day, config.decay_per_day)
-            for state in self._users.values()
-            if state.n_posts >= self.min_posts and state.confidence is not None
-        ]
-        if not values:
+        table = self._table
+        days = np.asarray(table.conf_day, dtype=np.int64)
+        tracked = (np.asarray(table.posts) >= self.min_posts) & (days != _NO_DAY)
+        values = np.asarray(table.conf_value, dtype=np.float64)[tracked]
+        values = decayed_confidence(values, days[tracked], now_day, config.decay_per_day)
+        if not values.size:
             return ConfidenceSummary(
                 n_tracked=0,
                 mean=float("nan"),
@@ -1276,16 +1328,15 @@ class StreamingGeolocator:
                 n_stale=0,
                 threshold=config.confidence_threshold,
             )
-        array = np.asarray(values, dtype=float)
-        n_stale = int((array < config.confidence_threshold).sum())
+        n_stale = int((values < config.confidence_threshold).sum())
         obs_metrics.gauge(
             "repro_stream_drift_stale_users",
             "placed users below the confidence threshold",
         ).set(n_stale)
         return ConfidenceSummary(
-            n_tracked=len(values),
-            mean=float(array.mean()),
-            minimum=float(array.min()),
+            n_tracked=int(values.size),
+            mean=float(values.mean()),
+            minimum=float(values.min()),
             n_stale=n_stale,
             threshold=config.confidence_threshold,
         )
@@ -1293,42 +1344,39 @@ class StreamingGeolocator:
     # -- incremental placement --------------------------------------------
 
     def _refresh(self) -> None:
-        """Re-place exactly the dirty users and patch the histogram.
+        """Re-place exactly the dirty rows and patch the histogram.
 
-        Each dirty user's stale contribution is first subtracted, then --
-        if they pass the activity threshold -- flatness and the nearest
-        zone are recomputed in one
-        :func:`~repro.core.placement.classify_profiles` pass for all dirty
-        users at once.  Distances are per-row independent, so the result
-        is bit-identical to a cold full re-place no matter how the work
-        was batched across snapshots.
+        The bincount of the dirty rows' cached zones is subtracted, the
+        rows past the activity threshold are gathered and classified
+        (flatness and nearest zone) in one
+        :func:`~repro.core.placement.classify_profiles` pass, and the
+        bincount of their new zones is added.  Distances are per-row
+        independent, so the result is bit-identical to a cold full
+        re-place no matter how the work was batched across snapshots.
         """
         if not self._dirty:
             return
-        pending: list[str] = []
-        for user_id in self._dirty:
-            old_zone = self._zone_of.pop(user_id, None)
-            if old_zone is not None:
-                self._hist[old_zone] -= 1
-            self._flat_ids.discard(user_id)
-            if self._users[user_id].n_posts >= self.min_posts:
-                pending.append(user_id)
+        table = self._table
+        rows = np.fromiter(self._dirty, dtype=np.int64, count=len(self._dirty))
         self._dirty.clear()
         self._matrix_cache = None
-        if not pending:
+        stale = table.zone[rows]
+        self._hist -= np.bincount(
+            stale[stale != _UNPLACED], minlength=len(ZONE_OFFSETS)
+        )
+        table.zone[rows] = _UNPLACED
+        rows = rows[np.asarray(_pick(table.posts, rows)) >= self.min_posts]
+        if not rows.size:
             return
-        rows = np.vstack([self._users[user_id].mass() for user_id in pending])
-        matrix = ProfileMatrix(pending, rows)
         # The same classifier the cold pipeline polishes and places with;
         # distances are per-row independent, so batching users differently
         # across snapshots cannot change any individual verdict.
-        flat, nearest = classify_profiles(matrix, self.references, self.metric)
-        for user_id, is_flat, zone in zip(pending, flat, nearest):
-            if is_flat:
-                self._flat_ids.add(user_id)
-            else:
-                self._zone_of[user_id] = int(zone)
-                self._hist[int(zone)] += 1
+        flat, nearest = classify_profiles(
+            table.masses(rows), self.references, self.metric
+        )
+        placed = nearest[~flat]
+        table.zone[rows[~flat]] = placed
+        self._hist += np.bincount(placed, minlength=len(ZONE_OFFSETS))
 
     def _active_matrix(self) -> ProfileMatrix:
         """One matrix of all threshold-passing, non-flat users.
@@ -1336,17 +1384,17 @@ class StreamingGeolocator:
         Cached between snapshots and invalidated through the same dirty
         set as the placement histogram, so repeated snapshots of a quiet
         crowd rebuild nothing.  Row order follows first-observation order
-        (``self._users`` insertion order), matching the cold pipeline.
+        (the table's row order), matching the cold pipeline.
         """
         self._refresh()
         if self._matrix_cache is None:
-            ids = [user_id for user_id in self._users if user_id in self._zone_of]
-            if not ids:
-                self._matrix_cache = ProfileMatrix.empty()
-            else:
-                self._matrix_cache = ProfileMatrix(
-                    ids, np.vstack([self._users[u].mass() for u in ids])
-                )
+            table = self._table
+            rows = np.flatnonzero(table.zone[: len(table)] != _UNPLACED)
+            self._matrix_cache = (
+                ProfileMatrix(_pick(table.ids, rows), table.masses(rows))
+                if rows.size
+                else ProfileMatrix.empty()
+            )
         return self._matrix_cache
 
     def active_profiles(self) -> dict[str, Profile]:
@@ -1374,7 +1422,7 @@ class StreamingGeolocator:
                 self.timeline.record(self._stream_day, self._hist)
         return StreamSnapshot(
             n_events_seen=self._n_events,
-            n_users_seen=len(self._users),
+            n_users_seen=len(self._table),
             n_users_active=n_active,
             mixture=mixture,
             placement=placement,
@@ -1426,15 +1474,10 @@ class StreamingGeolocator:
             return self._snapshot_reference_impl()
 
     def _snapshot_reference_impl(self) -> StreamSnapshot:
-        ids: list[str] = []
-        rows: list[FloatArray] = []
-        for user_id, state in self._users.items():
-            if state.n_posts < self.min_posts:
-                continue
-            ids.append(user_id)
-            rows.append(state.mass())
-        if ids:
-            full = ProfileMatrix(ids, np.vstack(rows))
+        table = self._table
+        rows = np.flatnonzero(np.asarray(table.posts) >= self.min_posts)
+        if rows.size:
+            full = ProfileMatrix(_pick(table.ids, rows), table.masses(rows))
             matrix = full.select(
                 ~flat_profile_mask(full, self.references, metric=self.metric)
             )
@@ -1443,7 +1486,7 @@ class StreamingGeolocator:
         if len(matrix) == 0 or len(matrix) < self.min_users_for_verdict:
             return StreamSnapshot(
                 n_events_seen=self._n_events,
-                n_users_seen=len(self._users),
+                n_users_seen=len(self._table),
                 n_users_active=len(matrix),
                 mixture=None,
                 placement=None,
@@ -1458,7 +1501,7 @@ class StreamingGeolocator:
         )
         return StreamSnapshot(
             n_events_seen=self._n_events,
-            n_users_seen=len(self._users),
+            n_users_seen=len(self._table),
             n_users_active=len(matrix),
             mixture=mixture,
             placement=placement,
@@ -1488,7 +1531,7 @@ class StreamingGeolocator:
         version, anchor, confidence value and anchor day), the drift
         configuration and the composition timeline.
         """
-        meta, arrays = self.binary_state()
+        meta, arrays = self._state_columns()
         cells = arrays["cells"]
         # Encoded cells sort like (day, hour) pairs, so each user's decoded
         # list is already in the documented order.
@@ -1499,9 +1542,8 @@ class StreamingGeolocator:
         )
         rows = zip(*(arrays[field].tolist() for field in fields))
         users: dict[str, Any] = {}
-        # Python ids, not the ``np.str_`` column: numpy strings drop
-        # trailing NUL characters.
-        for i, (user_id, row) in enumerate(zip(self._users, rows)):
+        # The table's python ids, which keep trailing NUL characters.
+        for i, (user_id, row) in enumerate(zip(self._table.ids, rows)):
             user = {
                 "cells": pairs[bounds[i] : bounds[i + 1]],
                 **dict(zip(fields, row)),
@@ -1525,35 +1567,27 @@ class StreamingGeolocator:
             "users": users,
         }
 
-    @staticmethod
-    def _default_confidence_day(state: _UserState) -> int:
-        return state.max_day if state.max_day != _NO_DAY else 0
-
     def binary_state(self) -> "tuple[dict[str, Any], dict[str, AnyArray]]":
         """The resumable state as (JSON metadata, numpy columns).
 
         The one serialiser of both checkpoint formats (:meth:`state_dict`
-        renders these columns as JSON).  The cell sets of all users are
-        flattened into one encoded ``day * 24 + hour`` int64 column plus a
-        per-user offset table -- the same columnar idea as the trace store
-        -- so writing and reading scale with ``numpy`` throughput, not
-        Python object count.  Version 2 adds one column per
-        versioned-record field and two timeline columns; the anchor column
-        uses a far-out-of-range sentinel for "no anchor".
+        renders these columns as JSON): the table's columns as they are,
+        with all users' cells as one encoded ``day * 24 + hour`` int64
+        column plus a per-user offset table.  Version 2 adds the
+        versioned-record columns and two timeline columns; the anchor
+        column uses a far-out-of-range sentinel for "no anchor".  A user
+        id the unicode id column would alter raises :class:`CheckpointError`.
         """
-        user_ids = list(self._users)
-        states = list(self._users.values())
-        n = len(states)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((state.n_cells() for state in states), np.int64, count=n),
-            out=offsets[1:],
-        )
-        cells = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i, state in enumerate(states):
-            # Sorted per user so checkpoint bytes are deterministic.
-            cells[offsets[i] : offsets[i + 1]] = state.sorted_cells()
-        confidences = [state.confidence for state in states]
+        meta, columns = self._state_columns()
+        return meta, {"user_ids": id_column(self._table.ids, CheckpointError), **columns}
+
+    def _state_columns(self) -> "tuple[dict[str, Any], dict[str, AnyArray]]":
+        """:meth:`binary_state` but for the id column."""
+        table = self._table
+        offsets, cells = table.cell_column()
+        newest = np.asarray(table.max_day, dtype=np.int64)
+        days = np.asarray(table.conf_day, dtype=np.int64)
+        tracked = days != _NO_DAY
         meta = {
             "config": self._config_dict(),
             "n_events": self._n_events,
@@ -1562,44 +1596,21 @@ class StreamingGeolocator:
         }
         timeline = self.timeline if self.timeline is not None else CompositionTimeline()
         timeline_days, timeline_hists = timeline.arrays()
-        arrays = {
-            "user_ids": np.asarray(user_ids, dtype=np.str_),
-            "n_posts": np.fromiter(
-                (state.n_posts for state in states), np.int64, count=n
-            ),
+        columns = {
+            "n_posts": np.asarray(table.posts, dtype=np.int64),
             "cell_offsets": offsets,
             "cells": cells,
-            "generic_profile": np.asarray(
-                self.references.generic.mass, dtype=np.float64
-            ),
-            "record_version": np.fromiter(
-                (state.record_version for state in states), np.int64, count=n
-            ),
-            "anchor_day": np.fromiter(
-                (
-                    _NO_DAY if state.anchor_day is None else state.anchor_day
-                    for state in states
-                ),
-                np.int64,
-                count=n,
-            ),
-            "confidence": np.fromiter(
-                (1.0 if c is None else c.value for c in confidences),
-                np.float64,
-                count=n,
-            ),
-            "confidence_day": np.fromiter(
-                (
-                    self._default_confidence_day(state) if c is None else c.as_of_day
-                    for state, c in zip(states, confidences)
-                ),
-                np.int64,
-                count=n,
-            ),
+            "generic_profile": np.asarray(self.references.generic.mass, dtype=np.float64),
+            "record_version": table.version[: len(table)].copy(),
+            "anchor_day": np.asarray(table.anchor, dtype=np.int64),
+            # A user without a confidence record is written at full
+            # confidence as of their newest day (day 0 before any).
+            "confidence": np.where(tracked, np.asarray(table.conf_value, dtype=np.float64), 1.0),
+            "confidence_day": np.where(tracked, days, np.where(newest == _NO_DAY, 0, newest)),
             "timeline_days": timeline_days,
             "timeline_hists": timeline_hists,
         }
-        return meta, arrays
+        return meta, columns
 
     def save_checkpoint(
         self, path: "str | Path", *, format: str | None = None
@@ -1790,21 +1801,6 @@ class StreamingGeolocator:
         )
         return meta, arrays
 
-    def _seed_stream_day(self) -> None:
-        """Derive the stream day from restored records when absent.
-
-        Version-1 checkpoints never stored it; confidence decay needs a
-        "now" to measure from, so the newest observed day stands in.
-        """
-        if self.drift is None or self._stream_day is not None:
-            return
-        days = [
-            state.max_day
-            for state in self._users.values()
-            if state.max_day != _NO_DAY
-        ]
-        self._stream_day = max(days) if days else None
-
     @classmethod
     def from_binary_state(
         cls,
@@ -1817,9 +1813,9 @@ class StreamingGeolocator:
     ) -> "StreamingGeolocator":
         """Inverse of :meth:`binary_state`, and the one restore of both
         checkpoint formats (:meth:`from_state_dict` parses JSON into these
-        columns).  Per-user counts are rebuilt with one vectorised
-        bincount over the whole cell column (masked by each user's record
-        anchor)."""
+        columns).  The columns become the table's as they are, the counts
+        rebuilt by one bincount over the cell column (masked by each
+        record's anchor); a repeated user id raises :class:`CheckpointError`."""
         try:
             drift_config = cls._negotiate_drift(
                 meta.get("drift") if version >= 2 else None, drift, version
@@ -1849,23 +1845,15 @@ class StreamingGeolocator:
                 geolocator._stream_day = (
                     None if stream_day is None else int(stream_day)
                 )
+                for name in ("anchor_day", "record_version", "confidence", "confidence_day"):
+                    if np.size(arrays[name]) != n_users:
+                        raise CheckpointError(
+                            f"checkpoint column {name!r} disagrees on the user count"
+                        )
                 anchor_col = np.asarray(arrays["anchor_day"], dtype=np.int64)
                 version_col = np.asarray(arrays["record_version"], dtype=np.int64)
                 confidence_col = np.asarray(arrays["confidence"], dtype=np.float64)
-                confidence_day_col = np.asarray(
-                    arrays["confidence_day"], dtype=np.int64
-                )
-                for name, column in (
-                    ("anchor_day", anchor_col),
-                    ("record_version", version_col),
-                    ("confidence", confidence_col),
-                    ("confidence_day", confidence_day_col),
-                ):
-                    if column.size != n_users:
-                        raise CheckpointError(
-                            f"checkpoint column {name!r} disagrees "
-                            "on the user count"
-                        )
+                confidence_day_col = np.asarray(arrays["confidence_day"], dtype=np.int64)
                 if geolocator.timeline is not None:
                     geolocator.timeline = CompositionTimeline.from_arrays(
                         np.asarray(arrays["timeline_days"], dtype=np.int64),
@@ -1889,51 +1877,30 @@ class StreamingGeolocator:
                     raise CheckpointError(
                         "checkpoint columns hold unsorted or duplicate cells"
                     )
-            counts = np.zeros((n_users, HOURS), dtype=float)
-            max_days = np.full(n_users, _NO_DAY, dtype=np.int64)
-            if cells.size:
-                owners = np.repeat(
-                    np.arange(n_users, dtype=np.int64), np.diff(offsets)
-                )
-                days = cells // HOURS
-                hours = np.mod(cells, HOURS)
-                # Cells before a truncated record's anchor stay out of the
-                # counts (they exist only for deduplication).
-                in_record = days >= anchor_col[owners]
-                keyed = (owners * HOURS + hours)[in_record]
-                counts = (
-                    np.bincount(keyed, minlength=n_users * HOURS)
-                    .reshape(n_users, HOURS)
-                    .astype(float)
-                )
-                nonempty = np.flatnonzero(np.diff(offsets) > 0)
-                max_days[nonempty] = days[offsets[nonempty + 1] - 1]
-            for i in range(n_users):
-                restored = _UserState()
-                restored.n_posts = int(n_posts[i])
-                restored._cells = None
-                restored._frozen = cells[offsets[i] : offsets[i + 1]]
-                restored.counts = counts[i]
-                restored.max_day = int(max_days[i])
-                anchor = int(anchor_col[i])
-                restored.anchor_day = None if anchor == _NO_DAY else anchor
-                restored.record_version = int(version_col[i])
-                if drift_config is not None:
-                    day_anchor = int(confidence_day_col[i])
-                    if day_anchor == _NO_DAY:
-                        day_anchor = cls._default_confidence_day(restored)
-                    restored.confidence = UserConfidence(
-                        float(confidence_col[i]), day_anchor
-                    )
-                geolocator._users[user_ids[i]] = restored
+            table = geolocator._table
+            table.append(user_ids, n_posts, cells, np.diff(offsets), anchor_col)
+            if len(table.index) != n_users:
+                raise CheckpointError("checkpoint column 'user_ids' repeats an id")
+            table.version[:n_users] = version_col
+            if drift_config is not None:
+                # A day-less confidence falls back to the record's newest day.
+                newest = np.asarray(table.max_day, dtype=np.int64)
+                fallback = np.where(newest == _NO_DAY, 0, newest)
+                table.conf_value = confidence_col.tolist()
+                table.conf_day = np.where(
+                    confidence_day_col == _NO_DAY, fallback, confidence_day_col
+                ).tolist()
+                if geolocator._stream_day is None and (newest != _NO_DAY).any():
+                    # Version 1 never stored the stream day; decay needs a
+                    # "now", so the newest observed day stands in.
+                    geolocator._stream_day = int(newest.max())
         except CheckpointError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed streaming-geolocator state: {exc!r}"
             ) from exc
-        geolocator._dirty.update(geolocator._users)
-        geolocator._seed_stream_day()
+        geolocator._dirty.update(range(n_users))
         return geolocator
 
     @classmethod

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.events import ActivityTrace, TraceSet
+from repro.core.events import ActivityTrace, TraceSet, id_column
 from repro.errors import DatasetError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
@@ -58,6 +58,20 @@ _META_NAME = "meta.json"
 _STAMPS_NAME = "stamps.npy"
 _OFFSETS_NAME = "offsets.npy"
 _USER_IDS_NAME = "user_ids.npy"
+
+
+def _id_block(user_ids: list[str], seen: set[str]) -> np.ndarray:
+    """One block's id column; its ids join *seen*, the ids written so far.
+
+    Refused, before anything of the block is written, when an id would
+    not read back as written or repeats one already seen.
+    """
+    column = id_column(user_ids, DatasetError)
+    before = len(seen)
+    seen.update(user_ids)
+    if len(seen) != before + len(user_ids):
+        raise DatasetError("duplicate user ids in trace store input")
+    return column
 
 
 def _write_npy_streaming(
@@ -135,21 +149,15 @@ class TraceStore:
         in) so a crash mid-write never leaves a half store behind.
         """
         items = list(traces) if not isinstance(traces, TraceSet) else traces
+        id_col = _id_block([trace.user_id for trace in items], set())
         destination = Path(path)
         temp = destination.with_name(destination.name + ".tmp")
         if temp.exists():
             shutil.rmtree(temp)
         temp.mkdir(parents=True)
         try:
-            ids: list[str] = []
-            lengths: list[int] = []
-            total = 0
-            for trace in items:
-                ids.append(trace.user_id)
-                lengths.append(len(trace))
-                total += len(trace)
-            if len(set(ids)) != len(ids):
-                raise DatasetError("duplicate user ids in trace store input")
+            lengths = [len(trace) for trace in items]
+            total = sum(lengths)
             offsets = np.concatenate(
                 [[0], np.cumsum(np.asarray(lengths, dtype=np.int64))]
             ).astype(np.int64)
@@ -160,15 +168,11 @@ class TraceStore:
                 dtype=np.dtype(np.float64),
             )
             np.save(temp / _OFFSETS_NAME, offsets, allow_pickle=False)
-            np.save(
-                temp / _USER_IDS_NAME,
-                np.asarray(ids, dtype=np.str_),
-                allow_pickle=False,
-            )
+            np.save(temp / _USER_IDS_NAME, id_col, allow_pickle=False)
             meta = {
                 "kind": STORE_KIND,
                 "version": STORE_VERSION,
-                "n_users": len(ids),
+                "n_users": int(id_col.size),
                 "n_posts": int(total),
             }
             (temp / _META_NAME).write_text(json.dumps(meta), encoding="utf-8")
@@ -204,7 +208,8 @@ class TraceStore:
             shutil.rmtree(temp)
         temp.mkdir(parents=True)
         try:
-            ids: list[str] = []
+            seen: set[str] = set()
+            id_parts: list[np.ndarray] = []
             length_parts: list[np.ndarray] = []
             total = 0
             spool = temp / (_STAMPS_NAME + ".spool")
@@ -223,12 +228,10 @@ class TraceStore:
                             f"chunk lengths sum to {int(lengths.sum())} but "
                             f"carry {stamps.size} stamps"
                         )
-                    ids.extend(id_block)
+                    id_parts.append(_id_block(id_block, seen))
                     length_parts.append(lengths)
                     stamps.tofile(handle)
                     total += stamps.size
-            if len(set(ids)) != len(ids):
-                raise DatasetError("duplicate user ids in trace store input")
             header = {
                 "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
                 "fortran_order": False,
@@ -250,13 +253,13 @@ class TraceStore:
             np.save(temp / _OFFSETS_NAME, offsets, allow_pickle=False)
             np.save(
                 temp / _USER_IDS_NAME,
-                np.asarray(ids, dtype=np.str_),
+                np.concatenate(id_parts) if id_parts else id_column([], DatasetError),
                 allow_pickle=False,
             )
             meta = {
                 "kind": STORE_KIND,
                 "version": STORE_VERSION,
-                "n_users": len(ids),
+                "n_users": len(seen),
                 "n_posts": int(total),
             }
             (temp / _META_NAME).write_text(json.dumps(meta), encoding="utf-8")
@@ -475,7 +478,7 @@ class TraceStore:
             hi = int(self._offsets[stop])
             chunks.inc()
             yield (
-                [str(u) for u in self._user_ids[start:stop]],
+                self._user_ids[start:stop].tolist(),
                 np.diff(self._offsets[start : stop + 1]),
                 np.asarray(self._stamps[lo:hi]),
             )

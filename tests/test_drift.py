@@ -17,8 +17,10 @@ from repro.core.drift import (
     CompositionTimeline,
     DriftConfig,
     UserConfidence,
+    decayed_confidence,
 )
 from repro.core.streaming import (
+    _NO_DAY,
     STREAM_CHECKPOINT_KIND,
     EMPTY_STREAM,
     UNDER_EVIDENCED,
@@ -87,6 +89,22 @@ class TestUserConfidence:
         confidence.reset(42)
         assert confidence.value == 1.0
         assert confidence.as_of_day == 42
+
+    def test_column_decay_matches_the_scalar_clamp(self):
+        values = np.array([1.0, 0.3, 1.5, -0.5, -0.0, np.nan, np.inf, -np.inf, 0.9])
+        days = np.array([0, 5, 40, 40, 40, 40, 40, 40, 60])
+        decayed = decayed_confidence(values, days, 50, 0.01)
+        # The clamp min(1.0, max(0.0, x)) of each record, NaN read as 0.0.
+        expected = np.array(
+            [
+                min(1.0, max(0.0, value - 0.01 * max(0, 50 - day)))
+                for value, day in zip(values.tolist(), days.tolist())
+            ]
+        )
+        assert expected[5] == 0.0
+        assert np.array_equal(decayed.view(np.int64), expected.view(np.int64))
+        for value, day, column in zip(values.tolist(), days.tolist(), decayed):
+            assert UserConfidence(value, day).effective(50, 0.01) == column
 
 
 class TestChangePointDetector:
@@ -305,10 +323,38 @@ class TestCheckpointNegotiation:
         assert plain.snapshot().placement == engine.snapshot().placement
 
         enabled = StreamingGeolocator.load_checkpoint(path, drift=DriftConfig())
-        for user_state in enabled._users.values():
-            assert user_state.confidence is not None
-            assert user_state.confidence.value == 1.0
-            assert user_state.record_version == 1
+        _, columns = enabled.binary_state()
+        assert (columns["confidence"] == 1.0).all()
+        assert (columns["record_version"] == 1).all()
+        # Every restored user carries a confidence record, not only the
+        # threshold-passing ones the summary counts (here: all of them).
+        assert _NO_DAY not in enabled._table.conf_day
+        active = int((columns["n_posts"] >= enabled.min_posts).sum())
+        assert active == enabled.n_users()
+        assert enabled.snapshot().confidence.n_tracked == active
+
+    def test_nan_confidence_in_a_checkpoint_reads_as_stale(self):
+        engine = self._small_engine()
+        meta, columns = engine.binary_state()
+        tracked = np.flatnonzero(columns["n_posts"] >= engine.min_posts)
+        columns["confidence"][tracked[0]] = np.nan
+        restored = StreamingGeolocator.from_binary_state(meta, columns)
+        config = restored.drift
+        now_day = int(restored.heartbeat()["stream_day"])
+        expected = [
+            UserConfidence(
+                float(columns["confidence"][row]), int(columns["confidence_day"][row])
+            ).effective(now_day, config.decay_per_day)
+            for row in tracked
+        ]
+        assert expected[0] == 0.0
+        summary = restored.snapshot().confidence
+        assert summary.n_tracked == tracked.size
+        assert summary.minimum == 0.0
+        assert summary.mean == float(np.mean(expected))
+        assert summary.n_stale == sum(
+            value < config.confidence_threshold for value in expected
+        )
 
     def test_v2_file_fails_loudly_on_v1_reader(self, tmp_path):
         engine = self._small_engine()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,8 +213,41 @@ class TestStreamingCheckpoint:
         stream.observe("a\x00", 20 * HOUR)
         stream.observe("b", 21 * HOUR)
         restored = StreamingGeolocator.from_state_dict(stream.state_dict())
-        assert list(restored._users) == ["a\x00", "b"]
+        assert list(restored.state_dict()["users"]) == ["a\x00", "b"]
         assert restored.state_dict() == stream.state_dict()
+
+    @pytest.mark.parametrize(
+        "user_ids", [["a", "a\x00", "b"], ["x\x00"]], ids=["collision", "lone"]
+    )
+    def test_binary_refuses_user_ids_with_trailing_nul(self, tmp_path, user_ids):
+        # numpy strings drop trailing NULs: "a\x00" would load back as "a".
+        stream = StreamingGeolocator(min_posts=1)
+        for i, user_id in enumerate(user_ids):
+            stream.observe(user_id, 20 * HOUR + i * DAY)
+        path = tmp_path / "stream.npz"
+        bad = next(user_id for user_id in user_ids if user_id.endswith("\x00"))
+        with pytest.raises(CheckpointError, match=re.escape(repr(bad))):
+            stream.save_checkpoint(path)
+        assert not path.exists()
+
+    def test_binary_refuses_a_repeated_user_id(self, tmp_path):
+        from repro.core.streaming import (
+            STREAM_CHECKPOINT_KIND,
+            STREAM_CHECKPOINT_VERSION,
+        )
+        from repro.reliability.checkpoint import write_binary_checkpoint
+
+        stream = StreamingGeolocator(min_posts=1)
+        stream.observe("a", 20 * HOUR)
+        stream.observe("b", 21 * HOUR)
+        meta, arrays = stream.binary_state()
+        arrays["user_ids"] = np.asarray(["a", "a"])
+        path = tmp_path / "stream.npz"
+        write_binary_checkpoint(
+            path, STREAM_CHECKPOINT_KIND, STREAM_CHECKPOINT_VERSION, meta, arrays
+        )
+        with pytest.raises(CheckpointError, match="repeats"):
+            StreamingGeolocator.load_checkpoint(path)
 
     def test_json_cells_are_sorted_and_deduplicated(self):
         stream = StreamingGeolocator(min_posts=1)
@@ -456,6 +490,7 @@ class TestFrozenStreamingCheckpoints:
             engine = StreamingGeolocator.load_checkpoint(FIXTURE_DIR / checkpoint)
             self._columns_equal(engine.binary_state(), written)
             assert any(
-                state.anchor_day is not None for state in engine._users.values()
+                user["anchor_day"] is not None
+                for user in engine.state_dict()["users"].values()
             ), "the fixture must hold a truncated record"
             assert len(engine.timeline) > 0

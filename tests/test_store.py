@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ class TestStoreRoundTrip:
         ]
         with pytest.raises(DatasetError, match="duplicate"):
             TraceStore.write(iter(duplicated), tmp_path / "s")
+
+    def test_user_id_with_trailing_nul_refused(self, tmp_path):
+        # The unicode id column would read "a\x00" back as "a".
+        traces = [ActivityTrace("a", [1.0]), ActivityTrace("a\x00", [2.0])]
+        with pytest.raises(DatasetError, match=re.escape(repr("a\x00"))):
+            TraceStore.write(traces, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+        chunks = [(["x\x00"], np.array([1], dtype=np.int64), np.array([1.0]))]
+        with pytest.raises(DatasetError, match=re.escape(repr("x\x00"))):
+            TraceStore.write_columns(iter(chunks), tmp_path / "c")
+        assert not (tmp_path / "c").exists()
 
     def test_unknown_store_version_refused(self, tmp_path):
         TraceStore.write(_crowd(2), tmp_path / "s")

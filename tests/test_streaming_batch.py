@@ -11,7 +11,7 @@ per-event oracle; the deterministic tests replay the relocation drift
 scenario under several chunkings.
 
 Timestamps stay non-negative: the kernels clip the hour bin to 23 where
-``_UserState.add`` relies on ``ts % 86400`` landing in range, and the
+``observe()`` relies on ``ts % 86400`` landing in range, and the
 two disagree only for a timestamp within one float64 ulp below a
 *negative* day boundary -- a pathology real traces cannot produce.
 """
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.drift import DriftConfig
 from repro.core.events import ActivityTrace, PostEvent
-from repro.core.streaming import BATCH_OBSERVE_THRESHOLD, StreamingGeolocator
+from repro.core.streaming import BATCH_OBSERVE_THRESHOLD, StreamingGeolocator, _UserTable
 from repro.datasets.store import TraceStore
 from repro.errors import CorruptTraceError
 from repro.synth.drift import build_relocation_scenario
@@ -225,6 +225,111 @@ class TestObserveBatchProperty:
             shutil.rmtree(tmp, ignore_errors=True)
 
 
+class TestTableScale:
+    """Thousands of users: the user table's growth steps, whole-chunk
+    merges at size, cell-arena compaction, and per-event rows mixed with
+    bulk-built ones, against the per-event oracle."""
+
+    @staticmethod
+    def _round_trip(engine: StreamingGeolocator, path: Path) -> StreamingGeolocator:
+        engine.save_checkpoint(path)
+        restored = StreamingGeolocator.load_checkpoint(path)
+        restored._wall_now = lambda: FROZEN_WALL
+        return restored
+
+    @pytest.mark.parametrize("drift", [None, SMALL_DRIFT], ids=["plain", "drift"])
+    def test_mixed_intake_matches_per_event_oracle(self, drift, tmp_path):
+        rng = np.random.default_rng(20261017)
+
+        def chunk(n_events, low, high):
+            users = rng.integers(low, high, size=n_events).tolist()
+            stamps = rng.uniform(0.0, 60 * 86400.0, size=n_events).tolist()
+            return [(f"u{user}", stamp) for user, stamp in zip(users, stamps)]
+
+        traces = [
+            ActivityTrace(
+                f"u{user}",
+                rng.uniform(0.0, 40 * 86400.0, size=int(rng.integers(1, 12))),
+            )
+            for user in range(2000)
+        ]
+        store = TraceStore.write(traces, tmp_path / "crowd.store")
+        oracle = make_engine(drift)
+        for ids, lengths, stamps in store.iter_column_chunks(max_posts=1500):
+            owners = np.repeat(np.arange(len(ids)), lengths).tolist()
+            feed_per_event(oracle, [(ids[i], t) for i, t in zip(owners, stamps)])
+        engine = make_engine(drift)
+        engine.ingest_store(store, max_posts=1500)
+        assert engine.n_users() == 2000
+        # Bulk merges into ~1900 bulk-built rows, plus 500 new users.
+        segment = chunk(6000, 0, 2500)
+        feed_per_event(oracle, segment)
+        apply_bulk(engine, "batch", segment)
+        assert_identical(oracle, engine)
+        # Per-event posts turn some bulk-built rows set-backed.
+        segment = chunk(400, 0, 300)
+        feed_per_event(oracle, segment)
+        feed_per_event(engine, segment)
+        oracle = self._round_trip(oracle, tmp_path / "oracle.npz")
+        engine = self._round_trip(engine, tmp_path / "engine.npz")
+        for low, high in ((0, 3000), (1000, 3000), (0, 300)):
+            segment = chunk(5000, low, high)
+            feed_per_event(oracle, segment)
+            apply_bulk(engine, "batch_ndarray", segment)
+            segment = chunk(200, 0, 3000)
+            feed_per_event(oracle, segment)
+            feed_per_event(engine, segment)
+        oracle = self._round_trip(oracle, tmp_path / "oracle.json")
+        engine = self._round_trip(engine, tmp_path / "engine.json")
+        segment = chunk(3000, 0, 3200)
+        feed_per_event(oracle, segment)
+        apply_bulk(engine, "events", segment)
+        assert engine.n_users() == oracle.n_users() > 3000
+        assert_identical(oracle, engine)
+        warm, cold = engine.snapshot(), engine.snapshot_reference()
+        assert warm.n_users_active == cold.n_users_active > 0
+        assert warm.placement == cold.placement
+        assert warm.mixture == cold.mixture
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["bulk", "restored"])
+    def test_cell_range_overflow_merges_row_by_row(self, restored, monkeypatch):
+        # Posts near 1e22 s land so far from the records' cells that the
+        # whole-chunk merge's ``row * span + cell`` keys would overflow
+        # int64, so each row of the chunk is merged on its own instead.
+        rng = np.random.default_rng(1022)
+        users = [f"u{index}" for index in range(40)]
+        early = [
+            (user, stamp)
+            for user in users
+            for stamp in rng.uniform(0.0, 30 * 86400.0, size=5).tolist()
+        ]
+        late = [
+            (user, stamp)
+            for user in users
+            for stamp in (1e22 + rng.uniform(0.0, 1e8, size=4)).tolist()
+        ]
+        rng.shuffle(late)
+        oracle = make_engine(None)
+        engine = make_engine(None)
+        feed_per_event(oracle, early)
+        apply_bulk(engine, "batch", early)
+        if restored:
+            oracle = apply_bulk(oracle, "roundtrip_binary", ())
+            engine = apply_bulk(engine, "roundtrip_binary", ())
+        merged_alone = []
+        merge_set = _UserTable.merge_set
+
+        def spy(table, row, seg):
+            merged_alone.append(row)
+            return merge_set(table, row, seg)
+
+        monkeypatch.setattr(_UserTable, "merge_set", spy)
+        feed_per_event(oracle, late)
+        apply_bulk(engine, "batch", late)
+        assert sorted(merged_alone) == list(range(len(users)))
+        assert_identical(oracle, engine)
+
+
 @pytest.mark.drift
 class TestRelocationChunked:
     """The acceptance scenario, bit-identical under every chunking."""
@@ -316,7 +421,7 @@ class TestBatchSurface:
         from_array.observe_batch(np.asarray(user_ids), np.asarray(stamps))
         assert from_array.state_dict() == from_list.state_dict()
         # First-appearance order, not lexicographic order.
-        assert list(from_array._users) == ["zeta", "alpha", "mid"]
+        assert list(from_array.state_dict()["users"]) == ["zeta", "alpha", "mid"]
 
     def test_merged_chunk_advances_stream_clock(self):
         """A chunk merged without replay still moves the stream day."""
