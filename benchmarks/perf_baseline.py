@@ -1,10 +1,9 @@
 """Record the batch-engine perf trajectory into ``BENCH_core.json``.
 
-Times the hot inference paths both ways -- the vectorised batch engine and
-the per-:class:`Profile` reference implementation it replaced -- on a
+Times the hot inference paths of the vectorised batch engine on a
 synthetic 5k-user crowd, and dumps the numbers (plus a small smoke-sized
 set used by :mod:`perf_smoke`) to ``BENCH_core.json`` at the repo root so
-the speedups are tracked across PRs.
+they are tracked across PRs.
 
 Run from the repo root::
 
@@ -35,10 +34,9 @@ from repro._version import __version__
 from repro.obs.manifest import RunManifest
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix
-from repro.core.flatness import polish_trace_set, polish_trace_set_reference
+from repro.core.flatness import polish_trace_set
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.placement import placement_distribution
-from repro.core.profiles import build_user_profile
 from repro.core.reference import ReferenceProfiles
 from repro.core.streaming import StreamingGeolocator
 from repro.datasets.store import TraceStore
@@ -68,48 +66,31 @@ def _timings(n_users: int, *, repeat: int) -> dict[str, dict[str, float]]:
     locator = CrowdGeolocator()
     results: dict[str, dict[str, float]] = {}
 
-    def record(name: str, fast_s: float, reference_s: float | None) -> None:
-        entry = {"fast_s": round(fast_s, 6)}
-        if reference_s is not None:
-            entry["reference_s"] = round(reference_s, 6)
-            entry["speedup"] = round(reference_s / fast_s, 2)
-        results[name] = entry
+    def record(name: str, fast_s: float) -> None:
+        results[name] = {"fast_s": round(fast_s, 6)}
 
     record(
         "profile_build",
         _time(ProfileMatrix.from_trace_set, crowd, repeat=repeat),
-        _time(
-            lambda: {t.user_id: build_user_profile(t) for t in crowd},
-            repeat=repeat,
-        ),
     )
 
     matrix = ProfileMatrix.from_trace_set(crowd)
     record(
         "distance_matrix",
         _time(distance_matrix, matrix, references, repeat=repeat),
-        None,
     )
 
     record(
         "polish_trace_set",
         _time(polish_trace_set, crowd, references, repeat=repeat),
-        _time(polish_trace_set_reference, crowd, references, repeat=repeat),
     )
 
-    record(
-        "geolocate",
-        _time(locator.geolocate, crowd, engine="batch", repeat=repeat),
-        _time(locator.geolocate, crowd, engine="reference", repeat=repeat),
-    )
+    record("geolocate", _time(locator.geolocate, crowd, repeat=repeat))
 
-    assignments = list(
-        locator.geolocate(crowd, engine="batch").user_zones.values()
-    )
+    assignments = list(locator.geolocate(crowd).user_zones.values())
     record(
         "placement_distribution",
         _time(placement_distribution, assignments, repeat=repeat),
-        None,
     )
 
     # Out-of-core paths (PR 3): the columnar store reader and the warm
@@ -124,18 +105,14 @@ def _timings(n_users: int, *, repeat: int) -> dict[str, dict[str, float]]:
                 TraceStore.open(store_path), min_posts=30
             )
 
-        record("store_load", _time(load_store, repeat=repeat), None)
+        record("store_load", _time(load_store, repeat=repeat))
 
     stream = StreamingGeolocator(references)
     for trace in crowd:
         for timestamp in trace.timestamps:
             stream.observe(trace.user_id, float(timestamp))
     stream.snapshot()  # place everyone once; timed snapshots are warm
-    record(
-        "streaming_snapshot",
-        _time(stream.snapshot, repeat=repeat),
-        None,
-    )
+    record("streaming_snapshot", _time(stream.snapshot, repeat=repeat))
     return results
 
 
@@ -251,9 +228,7 @@ def main(argv=None) -> int:
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {BENCH_PATH}")
     for name, entry in payload["full"].items():
-        speedup = entry.get("speedup")
-        suffix = f"  ({speedup:.1f}x vs reference)" if speedup else ""
-        print(f"  {name:24s} {entry['fast_s'] * 1e3:9.2f} ms{suffix}")
+        print(f"  {name:24s} {entry['fast_s'] * 1e3:9.2f} ms")
     ingest = payload["streaming_ingest"]
     print(
         f"  {'streaming_ingest':24s} per-event {ingest['per_event_s'] * 1e3:.2f} ms"

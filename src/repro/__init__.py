@@ -40,7 +40,6 @@ from repro.core import (
     ReferenceProfiles,
     TraceSet,
     build_crowd_profile,
-    build_profile_matrix,
     build_user_profile,
     classify_hemisphere,
     emd_circular,
@@ -66,7 +65,6 @@ __all__ = [
     "ReferenceProfiles",
     "TraceSet",
     "build_crowd_profile",
-    "build_profile_matrix",
     "build_user_profile",
     "classify_hemisphere",
     "emd_circular",

@@ -341,6 +341,7 @@ def _cmd_monitor(context, args) -> None:
     """Resilient monitoring campaign with optional faults and checkpoints."""
     from repro.analysis.countermeasures import populated_forum
 
+    _require_drift_window(args)
     _, forum = populated_forum(
         args.forum, seed=7, scale=args.forum_scale, n_days=context.n_days
     )
@@ -387,7 +388,14 @@ def _cmd_monitor(context, args) -> None:
         print(f"checkpoint saved to {checkpoint_path}")
     _report_observatory(observatory, args)
     if args.drift_window is not None:
-        _run_drift_monitor(context, args, result)
+        _run_stream(
+            context,
+            args,
+            result.forum_name,
+            lambda engine, on_chunk: _stream_traces(
+                engine, result.traces, args.batch_size, on_chunk
+            ),
+        )
         return
     try:
         report = CrowdGeolocator(context.references).geolocate(
@@ -400,13 +408,26 @@ def _cmd_monitor(context, args) -> None:
     print(report.summary())
 
 
-def _stream_event_batches(engine, events, batch_size: int, on_chunk=None) -> None:
-    """Feed sorted ``(timestamp, user_id)`` events through the bulk path.
+def _require_drift_window(args) -> None:
+    """Refuse ``--migrations-out`` without the drift tracking that emits them."""
+    if args.migrations_out and args.drift_window is None:
+        raise SystemExit("--migrations-out requires --drift-window")
 
-    *on_chunk* (if given) is called after every bulk call with
+
+def _stream_traces(engine, traces, batch_size: int, on_chunk) -> int:
+    """Feed *traces* as time-sorted events through the bulk path.
+
+    Events go to ``observe_batch`` *batch_size* at a time; *on_chunk*
+    (if given) is called after every bulk call with
     ``(events_so_far, chunk_max_timestamp)`` -- the observatory tick
-    point, on stream time rather than wall time.
+    point, on stream time rather than wall time.  Returns the number of
+    events fed.
     """
+    events = sorted(
+        (float(timestamp), trace.user_id)
+        for trace in traces
+        for timestamp in trace.timestamps
+    )
     total = 0
     for low in range(0, len(events), batch_size):
         chunk = events[low : low + batch_size]
@@ -417,6 +438,7 @@ def _stream_event_batches(engine, events, batch_size: int, on_chunk=None) -> Non
         total += len(chunk)
         if on_chunk is not None and chunk:
             on_chunk(total, chunk[-1][0])
+    return total
 
 
 def _build_observatory(engine, args) -> Observatory | None:
@@ -489,46 +511,15 @@ def _print_stream_report(name: str, engine, snapshot) -> None:
         print(f"final composition: {zones}")
 
 
-def _run_drift_monitor(context, args, result) -> None:
-    """Replay the campaign through a drift-enabled streaming engine."""
-    drift = DriftConfig(
-        window_days=args.drift_window,
-        confidence_threshold=args.confidence_threshold,
-    )
-    engine = StreamingGeolocator(context.references, drift=drift)
-    sink = None
-    if args.migrations_out:
-        sink = open(args.migrations_out, "w", encoding="utf-8")
+def _run_stream(context, args, name: str, feed, *, replay: bool = False) -> None:
+    """One streaming run, shared by ``monitor --drift-window`` and ``replay``.
 
-        @engine.on_migration
-        def _write(event) -> None:
-            sink.write(json.dumps(event.to_dict()) + "\n")
-
-    observatory = _build_observatory(engine, args)
-    on_chunk = None
-    if observatory is not None:
-        on_chunk = lambda total, t: observatory.tick(t)  # noqa: E731
-    try:
-        events = sorted(
-            (float(timestamp), trace.user_id)
-            for trace in result.traces
-            for timestamp in trace.timestamps
-        )
-        _stream_event_batches(engine, events, args.batch_size, on_chunk=on_chunk)
-        snapshot = engine.snapshot()
-    finally:
-        if observatory is not None:
-            observatory.close()
-        if sink is not None:
-            sink.close()
-    _print_stream_report(result.forum_name, engine, snapshot)
-    if args.migrations_out:
-        print(f"migration events written to {args.migrations_out}")
-    _report_observatory(observatory, args)
-
-
-def _cmd_replay(context, args) -> None:
-    """Bulk-ingest a trace file through the streaming engine."""
+    Builds the engine (drift-enabled with ``--drift-window``), the
+    ``--migrations-out`` sink and the observatory; ``feed(engine,
+    on_chunk)`` pushes the events and returns how many it pushed.  The
+    sinks are closed before the verdict is printed.  *replay* adds the
+    ingest-rate line and the streamed placement to the report.
+    """
     drift = None
     if args.drift_window is not None:
         drift = DriftConfig(
@@ -538,8 +529,6 @@ def _cmd_replay(context, args) -> None:
     engine = StreamingGeolocator(context.references, drift=drift)
     sink = None
     if args.migrations_out:
-        if drift is None:
-            raise SystemExit("--migrations-out requires --drift-window")
         sink = open(args.migrations_out, "w", encoding="utf-8")
 
         @engine.on_migration
@@ -550,30 +539,9 @@ def _cmd_replay(context, args) -> None:
     on_chunk = None
     if observatory is not None:
         on_chunk = lambda total, t: observatory.tick(t)  # noqa: E731
-        if args.store:
-            print(
-                "note: --store ingests user-ordered columns, so stream-time "
-                "series only sample near the stream tail and health verdicts "
-                "are unreliable; prefer the JSONL replay path with the "
-                "observatory"
-            )
     try:
         watch = obs_metrics.Stopwatch()
-        if args.store:
-            with trace_span("store_load", path=str(args.traces)):
-                store = TraceStore.open(args.traces)
-            n_events = engine.ingest_store(
-                store, max_posts=args.batch_size, on_chunk=on_chunk
-            )
-        else:
-            traces = load_trace_set(args.traces)
-            events = sorted(
-                (float(timestamp), trace.user_id)
-                for trace in traces
-                for timestamp in trace.timestamps
-            )
-            _stream_event_batches(engine, events, args.batch_size, on_chunk=on_chunk)
-            n_events = len(events)
+        n_events = feed(engine, on_chunk)
         elapsed = watch.elapsed_s()
         snapshot = engine.snapshot()
     finally:
@@ -581,15 +549,39 @@ def _cmd_replay(context, args) -> None:
             observatory.close()
         if sink is not None:
             sink.close()
-    name = Path(args.traces).stem
-    rate = n_events / elapsed if elapsed > 0 else float("inf")
-    print(f"ingested {n_events} events in {elapsed:.3f}s ({rate:,.0f} events/s)")
+    if replay:
+        rate = n_events / elapsed if elapsed > 0 else float("inf")
+        print(f"ingested {n_events} events in {elapsed:.3f}s ({rate:,.0f} events/s)")
     _print_stream_report(name, engine, snapshot)
-    if snapshot.placement is not None:
+    if replay and snapshot.placement is not None:
         _print_placement(f"{name} placement (streamed)", snapshot.placement)
     if args.migrations_out:
         print(f"migration events written to {args.migrations_out}")
     _report_observatory(observatory, args)
+
+
+def _cmd_replay(context, args) -> None:
+    """Bulk-ingest a trace file through the streaming engine."""
+    _require_drift_window(args)
+
+    def feed(engine, on_chunk) -> int:
+        if not args.store:
+            traces = load_trace_set(args.traces)
+            return _stream_traces(engine, traces, args.batch_size, on_chunk)
+        if on_chunk is not None:  # an observatory rides this run
+            print(
+                "note: --store ingests user-ordered columns, so stream-time "
+                "series only sample near the stream tail and health verdicts "
+                "are unreliable; prefer the JSONL replay path with the "
+                "observatory"
+            )
+        with trace_span("store_load", path=str(args.traces)):
+            store = TraceStore.open(args.traces)
+        return engine.ingest_store(
+            store, max_posts=args.batch_size, on_chunk=on_chunk
+        )
+
+    _run_stream(context, args, Path(args.traces).stem, feed, replay=True)
 
 
 def _cmd_convert(context, args) -> None:
@@ -1090,6 +1082,17 @@ def _add_observatory_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darkcrowd",
@@ -1203,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--batch-size",
-        type=int,
+        type=_positive_int,
         default=8192,
         metavar="N",
         help="events per bulk observe_batch() call in the drift replay "
@@ -1227,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--batch-size",
-        type=int,
+        type=_positive_int,
         default=8192,
         metavar="N",
         help="events per bulk call (chunk size for JSONL, max posts per "

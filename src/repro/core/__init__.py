@@ -22,7 +22,7 @@ from repro.core.profiles import (
     build_user_profile,
     uniform_profile,
 )
-from repro.core.batch import ProfileMatrix, build_profile_matrix
+from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix, emd_circular, emd_linear
 from repro.core.reference import ReferenceProfiles, parametric_generic_profile
 from repro.core.placement import (
@@ -39,7 +39,6 @@ from repro.core.flatness import (
     is_flat_profile,
     polish_profile_matrix,
     polish_trace_set,
-    polish_trace_set_reference,
 )
 from repro.core.hemisphere import HemisphereVerdict, classify_hemisphere
 from repro.core.dst_family import DstFamily, classify_dst_family
@@ -63,7 +62,6 @@ __all__ = [
     "ProfileMatrix",
     "active_hour_counts",
     "build_crowd_profile",
-    "build_profile_matrix",
     "build_user_profile",
     "uniform_profile",
     "distance_matrix",
@@ -86,7 +84,6 @@ __all__ = [
     "is_flat_profile",
     "polish_profile_matrix",
     "polish_trace_set",
-    "polish_trace_set_reference",
     "HemisphereVerdict",
     "classify_hemisphere",
     "DstFamily",

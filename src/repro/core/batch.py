@@ -24,15 +24,17 @@ Downstream, :func:`repro.core.emd.distance_matrix`,
 :func:`repro.core.placement.classify_profiles` and
 :func:`repro.core.placement.place_profile_matrix` consume the matrix
 directly, so the whole polish -> place -> crowd-profile pipeline touches
-NumPy arrays only.  The per-``Profile`` functions remain as the reference
-implementation the batch paths are property-tested against.
+NumPy arrays only.  The per-``Profile`` builders remain for one-user
+work (the hemisphere test, the analysis drivers); the per-``Profile``
+pipeline the batch paths replaced lives under ``tests/`` as the oracle
+they are property-tested against.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Mapping
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -350,10 +352,3 @@ class ProfileMatrix:
         if len(self) == 0:
             raise EmptyTraceError("cannot build a crowd profile from zero users")
         return Profile(self._matrix.sum(axis=0))
-
-
-def build_profile_matrix(
-    traces: TraceSet, offset_hours: float = 0.0, **kwargs: Any
-) -> ProfileMatrix:
-    """Convenience alias for :meth:`ProfileMatrix.from_trace_set`."""
-    return ProfileMatrix.from_trace_set(traces, offset_hours, **kwargs)

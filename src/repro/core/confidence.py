@@ -62,9 +62,8 @@ def bootstrap_mixture(
     """Bootstrap CIs for the component means and weights.
 
     *assignments* are the per-user zone offsets produced by the placement
-    step (:meth:`CrowdGeolocator.place` /
-    :attr:`GeolocationReport.user_zones`); *mixture* is the model fitted
-    on the full crowd.
+    step (:attr:`GeolocationReport.user_zones`); *mixture* is the model
+    fitted on the full crowd.
     """
     offsets = list(assignments.values()) if isinstance(assignments, dict) else list(
         assignments

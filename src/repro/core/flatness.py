@@ -5,19 +5,18 @@ being closer to an artificial profile created by us where every value is
 of 1/24 ... than to a timezone profile", noting these are typically bots
 (rarely shift workers), and applies the procedure iteratively.
 
-Two implementations live here.  The fast path
-(:func:`polish_trace_set` / :func:`polish_profile_matrix`) builds the
-crowd's :class:`~repro.core.batch.ProfileMatrix` once, takes the flat
+:func:`polish_trace_set` / :func:`polish_profile_matrix` build the
+crowd's :class:`~repro.core.batch.ProfileMatrix` once, take the flat
 mask of each iteration from
 :func:`~repro.core.placement.classify_profiles` (one distance pass
-against the zone references plus the uniform profile) and drops flat
+against the zone references plus the uniform profile) and drop flat
 users with a boolean mask -- survivors' profiles are reused across
 iterations, never recomputed.  Against fixed references the flat test is
 a per-user predicate, so the first iteration removes every flat user and
-the pipeline entry points classify once instead of looping.  The
-per-:class:`Profile` path (:func:`is_flat_profile`,
-:func:`polish_trace_set_reference`) is the reference implementation the
-fast path is property-tested against.
+the pipeline entry points classify once instead of looping.
+:func:`is_flat_profile` states the test for one :class:`Profile`; the
+per-:class:`Profile` polishing loop the mask path replaced is kept under
+``tests/`` as its oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.core.batch import ProfileMatrix
 from repro.core.emd import ALL_DISTANCES
 from repro.core.events import TraceSet
 from repro.core.placement import classify_profiles
-from repro.core.profiles import Profile, build_user_profile, uniform_profile
+from repro.core.profiles import Profile, uniform_profile
 from repro.core.reference import ReferenceProfiles
 
 if TYPE_CHECKING:
@@ -138,54 +137,5 @@ def polish_trace_set(
     return PolishResult(
         polished=polished,
         removed_user_ids=removed,
-        iterations=iterations,
-    )
-
-
-def polish_trace_set_reference(
-    traces: TraceSet,
-    references: ReferenceProfiles | None = None,
-    *,
-    metric: str = "linear",
-    min_posts: int = 30,
-    max_iterations: int = 10,
-) -> PolishResult:
-    """Per-:class:`Profile` polishing loop (pre-batch reference path).
-
-    Rebuilds every surviving user's profile from its trace on every
-    iteration and evaluates scalar EMDs pair by pair; kept as the oracle
-    the vectorised :func:`polish_trace_set` is tested and benchmarked
-    against.
-    """
-    survivors = traces.with_min_posts(min_posts)
-    removed: list[str] = []
-    rebuild = references is None
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if len(survivors) == 0:
-            break
-        profiles = {
-            trace.user_id: build_user_profile(trace) for trace in survivors
-        }
-        if rebuild:
-            crowd = Profile(
-                sum(profile.mass for profile in profiles.values())
-            )
-            references = ReferenceProfiles(crowd)
-        assert references is not None
-        flat_users = [
-            user_id
-            for user_id, profile in profiles.items()
-            if is_flat_profile(profile, references, metric=metric)
-        ]
-        if not flat_users:
-            break
-        removed.extend(flat_users)
-        survivors = survivors.without_users(flat_users)
-
-    return PolishResult(
-        polished=survivors,
-        removed_user_ids=tuple(removed),
         iterations=iterations,
     )

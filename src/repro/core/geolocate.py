@@ -24,14 +24,14 @@ lengths, one :class:`~repro.core.batch.ProfileMatrix` is built from the
 masked column, and ``n_users`` / ``n_posts`` are sums over the lengths;
 columnar stores
 (:meth:`CrowdGeolocator.geolocate_store`) go through the sharded engine
-of :mod:`repro.core.shard`.  ``engine="reference"`` keeps the original
-per-:class:`Profile` pipeline as the correctness oracle.
+of :mod:`repro.core.shard`.  The per-:class:`Profile` pipeline the
+batch path replaced is kept under ``tests/`` as its correctness oracle.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,11 +39,6 @@ import numpy as np
 from repro.core.batch import ProfileMatrix
 from repro.core.em import GaussianMixtureModel, select_mixture
 from repro.core.events import TraceSet
-from repro.core.flatness import (
-    PolishResult,
-    polish_trace_set,
-    polish_trace_set_reference,
-)
 from repro.core.gaussian import PAPER_SIGMA
 from repro.core.hemisphere import HemisphereResult, classify_most_active
 from repro.core.metrics import FitDistanceMetrics, fit_distance_metrics, pearson
@@ -51,11 +46,8 @@ from repro.core.placement import (
     PlacementDistribution,
     assign_zones,
     classify_profiles,
-    place_profile_matrix,
-    place_users,
-    placement_distribution,
 )
-from repro.core.profiles import Profile, build_crowd_profile, build_user_profile
+from repro.core.profiles import Profile
 from repro.core.reference import ReferenceProfiles
 from repro.errors import EmptyTraceError
 from repro.obs import metrics as obs_metrics
@@ -181,22 +173,6 @@ class CrowdGeolocator:
         self.min_component_weight = min_component_weight
         self.criterion = criterion
 
-    def polish(self, traces: TraceSet) -> PolishResult:
-        """Active-user threshold plus iterative flat-profile removal."""
-        return polish_trace_set(
-            traces,
-            self.references,
-            metric=self.metric,
-            min_posts=self.min_posts,
-        )
-
-    def place(self, traces: TraceSet) -> tuple[dict[str, int], PlacementDistribution]:
-        """Per-user zone assignments and the aggregate placement."""
-        matrix = ProfileMatrix.from_trace_set(traces, skip_empty=False)
-        if len(matrix) == 0:
-            raise EmptyTraceError("no users left to place")
-        return place_profile_matrix(matrix, self.references, metric=self.metric)
-
     def geolocate(
         self,
         traces: TraceSet,
@@ -204,18 +180,14 @@ class CrowdGeolocator:
         crowd_name: str = "crowd",
         polish: bool = True,
         hemisphere_top_n: int = 0,
-        engine: str = "batch",
         quarantine: bool = False,
     ) -> GeolocationReport:
         """Run the full pipeline on an anonymous crowd's traces.
 
-        *engine* selects the implementation: ``"batch"`` (default) takes
-        the crowd's stamp column once, builds its :class:`ProfileMatrix`
-        from the active users' segments, polishes and places it with one
-        :func:`classify_profiles` pass and shares it with the
-        crowd-profile and Pearson stages; ``"reference"`` runs
-        the original per-:class:`Profile` pipeline (used as the
-        correctness oracle and the benchmark baseline).
+        Takes the crowd's stamp column once, builds its
+        :class:`ProfileMatrix` from the active users' segments, polishes
+        and places it with one :func:`classify_profiles` pass and shares
+        it with the crowd-profile and Pearson stages.
 
         With ``quarantine=True`` corrupt traces (empty, or with NaN/inf
         timestamps) are set aside instead of poisoning the analysis: the
@@ -233,20 +205,6 @@ class CrowdGeolocator:
                 traces, quality = partition_trace_set(traces)
             else:
                 assert_traces_clean(traces)
-        if engine == "reference":
-            report = self._geolocate_reference(
-                traces,
-                crowd_name=crowd_name,
-                polish=polish,
-                hemisphere_top_n=hemisphere_top_n,
-            )
-            if quarantine:
-                report = replace(report, data_quality=quality)
-            _record_run(report, "reference", watch.elapsed_s())
-            return report
-        if engine != "batch":
-            raise ValueError(f"unknown engine {engine!r}; options: batch, reference")
-
         with trace_span("profile_build", crowd=crowd_name):
             user_ids, lengths, stamps = traces.columns()
             active = lengths >= self.min_posts
@@ -400,67 +358,3 @@ class CrowdGeolocator:
         )
         _record_run(report, pipeline, watch.elapsed_s())
         return report
-
-    def _geolocate_reference(
-        self,
-        traces: TraceSet,
-        *,
-        crowd_name: str = "crowd",
-        polish: bool = True,
-        hemisphere_top_n: int = 0,
-    ) -> GeolocationReport:
-        """The pre-batch per-``Profile`` pipeline, preserved verbatim."""
-        if polish:
-            polish_result = polish_trace_set_reference(
-                traces,
-                self.references,
-                metric=self.metric,
-                min_posts=self.min_posts,
-            )
-            crowd = polish_result.polished
-            n_removed = polish_result.n_removed
-        else:
-            crowd = traces.with_min_posts(self.min_posts)
-            n_removed = 0
-        if len(crowd) == 0:
-            raise EmptyTraceError(
-                f"{crowd_name}: no active users after polishing "
-                f"(threshold {self.min_posts} posts)"
-            )
-
-        profiles = {
-            trace.user_id: build_user_profile(trace) for trace in crowd
-        }
-        assignments = place_users(profiles, self.references, metric=self.metric)
-        placement = placement_distribution(assignments.values())
-        mixture = select_mixture(
-            placement,
-            max_components=self.max_components,
-            sigma_init=self.sigma_init,
-            min_weight=self.min_component_weight,
-            criterion=self.criterion,
-        )
-        crowd_profile = build_crowd_profile(
-            build_user_profile(trace) for trace in crowd
-        )
-        hemisphere = (
-            tuple(classify_most_active(crowd, hemisphere_top_n, metric=self.metric))
-            if hemisphere_top_n > 0
-            else ()
-        )
-        return GeolocationReport(
-            crowd_name=crowd_name,
-            n_users=len(crowd),
-            n_posts=crowd.total_posts(),
-            n_removed_flat=n_removed,
-            crowd_profile=crowd_profile,
-            pearson_vs_generic=pearson(
-                crowd_profile,
-                self.references.for_zone(placement.mode_offset()),
-            ),
-            placement=placement,
-            mixture=mixture,
-            fit_metrics=fit_distance_metrics(placement, mixture.components),
-            user_zones=assignments,
-            hemisphere=hemisphere,
-        )

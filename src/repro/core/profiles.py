@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.events import ActivityTrace
+from repro.core.kernels import segment_counts
 from repro.errors import EmptyTraceError, ProfileError
-from repro.timebase.clock import split_day_hours
 
 if TYPE_CHECKING:
     from repro.core.types import FloatArray
@@ -33,23 +33,17 @@ HOURS = 24
 
 
 def active_hour_counts(timestamps: "Iterable[float] | FloatArray") -> FloatArray:
-    """Eq. 1 numerator, vectorised: per-hour counts of unique (day, hour) cells.
+    """Eq. 1 numerator: per-hour counts of unique (day, hour) cells.
 
     Posting ten times within the same hour of the same day contributes one
-    unit, exactly as :meth:`ActivityTrace.active_day_hours` — but computed
-    with a single ``np.unique`` over encoded ``day*24 + hour`` cells instead
-    of a Python set.  Shared by the per-user builders below and the batch
-    engine in :mod:`repro.core.batch`.
+    unit, exactly as :meth:`ActivityTrace.active_day_hours`.  Computed by
+    :func:`~repro.core.kernels.segment_counts` on a one-user column, so a
+    per-user profile and the user's
+    :class:`~repro.core.batch.ProfileMatrix` row come from one cell
+    encoder.
     """
-    days, hours = split_day_hours(timestamps)
-    if days.size == 0:
-        return np.zeros(HOURS, dtype=float)
-    cells = days * HOURS + hours
-    ordered = np.sort(cells)
-    keep = np.empty(ordered.shape, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return np.bincount(ordered[keep] % HOURS, minlength=HOURS).astype(float)
+    stamps = np.asarray(timestamps, dtype=np.float64)
+    return segment_counts(stamps, np.array([stamps.size], dtype=np.int64))[0]
 
 
 class Profile:

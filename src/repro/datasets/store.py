@@ -24,12 +24,16 @@ Readers open the stamp column with ``numpy``'s memmap support, so
 :meth:`TraceStore.iter_shards` walks a crowd of any size with peak memory
 bounded by the shard, and :meth:`repro.core.batch.ProfileMatrix.from_store`
 feeds the Eq. 1 kernel raw stamp segments without constructing a single
-per-trace Python object.  Writes stream user by user (``tofile``), so
-converting never holds more than the source arrays.
+per-trace Python object.  Both writers spool the stamp column to disk
+block by block (``tofile``): :meth:`TraceStore.write` hands its traces
+to :meth:`TraceStore.write_columns` in blocks of
+:data:`_WRITE_BLOCK_TRACES`, so converting holds one block beyond the
+source arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -59,6 +63,10 @@ _STAMPS_NAME = "stamps.npy"
 _OFFSETS_NAME = "offsets.npy"
 _USER_IDS_NAME = "user_ids.npy"
 
+#: Traces per column chunk that :meth:`TraceStore.write` hands to
+#: :meth:`TraceStore.write_columns`.
+_WRITE_BLOCK_TRACES = 4096
+
 
 def _id_block(user_ids: list[str], seen: set[str]) -> np.ndarray:
     """One block's id column; its ids join *seen*, the ids written so far.
@@ -74,25 +82,23 @@ def _id_block(user_ids: list[str], seen: set[str]) -> np.ndarray:
     return column
 
 
-def _write_npy_streaming(
-    path: Path, arrays: Iterable[np.ndarray], *, total: int, dtype: np.dtype
-) -> None:
-    """Write one ``.npy`` file from a stream of chunks, O(chunk) memory."""
-    header = {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-        "fortran_order": False,
-        "shape": (int(total),),
-    }
-    written = 0
-    with path.open("wb") as handle:
-        np.lib.format.write_array_header_2_0(handle, header)
-        for array in arrays:
-            chunk = np.ascontiguousarray(array, dtype=dtype)
-            chunk.tofile(handle)
-            written += chunk.size
-    if written != total:
-        raise DatasetError(
-            f"store write desynchronised: announced {total} values, wrote {written}"
+def _trace_blocks(
+    traces: Iterable[ActivityTrace],
+) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """*traces* as ``(user_ids, lengths, stamps)`` column chunks.
+
+    Each chunk holds up to :data:`_WRITE_BLOCK_TRACES` users, in input
+    order -- the layout :meth:`TraceStore.write_columns` takes.
+    """
+    iterator = iter(traces)
+    while True:
+        block = list(itertools.islice(iterator, _WRITE_BLOCK_TRACES))
+        if not block:
+            return
+        yield (
+            [trace.user_id for trace in block],
+            np.array([len(trace) for trace in block], dtype=np.int64),
+            np.concatenate([trace.timestamps for trace in block]),
         )
 
 
@@ -143,46 +149,12 @@ class TraceStore:
     ) -> "TraceStore":
         """Compile *traces* into a store directory at *path* and open it.
 
-        The stamp column is streamed user by user, so peak memory is the
-        largest single trace, not the crowd.  An existing store at *path*
-        is replaced atomically (built under a temporary name, then swapped
-        in) so a crash mid-write never leaves a half store behind.
+        The traces are read in blocks of :data:`_WRITE_BLOCK_TRACES` and
+        written by :meth:`write_columns`, so peak memory beyond the input
+        is one block's stamps, and a repeated id refuses the write with
+        nothing landing at *path*.
         """
-        items = list(traces) if not isinstance(traces, TraceSet) else traces
-        id_col = _id_block([trace.user_id for trace in items], set())
-        destination = Path(path)
-        temp = destination.with_name(destination.name + ".tmp")
-        if temp.exists():
-            shutil.rmtree(temp)
-        temp.mkdir(parents=True)
-        try:
-            lengths = [len(trace) for trace in items]
-            total = sum(lengths)
-            offsets = np.concatenate(
-                [[0], np.cumsum(np.asarray(lengths, dtype=np.int64))]
-            ).astype(np.int64)
-            _write_npy_streaming(
-                temp / _STAMPS_NAME,
-                (trace.timestamps for trace in items),
-                total=total,
-                dtype=np.dtype(np.float64),
-            )
-            np.save(temp / _OFFSETS_NAME, offsets, allow_pickle=False)
-            np.save(temp / _USER_IDS_NAME, id_col, allow_pickle=False)
-            meta = {
-                "kind": STORE_KIND,
-                "version": STORE_VERSION,
-                "n_users": int(id_col.size),
-                "n_posts": int(total),
-            }
-            (temp / _META_NAME).write_text(json.dumps(meta), encoding="utf-8")
-            if destination.exists():
-                shutil.rmtree(destination)
-            os.replace(temp, destination)
-        except Exception:
-            shutil.rmtree(temp, ignore_errors=True)
-            raise
-        return cls.open(destination)
+        return cls.write_columns(_trace_blocks(traces), path)
 
     @classmethod
     def write_columns(
@@ -200,7 +172,9 @@ class TraceStore:
         column) in memory: stamps are spooled straight to disk chunk by
         chunk and the ``.npy`` header is fixed up once the total is known.
         Only the id and length tables stay resident (a few dozen bytes per
-        user).  The swap into place is atomic, mirroring :meth:`write`.
+        user).  An existing store at *path* is replaced atomically (built
+        under a temporary name, then swapped in), so a crash or a refused
+        chunk mid-write never leaves a half store behind.
         """
         destination = Path(path)
         temp = destination.with_name(destination.name + ".tmp")

@@ -4,7 +4,8 @@ Every vectorised path added by the batch engine (one-pass Eq. 1 profiles,
 matrix distances for all four metrics, mask-based polishing, bincount
 placement, the shared-matrix geolocator, streaming snapshots) is checked
 here against the naive per-user implementation it replaced, including
-empty-trace, single-user and tie-breaking edge cases.
+empty-trace, single-user and tie-breaking edge cases.  The per-Profile
+polishing loop and pipeline are the oracles of ``reference_oracle.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_oracle import geolocate_reference, polish_trace_set_reference
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
 from repro.core.events import ActivityTrace, TraceSet
@@ -21,7 +23,6 @@ from repro.core.flatness import (
     is_flat_profile,
     polish_profile_matrix,
     polish_trace_set,
-    polish_trace_set_reference,
 )
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.kernels import segment_counts
@@ -45,6 +46,7 @@ from repro.core.reference import ReferenceProfiles
 from repro.core.streaming import StreamingGeolocator
 from repro.errors import EmptyTraceError
 from repro.timebase.zones import ZONE_OFFSETS, get_region, normalize_offset
+from test_kernels import _naive_counts
 
 SECONDS_90_DAYS = 90 * 86400.0
 
@@ -115,7 +117,7 @@ class TestProfileEquivalence:
         segmented = segment_counts(stamps, lengths)
         for i, trace in enumerate(traces):
             np.testing.assert_array_equal(
-                segmented[i], active_hour_counts(trace.timestamps)
+                segmented[i], _naive_counts([trace.timestamps], 0.0)[0]
             )
 
     @given(timestamps_strategy)
@@ -408,12 +410,8 @@ class TestPipelineEquivalence:
     def test_geolocate_engines_agree(self, polish):
         crowd = _mixed_crowd(seed=7, n_diurnal=20, n_flat=5)
         locator = CrowdGeolocator(min_posts=10)
-        fast = locator.geolocate(
-            crowd, crowd_name="c", polish=polish, engine="batch"
-        )
-        slow = locator.geolocate(
-            crowd, crowd_name="c", polish=polish, engine="reference"
-        )
+        fast = locator.geolocate(crowd, crowd_name="c", polish=polish)
+        slow = geolocate_reference(locator, crowd, crowd_name="c", polish=polish)
         assert fast.n_users == slow.n_users
         assert fast.n_posts == slow.n_posts
         assert fast.n_removed_flat == slow.n_removed_flat
@@ -425,10 +423,6 @@ class TestPipelineEquivalence:
             fast.crowd_profile.mass, slow.crowd_profile.mass, atol=1e-12
         )
         assert fast.pearson_vs_generic == pytest.approx(slow.pearson_vs_generic)
-
-    def test_geolocate_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            CrowdGeolocator().geolocate(_mixed_crowd(), engine="warp")
 
 
 class TestStreamingEquivalence:

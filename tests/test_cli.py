@@ -168,6 +168,13 @@ class TestMonitorCommand:
             event = json_module.loads(line)
             assert {"user_id", "new_offset", "reason"} <= set(event)
 
+    def test_migrations_out_requires_drift_window(self, capsys, tmp_path):
+        out_path = tmp_path / "m.jsonl"
+        with pytest.raises(SystemExit, match="drift-window"):
+            main(_monitor_args("--migrations-out", str(out_path)))
+        assert "polls" not in capsys.readouterr().out
+        assert not out_path.exists()
+
 
 class TestGeolocateCommand:
     def _write_traces(self, path, corrupt=False):
@@ -240,6 +247,16 @@ class TestReplayCommand:
         args = build_parser().parse_args(["monitor", "--batch-size", "1024"])
         assert args.batch_size == 1024
         assert build_parser().parse_args(["monitor"]).batch_size == 8192
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["replay", "t.jsonl"], ["monitor"]])
+    def test_nonpositive_batch_size_refused(self, capsys, command, size):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--batch-size", size])
+        assert exit_info.value.code == 2
+        assert f"--batch-size: must be at least 1, got {size}" in (
+            capsys.readouterr().err
+        )
 
     def test_replay_jsonl(self, capsys, tmp_path):
         path = tmp_path / "traces.jsonl"

@@ -89,17 +89,6 @@ class TestGeolocateInstrumentation:
         names = {span.name for span in tracer.all_spans()}
         assert {"profile_build", "polish", "placement", "mixture"} <= names
 
-    def test_reference_run_counts_its_pipeline(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            CrowdGeolocator().geolocate(_diurnal_crowd(), engine="reference")
-        assert (
-            _counter_value(
-                registry, "repro_core_geolocate_runs_total", pipeline="reference"
-            )
-            == 1.0
-        )
-
     def test_observability_is_numerically_inert(self):
         crowd = _diurnal_crowd()
         locator = CrowdGeolocator()

@@ -12,6 +12,7 @@ from repro.core.batch import ProfileMatrix
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.geolocate import CrowdGeolocator
 from repro.datasets.store import (
+    _WRITE_BLOCK_TRACES,
     DEFAULT_SHARD_USERS,
     TraceStore,
     convert_jsonl,
@@ -81,6 +82,21 @@ class TestStoreRoundTrip:
         ]
         with pytest.raises(DatasetError, match="duplicate"):
             TraceStore.write(iter(duplicated), tmp_path / "s")
+
+    def test_duplicate_in_a_later_block_leaves_destination_alone(self, tmp_path):
+        # The repeat of "u0" arrives after the first block was written.
+        traces = [
+            ActivityTrace(f"u{i}", [float(i)])
+            for i in range(_WRITE_BLOCK_TRACES + 1)
+        ] + [ActivityTrace("u0", [1.0])]
+        with pytest.raises(DatasetError, match="duplicate"):
+            TraceStore.write(traces, tmp_path / "s")
+        assert list(tmp_path.iterdir()) == []
+        TraceStore.write(_crowd(3), tmp_path / "kept")
+        with pytest.raises(DatasetError, match="duplicate"):
+            TraceStore.write(iter(traces), tmp_path / "kept")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["kept"]
+        assert TraceStore.open(tmp_path / "kept").user_ids() == _crowd(3).user_ids()
 
     def test_user_id_with_trailing_nul_refused(self, tmp_path):
         # The unicode id column would read "a\x00" back as "a".
