@@ -19,7 +19,7 @@ from repro.core.events import ActivityTrace
 from repro.core.flatness import polish_trace_set
 from repro.core.gaussian import GaussianComponent, mixture_pdf
 from repro.core.geolocate import CrowdGeolocator
-from repro.core.placement import PlacementDistribution
+from repro.core.placement import PlacementDistribution, classify_profiles
 from repro.core.profiles import Profile, build_user_profile
 from repro.core.reference import ReferenceProfiles
 from repro.timebase.zones import ZONE_OFFSETS
@@ -47,6 +47,20 @@ def test_placement_matrix_speed(benchmark):
     references = _random_profiles(24, seed=2)
     matrix = benchmark(distance_matrix, profiles, references, "linear")
     assert matrix.shape == (200, 24)
+
+
+@pytest.mark.parametrize("rows", [1, 120, 1_100, 7_500, 60_000])
+def test_classify_profiles_speed(benchmark, rows):
+    # The workloads' placement shapes: a one-row drift re-placement, a
+    # snapshot refresh, a census crowd, a store shard and a whole store.
+    rng = np.random.default_rng(rows)
+    matrix = ProfileMatrix(
+        [f"u{i}" for i in range(rows)], rng.dirichlet(np.full(24, 0.4), size=rows)
+    )
+    flat, nearest = benchmark(
+        classify_profiles, matrix, ReferenceProfiles.canonical()
+    )
+    assert flat.shape == nearest.shape == (rows,)
 
 
 def test_profile_build_speed(benchmark):

@@ -507,8 +507,8 @@ def _print_stream_report(name: str, engine, snapshot) -> None:
         print(f"zone migrations: {len(engine.migrations)} ({reasons})")
     if engine.timeline is not None and len(engine.timeline):
         top = engine.timeline.samples()[-1].top_zones(3)
-        zones = ", ".join(f"UTC{z:+d} {f:.0%}" for z, f in top)
-        print(f"final composition: {zones}")
+        zones = ", ".join(f"UTC{z:+d} {f:.0%}" for z, f in top if f > 0.0)
+        print(f"final composition: {zones or 'no placed users'}")
 
 
 def _run_stream(context, args, name: str, feed, *, replay: bool = False) -> None:

@@ -11,6 +11,13 @@ circle; for circular distributions the optimal transport distance equals
 minimiser being the median of ``D`` (Werman et al.).  Both variants are
 implemented; the paper's experiments use the linear form, and the circular
 form is evaluated in our ablations.
+
+Crowds are measured in bulk by :func:`distance_matrix`.  Its linear, l1
+and l2 metrics share one column-major kernel, :func:`_pair_sums`: it
+reduces every (reference, profile) pair with whole-column adds laid out
+in the order ``np.sum`` uses on 24 contiguous values, so each distance
+has the bits a row-wise ``np.sum`` over that pair's 24 terms gives it,
+however the crowd is blocked, sharded or batched.
 """
 
 from __future__ import annotations
@@ -25,17 +32,23 @@ from repro.core.types import FloatArray
 if TYPE_CHECKING:
     from repro.core.types import ProfileLike
 
-#: Byte budget for any per-block temporary of :func:`distance_matrix`.
-#: The circular metric still materialises a ``(rows, n_q, 24)`` broadcast
-#: (it needs a per-pair median); the other metrics reuse one ``(rows, 24)``
-#: scratch buffer.  The block row count adapts to ``n_q`` so the temporary
-#: never exceeds this budget regardless of how many references are passed.
+#: Byte budget for the circular metric's per-block temporary: it still
+#: materialises a ``(rows, n_q, 24)`` broadcast (it needs a per-pair
+#: median), so its block row count adapts to ``n_q`` to stay within this
+#: budget regardless of how many references are passed.
 _BLOCK_BYTES = 16 * 1024 * 1024
 
-#: Clamp bounds for the adaptive block row count: small enough blocks cost
+#: Clamp bounds for the circular block row count: small enough blocks cost
 #: loop overhead, huge ones spill the cache even under the byte budget.
 _MIN_BLOCK_ROWS = 128
 _MAX_BLOCK_ROWS = 16_384
+
+#: (reference, profile) pairs in one block of :func:`_pair_sums`.  A block
+#: takes as many references as fit over all rows -- every reference for
+#: the one-row drift checks and the ~120-row snapshot refreshes -- and
+#: shrinks to one reference over this many rows for store-sized crowds,
+#: so its ``(24, refs, rows)`` scratch stays at 768 KiB, inside L2.
+_BLOCK_PAIRS = 4096
 
 
 def _block_rows(n_q: int) -> int:
@@ -133,43 +146,45 @@ def _cumulative_of(profiles: ProfileLike, stack: FloatArray) -> FloatArray:
     return np.cumsum(stack, axis=1)
 
 
-def _abs_sum_blocked(p: FloatArray, q: FloatArray, out: FloatArray) -> None:
-    """``out[i, j] = |p[i] - q[j]|.sum()``, cache-blocked and allocation-free.
+def _pair_sums(
+    p: FloatArray, q: FloatArray, out: FloatArray, term: np.ufunc
+) -> None:
+    """``out[j, i] = term(p[i] - q[j]).sum()``, column-major, bit for bit.
 
-    Serves both the linear EMD (inputs are CDFs) and the L1 metric (inputs
-    are masses) -- the two branches were duplicates differing only in what
-    the caller feeds in.  One ``(rows, 24)`` scratch buffer is reused for
-    every block and reference row, so no ``(rows, n_q, 24)`` broadcast
-    temporary is ever materialised.
+    Serves the linear EMD (inputs are CDFs, *term* ``np.absolute``), the
+    L1 metric (masses, ``np.absolute``) and the squared L2 sum (masses,
+    ``np.square``; the caller takes the root).  Each block lays its rows
+    out as ``(24, rows)`` columns and reduces every (reference, row) pair
+    with whole-column adds, in the order ``np.sum`` uses on 24 contiguous
+    values -- eight partial sums ``s[k] = a[k] + a[k+8] + a[k+16]``, then
+    ``((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))``, the eight-accumulator
+    tree of numpy's pairwise summation -- so every distance keeps the
+    exact bits a row-wise ``np.sum`` gives it.  *out* is the
+    reference-major ``(n_q, n_p)`` table.
     """
-    n_p, n_q = out.shape
-    rows = min(_block_rows(1), n_p)
-    scratch = np.empty((rows, HOURS), dtype=np.float64)
+    n_q, n_p = out.shape
+    refs = max(1, min(n_q, _BLOCK_PAIRS // n_p))
+    rows = max(1, min(n_p, _BLOCK_PAIRS // refs))
+    q_columns = q.T[:, :, None]
+    columns = np.empty((HOURS, 1, rows), dtype=np.float64)
+    terms = np.empty((HOURS, refs, rows), dtype=np.float64)
     for start in range(0, n_p, rows):
         stop = min(start + rows, n_p)
-        block = p[start:stop]
-        view = scratch[: stop - start]
-        for j in range(n_q):
-            np.subtract(block, q[j], out=view)
-            np.abs(view, out=view)
-            np.sum(view, axis=1, out=out[start:stop, j])
-
-
-def _l2_blocked(p: FloatArray, q: FloatArray, out: FloatArray) -> None:
-    """Euclidean distances with the same scratch-reuse scheme."""
-    n_p, n_q = out.shape
-    rows = min(_block_rows(1), n_p)
-    scratch = np.empty((rows, HOURS), dtype=np.float64)
-    for start in range(0, n_p, rows):
-        stop = min(start + rows, n_p)
-        block = p[start:stop]
-        view = scratch[: stop - start]
-        for j in range(n_q):
-            np.subtract(block, q[j], out=view)
-            np.multiply(view, view, out=view)
-            column = out[start:stop, j]
-            np.sum(view, axis=1, out=column)
-            np.sqrt(column, out=column)
+        block = columns[:, :, : stop - start]
+        np.copyto(block[:, 0], p[start:stop].T)
+        for first in range(0, n_q, refs):
+            last = min(first + refs, n_q)
+            values = terms[:, : last - first, : stop - start]
+            np.subtract(block, q_columns[:, first:last], out=values)
+            term(values, out=values)
+            # Terms 8-23 are spent once folded into the first eight, so
+            # the tree's upper levels reuse their rows as scratch.
+            eight, four, two = values[:8], values[8:12], values[12:14]
+            np.add(eight, values[8:16], out=eight)
+            np.add(eight, values[16:], out=eight)
+            np.add(eight[0::2], eight[1::2], out=four)
+            np.add(four[0::2], four[1::2], out=two)
+            np.add(two[0], two[1], out=out[first:last, start:stop])
 
 
 def _circular_blocked(p: FloatArray, q: FloatArray, out: FloatArray) -> None:
@@ -199,13 +214,17 @@ def distance_matrix(
     Fully vectorised for all four metrics; *profiles* and *references* may
     each be a list of :class:`Profile`, an ``(N, 24)`` array, a
     ``ProfileMatrix`` or ``ReferenceProfiles`` (whose cached CDFs are
-    reused for the EMD variants).  Rows are processed in adaptive blocks
-    (see :func:`_block_rows`) so peak memory stays bounded for very large
-    crowds; linear/l1/l2 run through allocation-free scratch kernels that
-    never materialise the pairwise broadcast.  Results are independent of
-    the block size, bit for bit -- each output element is a reduction over
-    one profile/reference pair only, which is what makes the sharded
-    engine (:mod:`repro.core.shard`) exactly mergeable.
+    reused for the EMD variants).  The kernels fill a reference-major
+    ``(len(references), len(profiles))`` table and the result is its
+    transpose, so ``.T`` of it is that C-contiguous table again (what
+    :func:`repro.core.placement.classify_profiles` reduces over).
+    Linear/l1/l2 run through :func:`_pair_sums` in blocks of at most
+    :data:`_BLOCK_PAIRS` pairs, never materialising the pairwise
+    broadcast; the circular metric keeps a broadcast bounded by
+    :data:`_BLOCK_BYTES`.  Results are independent of the block shape,
+    bit for bit -- each output element is a reduction over one
+    profile/reference pair only, which is what makes the sharded engine
+    (:mod:`repro.core.shard`) exactly mergeable.
     """
     if metric not in ALL_DISTANCES:
         raise ValueError(
@@ -214,20 +233,20 @@ def distance_matrix(
     p_stack = as_profile_matrix(profiles)
     q_stack = as_profile_matrix(references)
     n_p, n_q = p_stack.shape[0], q_stack.shape[0]
-    out = np.empty((n_p, n_q), dtype=float)
+    out = np.empty((n_q, n_p), dtype=float)
     if n_p == 0 or n_q == 0:
-        return out
+        return out.T
     if metric in ("linear", "circular"):
         p_work = _cumulative_of(profiles, p_stack)
         q_work = _cumulative_of(references, q_stack)
     else:
         p_work = p_stack
         q_work = q_stack
-    # Metric dispatch hoisted out of the block loop: pick the kernel once.
     if metric == "circular":
-        _circular_blocked(p_work, q_work, out)
+        _circular_blocked(p_work, q_work, out.T)
     elif metric == "l2":
-        _l2_blocked(p_work, q_work, out)
-    else:  # linear and l1 share the |diff|-sum kernel; only inputs differ
-        _abs_sum_blocked(p_work, q_work, out)
-    return out
+        _pair_sums(p_work, q_work, out, np.square)
+        np.sqrt(out, out=out)
+    else:  # linear and l1 differ only in what they feed the kernel
+        _pair_sums(p_work, q_work, out, np.absolute)
+    return out.T

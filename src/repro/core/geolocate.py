@@ -184,7 +184,8 @@ class CrowdGeolocator:
     ) -> GeolocationReport:
         """Run the full pipeline on an anonymous crowd's traces.
 
-        Takes the crowd's stamp column once, builds its
+        Takes the crowd's stamp column once (validation checks the column
+        the profile build reads), builds its
         :class:`ProfileMatrix` from the active users' segments, polishes
         and places it with one :func:`classify_profiles` pass and shares
         it with the crowd-profile and Pearson stages.
@@ -204,9 +205,11 @@ class CrowdGeolocator:
             if quarantine:
                 traces, quality = partition_trace_set(traces)
             else:
-                assert_traces_clean(traces)
+                columns = assert_traces_clean(traces)
         with trace_span("profile_build", crowd=crowd_name):
-            user_ids, lengths, stamps = traces.columns()
+            user_ids, lengths, stamps = (
+                traces.columns() if quarantine else columns
+            )
             active = lengths >= self.min_posts
             rows = active & (lengths > 0)
             matrix = ProfileMatrix._from_column(user_ids, lengths, stamps, rows)

@@ -115,17 +115,20 @@ def classify_profiles(
     the uniform profile than to every zone reference (the polishing
     predicate of Sec. IV-C).  ``nearest`` is each profile's index into
     ``ZONE_OFFSETS`` of the closest zone; the argmin runs over the 24
-    zone columns only and takes the first minimum, so ties resolve to the
+    zones only and takes the first minimum, so ties resolve to the
     smaller offset, as :meth:`ReferenceProfiles.nearest_zone` does.
+    Both are reductions along the reference axis of the ``(25, users)``
+    table :func:`~repro.core.emd.distance_matrix` fills (its result's
+    ``.T``), not row-wise passes over a strided ``(users, 25)`` view.
     Every output depends on its own row only, which is what lets shards,
     snapshots and batches split a crowd freely.
     """
-    distances = distance_matrix(
+    by_reference = distance_matrix(
         profiles, _ZonesAndUniform(references), metric=metric
-    )
-    zones = distances[:, :-1]
-    flat = distances[:, -1] < zones.min(axis=1)
-    return flat, np.argmin(zones, axis=1)
+    ).T
+    zones = by_reference[:-1]
+    flat = by_reference[-1] < zones.min(axis=0)
+    return flat, np.argmin(zones, axis=0)
 
 
 def assign_zones(

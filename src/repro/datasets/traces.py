@@ -24,6 +24,7 @@ from repro.core.profiles import (
     build_user_profile_civil,
 )
 from repro.core.reference import ReferenceProfiles
+from repro.core.types import FloatArray
 from repro.errors import DatasetError
 from repro.timebase.calendar_utils import HolidayCalendar
 from repro.timebase.zones import Region, get_region
@@ -166,8 +167,23 @@ class LabeledDataset:
         return normalized
 
 
+def _check_stamps(user: str, values: FloatArray) -> None:
+    """The format's stamp rule: finite and nonnegative, else DatasetError."""
+    if values.size and not np.all(np.isfinite(values)):
+        raise DatasetError(f"user {user!r}: non-finite timestamp")
+    if values.size and float(values.min()) < 0.0:
+        raise DatasetError(f"user {user!r}: negative timestamp {values.min()}")
+
+
 def save_trace_set(traces: TraceSet, path: "str | Path") -> None:
-    """Write one JSON line per user: {"user": ..., "timestamps": [...]}."""
+    """Write one JSON line per user: {"user": ..., "timestamps": [...]}.
+
+    Refuses, with the :class:`DatasetError` :func:`load_trace_set` would
+    raise, any trace holding a non-finite or negative stamp -- before the
+    file is opened, so an existing file at *path* stays as it was.
+    """
+    for trace in traces:
+        _check_stamps(trace.user_id, trace.timestamps)
     destination = Path(path)
     with destination.open("w", encoding="utf-8") as handle:
         for trace in traces:
@@ -200,10 +216,7 @@ def _parse_trace_line(line: str) -> ActivityTrace:
     ):
         raise DatasetError(f"user {user!r}: 'timestamps' must be a list of numbers")
     values = np.asarray(stamps, dtype=float)
-    if values.size and not np.all(np.isfinite(values)):
-        raise DatasetError(f"user {user!r}: non-finite timestamp")
-    if values.size and float(values.min()) < 0.0:
-        raise DatasetError(f"user {user!r}: negative timestamp {values.min()}")
+    _check_stamps(user, values)
     return ActivityTrace(user, values)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.events import ActivityTrace, TraceSet
+from repro.core.types import FloatArray, IntArray
 from repro.errors import CorruptTraceError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
@@ -149,7 +150,9 @@ def partition_trace_set(traces: TraceSet) -> tuple[TraceSet, DataQualityReport]:
     return healthy, report
 
 
-def assert_traces_clean(traces: TraceSet) -> None:
+def assert_traces_clean(
+    traces: TraceSet,
+) -> tuple[list[str], IntArray, FloatArray]:
     """Raise :class:`CorruptTraceError` when any trace is actually corrupt.
 
     Empty traces are *not* corruption -- they are merely evidence-free and
@@ -158,10 +161,13 @@ def assert_traces_clean(traces: TraceSet) -> None:
 
     The check is one :func:`numpy.isfinite` over the crowd's stamp column
     (:meth:`~repro.core.events.TraceSet.columns`); only a crowd that fails
-    it is walked trace by trace, to name the offenders.
+    it is walked trace by trace, to name the offenders.  A clean crowd's
+    column is returned, so the caller profiles the column it validated
+    instead of building it again.
     """
-    if np.isfinite(traces.columns()[2]).all():
-        return
+    columns = traces.columns()
+    if np.isfinite(columns[2]).all():
+        return columns
     offenders: list[tuple[str, str]] = []
     for trace in traces:
         reason = trace_fault(trace)

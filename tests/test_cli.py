@@ -320,6 +320,51 @@ class TestReplayCommand:
             )
 
 
+def _write_daily_posts(path, hours, days):
+    """Ten users posting once a day, user *i* at ``hours[i % len(hours)]``."""
+    lines = [
+        json.dumps(
+            {
+                "user": f"u{index:02d}",
+                "timestamps": [
+                    day * 86400.0 + hours[index % len(hours)] * 3600.0
+                    for day in range(days)
+                ],
+            }
+        )
+        for index in range(10)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestStreamReportComposition:
+    def _composition(self, capsys, tmp_path, hours, days):
+        path = tmp_path / "traces.jsonl"
+        _write_daily_posts(path, hours, days)
+        assert (
+            main(["--scale", "0.02", "replay", str(path), "--drift-window", "7"])
+            == 0
+        )
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if "final composition" in line]
+        assert len(lines) == 1
+        return out, lines[0]
+
+    def test_no_placed_users(self, capsys, tmp_path):
+        # Five posts each: nobody reaches the activity threshold.
+        out, line = self._composition(capsys, tmp_path, [19], days=5)
+        assert "0 active users" in out
+        assert line == "final composition: no placed users"
+
+    def test_lists_only_zones_holding_users(self, capsys, tmp_path):
+        _, line = self._composition(capsys, tmp_path, [19], days=40)
+        assert line == "final composition: UTC+1 100%"
+
+    def test_three_occupied_zones_print_as_before(self, capsys, tmp_path):
+        _, line = self._composition(capsys, tmp_path, [1, 7, 13, 19], days=40)
+        assert line == "final composition: UTC+11 30%, UTC-11 30%, UTC+1 20%"
+
+
 class TestObservatoryCli:
     """--series-out/--health-out/--profile-out, stats on them, dashboard."""
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +201,41 @@ class TestSerialization:
         assert set(loaded.user_ids()) == set(traces.user_ids())
         for user in traces.user_ids():
             assert np.allclose(loaded[user].timestamps, traces[user].timestamps)
+
+    @pytest.mark.parametrize(
+        "bad_stamp", [-2756.928, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, bad_stamp):
+        traces = TraceSet(
+            [ActivityTrace("ok", [1.0]), ActivityTrace("bad", [bad_stamp, 5.0])]
+        )
+        path = tmp_path / "traces.jsonl"
+        path.write_text("previous contents\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as saved:
+            save_trace_set(traces, path)
+        assert "'bad'" in str(saved.value)
+        # Refused before the file is opened: the old file is untouched.
+        assert path.read_text(encoding="utf-8") == "previous contents\n"
+        # The writer's message is the one the reader gives the same record.
+        raw = tmp_path / "raw.jsonl"
+        record = {"user": "bad", "timestamps": [bad_stamp, 5.0]}
+        raw.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as loaded:
+            load_trace_set(raw)
+        assert f"({saved.value})" in str(loaded.value)
+
+    def test_clean_set_round_trips_byte_for_byte(self, tmp_path):
+        traces = TraceSet(
+            [
+                ActivityTrace("a", [0.0, 1.5, 86399.999999]),
+                ActivityTrace("b", [1e9 + 0.1]),
+                ActivityTrace("quiet", []),
+            ]
+        )
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_trace_set(traces, first)
+        save_trace_set(load_trace_set(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -85,6 +85,22 @@ class TestGeolocate:
         geolocator = CrowdGeolocator()
         assert geolocator.references is not None
 
+    @pytest.mark.parametrize("quarantine", [False, True])
+    def test_builds_one_stamp_column_per_call(
+        self, references, monkeypatch, quarantine
+    ):
+        crowd = build_region_crowd("malaysia", 40, seed=8, n_days=120)
+        calls = []
+        columns = TraceSet.columns
+
+        def counted(traces):
+            calls.append(len(traces))
+            return columns(traces)
+
+        monkeypatch.setattr(TraceSet, "columns", counted)
+        CrowdGeolocator(references).geolocate(crowd, quarantine=quarantine)
+        assert calls == [len(crowd)]
+
     def test_pearson_reported_high_for_clean_crowd(self, references):
         crowd = build_region_crowd("malaysia", 60, seed=8, n_days=366)
         report = CrowdGeolocator(references).geolocate(crowd)

@@ -6,18 +6,24 @@ day boundaries, on stamps far from the epoch and on hour-quantised
 segments; their division-based cell encoder must equal
 ``split_day_hours`` cell for cell.  The blocked ``distance_matrix``
 kernels must be invariant to the block size down to the last bit -- that
-exactness is what the sharded engine's merge correctness rests on.
+exactness is what the sharded engine's merge correctness rests on -- and
+the column-major pair sums must equal a broadcast ``sum(axis=2)`` oracle
+bit for bit, as must ``classify_profiles``' flat flag and nearest zone.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import emd as emd_module
-from repro.core.emd import ALL_DISTANCES, distance_matrix
+from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
 from repro.core.kernels import _hour_cells, segment_counts, segment_unique_cells
+from repro.core.placement import classify_profiles
+from repro.core.reference import ReferenceProfiles
 from repro.timebase.clock import split_day_hours
 
 
@@ -244,6 +250,7 @@ class TestBlockedDistanceKernels:
         monkeypatch.setattr(emd_module, "_BLOCK_BYTES", 1)
         monkeypatch.setattr(emd_module, "_MIN_BLOCK_ROWS", 2)
         monkeypatch.setattr(emd_module, "_MAX_BLOCK_ROWS", 2)
+        monkeypatch.setattr(emd_module, "_BLOCK_PAIRS", 2)
         tiny_blocks = distance_matrix(p, q, metric=metric)
         np.testing.assert_array_equal(whole, tiny_blocks)
 
@@ -260,3 +267,100 @@ class TestBlockedDistanceKernels:
         p = self._profiles(3, 5)
         assert distance_matrix(p, np.zeros((0, 24))).shape == (3, 0)
         assert distance_matrix(np.zeros((0, 24)), p).shape == (0, 3)
+
+
+def _broadcast_oracle(p: np.ndarray, q: np.ndarray, metric: str) -> np.ndarray:
+    """Distances by one ``(rows, n_q, 24)`` broadcast and a row-wise sum.
+
+    Works in 1,024-row slices so store-sized inputs stay small; each
+    element still comes from one ``sum(axis=2)`` over its own 24 values.
+    """
+    p = as_profile_matrix(p)
+    q = as_profile_matrix(q)
+    if metric == "linear":
+        p, q = np.cumsum(p, axis=1), np.cumsum(q, axis=1)
+    slices = []
+    for start in range(0, len(p), 1024):
+        diff = p[start : start + 1024, None] - q[None]
+        if metric == "l2":
+            slices.append(np.sqrt((diff**2).sum(axis=2)))
+        else:
+            slices.append(np.abs(diff).sum(axis=2))
+    return np.concatenate(slices) if slices else np.zeros((0, len(q)))
+
+
+def _wide_magnitudes(rows: int, seed: int) -> np.ndarray:
+    """Rows whose 24 entries span 1e-8 to 1e8, so summation order shows."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 24))
+
+
+class TestColumnMajorPairSums:
+    """``distance_matrix`` equals the broadcast oracle bit for bit."""
+
+    BLOCK = emd_module._BLOCK_PAIRS
+
+    @pytest.mark.parametrize("metric", ["linear", "l1", "l2"])
+    @pytest.mark.parametrize("n_refs", [1, 24, 25, 30])
+    @pytest.mark.parametrize(
+        "n_rows",
+        [1, BLOCK // 25, BLOCK // 25 + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7],
+    )
+    def test_straddling_block_shapes(self, metric, n_refs, n_rows):
+        p = _wide_magnitudes(n_rows, seed=n_rows)
+        q = _wide_magnitudes(n_refs, seed=1000 + n_refs)
+        np.testing.assert_array_equal(
+            distance_matrix(p, q, metric=metric), _broadcast_oracle(p, q, metric)
+        )
+
+    @given(
+        n_rows=st.integers(1, 40),
+        n_refs=st.integers(1, 30),
+        block=st.integers(1, 64),
+        metric=st.sampled_from(["linear", "l1", "l2"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_block_budget(self, n_rows, n_refs, block, metric, seed):
+        p = _wide_magnitudes(n_rows, seed=seed)
+        q = _wide_magnitudes(n_refs, seed=seed + 1)
+        with mock.patch.object(emd_module, "_BLOCK_PAIRS", block):
+            got = distance_matrix(p, q, metric=metric)
+        np.testing.assert_array_equal(got, _broadcast_oracle(p, q, metric))
+
+
+class TestClassifyProfilesOracle:
+    """Flat flag and first-minimum zone against the broadcast oracle."""
+
+    @staticmethod
+    def _oracle(profiles: np.ndarray, references: ReferenceProfiles):
+        stacked = np.vstack([references.stacked(), np.full(24, 1.0 / 24)])
+        distances = _broadcast_oracle(profiles, stacked, "linear")
+        zones = distances[:, :-1]
+        return distances[:, -1] < zones.min(axis=1), np.argmin(zones, axis=1)
+
+    @staticmethod
+    def _crowd(rows: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        profiles = rng.dirichlet(np.full(24, 0.4), size=rows)
+        # Near-uniform rows, so some users are flat.
+        profiles[::7] = 1.0 + rng.uniform(0.0, 0.05, size=profiles[::7].shape)
+        return profiles
+
+    @pytest.mark.parametrize("rows", [1, 60_000])
+    def test_matches_oracle(self, rows):
+        references = ReferenceProfiles.canonical()
+        profiles = self._crowd(rows, seed=rows)
+        flat, nearest = classify_profiles(profiles, references)
+        want_flat, want_nearest = self._oracle(profiles, references)
+        np.testing.assert_array_equal(flat, want_flat)
+        np.testing.assert_array_equal(nearest, want_nearest)
+        if rows > 1:
+            assert 0 < flat.sum() < rows
+
+    def test_empty_matrix(self):
+        flat, nearest = classify_profiles(
+            np.zeros((0, 24)), ReferenceProfiles.canonical()
+        )
+        assert flat.shape == nearest.shape == (0,)
+        assert flat.dtype == bool and nearest.dtype == np.intp

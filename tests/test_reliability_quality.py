@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.events import ActivityTrace, TraceSet
@@ -114,6 +115,16 @@ class TestAssertTracesClean:
     def test_accepts_negative_timestamps(self):
         # See test_negative_is_fine: negative stamps are legitimate data.
         assert_traces_clean(TraceSet([ActivityTrace("east", [-28800.0])]))
+
+    def test_returns_the_validated_column(self):
+        crowd = TraceSet(
+            [ActivityTrace("a", [200.0, 100.0]), ActivityTrace("quiet", [])]
+        )
+        user_ids, lengths, stamps = assert_traces_clean(crowd)
+        expected_ids, expected_lengths, expected_stamps = crowd.columns()
+        assert user_ids == expected_ids
+        np.testing.assert_array_equal(lengths, expected_lengths)
+        np.testing.assert_array_equal(stamps, expected_stamps)
 
 
 class TestQuarantineGeolocation:
