@@ -12,9 +12,12 @@ million-user run):
   :data:`MAX_INMEMORY_USERS` also against the JSONL parse + per-trace
   path it replaces,
 * **sharded** -- ``geolocate_store_sharded`` at :data:`SWEEP_SHARDS`
-  shards across a worker sweep (1..cpu_count processes), against
-  ``geolocate_store`` at its default sharding, with the verdict
-  equality asserted,
+  shards across a worker sweep (1..cpu_count threads over the one open
+  store), against ``geolocate_store`` at its default sharding (one shard
+  per 8,192 users), with the verdict equality asserted; each call is
+  timed :data:`STREAMING_REPEATS` times (best under ``workers`` and
+  ``oracle_store_s``, median under ``workers_median`` and
+  ``oracle_store_median_s``),
 * **snapshot / checkpoint** (below :data:`MAX_INMEMORY_USERS`) -- the
   streaming geolocator's cold and warm snapshots and ``.npz`` checkpoint
   save and load, each timed :data:`STREAMING_REPEATS` times (best as
@@ -66,8 +69,8 @@ CHUNK_USERS = 100_000
 #: Fresh events streamed before each warm snapshot.
 WARM_EVENTS = 1_000
 
-#: Timed repeats of each streaming layer (snapshots and checkpoint I/O);
-#: the best and the median are recorded.
+#: Timed repeats of each sharded-sweep call and each streaming layer
+#: (snapshots and checkpoint I/O); the best and the median are recorded.
 STREAMING_REPEATS = 5
 
 #: Shards used for the sharded-engine sweep (fixed so worker counts are
@@ -159,29 +162,53 @@ def _record(results: dict, name: str, times: list[float]) -> None:
     results[f"{name}_median_s"] = round(statistics.median(times), 4)
 
 
+def _timed_verdicts(call) -> tuple[list[float], object]:
+    """Wall times of :data:`STREAMING_REPEATS` calls and the last report.
+
+    Only one report is alive at a time: at a million users each holds a
+    million-entry ``user_zones`` dict.
+    """
+    last: list = []
+
+    def run() -> None:
+        last.clear()
+        last.append(call())
+
+    return _times(run, repeat=STREAMING_REPEATS), last[0]
+
+
 def _bench_sharded(store: TraceStore, workers_sweep: list[int]) -> dict:
     """The fixed-shard worker sweep vs the default-sharded store run.
 
     ``oracle_store_s`` times ``geolocate_store`` at its default sharding
-    (one shard per 65,536 users, inline); every sweep verdict must equal it.
+    (one shard per 8,192 users, calling thread only); every sweep verdict
+    must equal it.  Each call runs :data:`STREAMING_REPEATS` times.
     """
     locator = CrowdGeolocator()
-    sharded: dict = {"n_shards": SWEEP_SHARDS, "workers": {}}
+    sharded: dict = {
+        "n_shards": SWEEP_SHARDS,
+        "repeats": STREAMING_REPEATS,
+        "workers": {},
+        "workers_median": {},
+    }
 
-    start = time.perf_counter()
-    oracle = locator.geolocate_store(store, crowd_name="scale")
-    sharded["oracle_store_s"] = round(time.perf_counter() - start, 4)
+    times, oracle = _timed_verdicts(
+        lambda: locator.geolocate_store(store, crowd_name="scale")
+    )
+    _record(sharded, "oracle_store", times)
 
     for workers in workers_sweep:
-        start = time.perf_counter()
-        report = locator.geolocate_store_sharded(
-            store,
-            crowd_name="scale",
-            n_shards=SWEEP_SHARDS,
-            max_workers=workers,
+        times, report = _timed_verdicts(
+            lambda: locator.geolocate_store_sharded(
+                store,
+                crowd_name="scale",
+                n_shards=SWEEP_SHARDS,
+                max_workers=workers,
+            )
         )
-        sharded["workers"][str(workers)] = round(
-            time.perf_counter() - start, 4
+        sharded["workers"][str(workers)] = round(min(times), 4)
+        sharded["workers_median"][str(workers)] = round(
+            statistics.median(times), 4
         )
         if (
             report.placement.fractions != oracle.placement.fractions

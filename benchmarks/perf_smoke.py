@@ -315,7 +315,8 @@ def _ingest_throughput_check() -> bool:
 
 
 def _shard_merge_check() -> bool:
-    """Gate: the 2-shard store verdict must equal the in-memory pipeline's."""
+    """Gate: the 2-shard store verdicts, computed by the calling thread
+    alone and with a helper thread, must equal the in-memory pipeline's."""
     import tempfile
 
     from _shared import synthetic_crowd
@@ -327,10 +328,13 @@ def _shard_merge_check() -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         store = TraceStore.write(crowd, Path(tmp) / "smoke.store")
         oracle = locator.geolocate(store.to_trace_set(), crowd_name="smoke")
-        sharded = locator.geolocate_store_sharded(
-            store, crowd_name="smoke", n_shards=2, max_workers=1
-        )
-    ok = (
+        verdicts = [
+            locator.geolocate_store_sharded(
+                store, crowd_name="smoke", n_shards=2, max_workers=workers
+            )
+            for workers in (1, 2)
+        ]
+    ok = all(
         sharded.placement.fractions == oracle.placement.fractions
         and sharded.user_zones == oracle.user_zones
         and sharded.n_users == oracle.n_users
@@ -340,9 +344,13 @@ def _shard_merge_check() -> bool:
         and float(sharded.crowd_profile.mass.sum())
         == float(oracle.crowd_profile.mass.sum())
         and (sharded.crowd_profile.mass == oracle.crowd_profile.mass).all()
+        for sharded in verdicts
     )
     status = "ok" if ok else "FAIL"
-    print(f"  {'shard_merge_identity':24s} 2 shards vs geolocate()  {status}")
+    print(
+        f"  {'shard_merge_identity':24s} 2 shards x 1 and 2 workers "
+        f"vs geolocate()  {status}"
+    )
     return bool(ok)
 
 

@@ -595,9 +595,10 @@ def _cmd_convert(context, args) -> None:
 
 def _cmd_geolocate(context, args) -> None:
     """Geolocate a JSONL trace set (or columnar store with ``--store``)."""
-    if args.shards is not None and not args.store:
-        raise SystemExit("--shards requires --store (sharding partitions "
-                         "the columnar store by user range)")
+    for flag, value in (("--shards", args.shards), ("--workers", args.workers)):
+        if value is not None and not args.store:
+            raise SystemExit(f"{flag} requires --store (sharding partitions "
+                             "the columnar store by user range)")
     if args.store:
         if args.quarantine:
             raise SystemExit(
@@ -610,7 +611,7 @@ def _cmd_geolocate(context, args) -> None:
             store,
             crowd_name=Path(args.traces).stem,
             n_shards=args.shards,
-            max_workers=args.workers,
+            max_workers=1 if args.workers is None else args.workers,
         )
         _print_placement(f"{report.crowd_name} placement", report.placement)
         print(report.summary())
@@ -1279,19 +1280,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     geolocate.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="with --store: split the store into N user-range shards "
-        "(default: one per 65,536 users; the verdict is the same for any N)",
+        "(default: one per 8,192 users; the verdict is the same for any N)",
     )
     geolocate.add_argument(
         "--workers",
-        type=int,
-        default=1,
+        type=_positive_int,
+        default=None,
         metavar="M",
-        help="with --store: fan shards out over M worker processes "
-        "(workers open the memmapped store columns themselves)",
+        help="with --store: compute shards on up to M threads, the command's "
+        "own among them, all reading the one memmapped store (default: 1; "
+        "never more threads than usable cores)",
     )
     convert = sub.add_parser(
         "convert",

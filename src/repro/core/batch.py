@@ -17,8 +17,11 @@ Out-of-core crowds enter through :meth:`ProfileMatrix.from_store`, which
 walks a :class:`~repro.datasets.store.TraceStore` shard by shard and runs
 the flat Eq. 1 kernel directly on each shard's memmapped stamp segment --
 no per-trace Python objects, peak memory bounded by one shard.  Crowds
-too large for one process are split by the sharded engine
-(:mod:`repro.core.shard`), whose process pool is the only fan-out.
+that need more than one core go through the sharded engine
+(:mod:`repro.core.shard`), whose threads over the one memmapped store are
+the only fan-out.  User ids travel as columns (tuples picked with
+:func:`itertools.compress`, never rebuilt id by id), and the id -> row
+dict is built only when a lookup asks for it.
 
 Downstream, :func:`repro.core.emd.distance_matrix`,
 :func:`repro.core.placement.classify_profiles` and
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Mapping
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,9 +132,9 @@ class ProfileMatrix:
             ]
             raise EmptyTraceError(f"users with no activity: {empty}")
         self._matrix = np.clip(values, 0.0, None) / totals
-        self._index = {user_id: i for i, user_id in enumerate(self._user_ids)}
-        if len(self._index) != len(self._user_ids):
+        if len(set(self._user_ids)) != len(self._user_ids):
             raise ProfileError("duplicate user ids in profile matrix")
+        self._index: dict[str, int] | None = None
         self._cumulative: FloatArray | None = None
 
     # -- construction -----------------------------------------------------
@@ -168,7 +172,7 @@ class ProfileMatrix:
         if not keep.all():
             stamps = stamps[np.repeat(keep, lengths)]
             lengths = lengths[keep]
-            user_ids = [user_id for user_id, kept in zip(user_ids, keep) if kept]
+            user_ids = list(compress(user_ids, keep.tolist()))
         return cls(user_ids, _column_counts(stamps, lengths, offset_hours))
 
     @classmethod
@@ -228,11 +232,7 @@ class ProfileMatrix:
             keep = shard.lengths >= threshold
             if not keep.any():
                 continue
-            ids.extend(
-                user_id
-                for user_id, kept in zip(shard.user_ids, keep)
-                if kept
-            )
+            ids.extend(compress(shard.user_ids, keep.tolist()))
             blocks.append(counts[keep])
         progress.finish()
         if not ids:
@@ -249,7 +249,7 @@ class ProfileMatrix:
         return len(self._user_ids)
 
     def __contains__(self, user_id: str) -> bool:
-        return user_id in self._index
+        return user_id in self._lookup()
 
     def __repr__(self) -> str:
         return f"ProfileMatrix(n_users={len(self)})"
@@ -272,9 +272,18 @@ class ProfileMatrix:
             self._cumulative.flags.writeable = False
         return self._cumulative
 
+    def _lookup(self) -> dict[str, int]:
+        """The id -> row dict, built on the first lookup.
+
+        Pipelines that only read rows in order never pay for it.
+        """
+        if self._index is None:
+            self._index = dict(zip(self._user_ids, range(len(self._user_ids))))
+        return self._index
+
     def index_of(self, user_id: str) -> int:
         try:
-            return self._index[user_id]
+            return self._lookup()[user_id]
         except KeyError:
             raise EmptyTraceError(f"no profile for user {user_id!r}") from None
 
@@ -314,7 +323,7 @@ class ProfileMatrix:
         self = object.__new__(cls)
         self._user_ids = user_ids
         self._matrix = matrix
-        self._index = {user_id: i for i, user_id in enumerate(user_ids)}
+        self._index = None
         self._cumulative = cumulative
         return self
 
@@ -329,9 +338,7 @@ class ProfileMatrix:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (len(self),):
             raise ProfileError(f"mask shape {mask.shape} != ({len(self)},)")
-        ids = tuple(
-            user_id for user_id, keep in zip(self._user_ids, mask) if keep
-        )
+        ids = tuple(compress(self._user_ids, mask.tolist()))
         cumulative = None
         if self._cumulative is not None:
             cumulative = self._cumulative[mask]

@@ -258,8 +258,9 @@ class CrowdGeolocator:
         (default: one per :data:`~repro.datasets.store.DEFAULT_SHARD_USERS`
         users) and each range is reduced to a
         :class:`~repro.core.shard.ShardPartial` straight from the store's
-        memmapped columns, inline or across a process pool of
-        *max_workers* (workers open the columns themselves).  The merged
+        memmapped columns, by the calling thread alone or with up to
+        ``max_workers - 1`` helper threads reading the same open store
+        (:func:`~repro.core.shard.compute_partials`).  The merged
         partials feed the same report assembly as :meth:`geolocate`.
         Every per-user quantity is independent of its neighbours (see
         :mod:`repro.core.shard`), so the verdict is identical to

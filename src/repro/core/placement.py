@@ -40,6 +40,9 @@ if TYPE_CHECKING:
 _UNIFORM = np.full(HOURS, 1.0 / HOURS)
 _UNIFORM_CDF = np.cumsum(_UNIFORM)
 
+#: ``ZONE_OFFSETS`` as a column, so zone indices map to offsets in one take.
+_OFFSETS = np.asarray(ZONE_OFFSETS, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class PlacementDistribution:
@@ -137,14 +140,13 @@ def assign_zones(
     """Per-user zone offsets and the placement histogram of *nearest*.
 
     *nearest* holds each user's index into ``ZONE_OFFSETS`` (as returned
-    by :func:`classify_profiles`); the histogram is one bincount of it.
+    by :func:`classify_profiles`); the offsets are one take of it and the
+    histogram one bincount.  The mapping keeps *user_ids*' order and has
+    plain ``int`` values.
     """
     if len(nearest) == 0:
         raise EmptyTraceError("cannot build a placement from zero users")
-    assignments = {
-        user_id: ZONE_OFFSETS[int(index)]
-        for user_id, index in zip(user_ids, nearest)
-    }
+    assignments = dict(zip(user_ids, _OFFSETS[nearest].tolist()))
     counts = np.bincount(nearest, minlength=len(ZONE_OFFSETS)).astype(float)
     distribution = PlacementDistribution(
         tuple((counts / counts.sum()).tolist()), n_users=len(nearest)

@@ -31,19 +31,24 @@ verdict is compared with.
 Order is re-canonicalised at merge time: partials carry the global store
 row of every kept user and the merge sorts the concatenation by row, so
 the reduction is associative and commutative (proven by Hypothesis tests)
-and the fan-out order of a process pool cannot leak into the result.
+and the order in which shards finish cannot leak into the result.
 
-Workers receive a :class:`ShardTask` naming the store *path* and a user
-range -- each worker opens the memmapped columns itself, so no trace data
-is ever pickled across the pool boundary.  This pool is the only process
-fan-out of the batch engine.
+:func:`compute_partials` is the batch engine's only fan-out: threads
+sharing the caller's open store -- its memmapped columns and the
+references -- drain one list of shards, the calling thread among them,
+and each result lands in its shard's slot.  numpy releases the GIL in
+its ufunc loops, sorts and bincounts, which is where a shard spends its
+time; user ids stay in columns until the report needs them as strings.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -145,25 +150,29 @@ def _merge(partials: Sequence[ShardPartial]) -> ShardPartial:
 
     The per-user columns are concatenated and re-sorted by global store
     row, so the result is independent of operand order and grouping
-    (associativity + commutativity).  Overlapping rows mean the same
-    user was computed twice -- a sharding bug, refused loudly rather
-    than double-counted.
+    (associativity + commutativity).  Partials that arrive in row order,
+    as :func:`compute_partials` returns them, skip the permutation.
+    Overlapping rows mean the same user was computed twice -- a sharding
+    bug, refused loudly rather than double-counted.
     """
     if not partials:
         return ShardPartial.identity()
     rows = np.concatenate([partial.rows for partial in partials])
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    if bool(np.any(np.diff(rows) == 0)):
-        raise DatasetError("cannot merge overlapping shard partials")
-    user_ids = [user_id for partial in partials for user_id in partial.user_ids]
+    user_ids = tuple(chain.from_iterable(partial.user_ids for partial in partials))
     columns = {
-        name: np.concatenate([getattr(partial, name) for partial in partials])[order]
+        name: np.concatenate([getattr(partial, name) for partial in partials])
         for name in ("counts", "lengths", "flat_mask", "zone_indices")
     }
+    if not bool(np.all(rows[1:] > rows[:-1])):
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        if bool(np.any(np.diff(rows) == 0)):
+            raise DatasetError("cannot merge overlapping shard partials")
+        user_ids = tuple(np.array(user_ids, dtype=object)[order].tolist())
+        columns = {name: column[order] for name, column in columns.items()}
     return ShardPartial(
         rows=rows,
-        user_ids=tuple(user_ids[int(i)] for i in order),
+        user_ids=user_ids,
         placement_counts=np.sum(
             [partial.placement_counts for partial in partials], axis=0
         ),
@@ -192,13 +201,12 @@ def compute_shard_partial(
     counts = shard_hour_counts(shard)
     lengths = np.asarray(shard.lengths, dtype=np.int64)
     keep = lengths >= max(int(min_posts), 1)
-    kept = np.flatnonzero(keep)
-    user_ids = tuple(shard.user_ids[int(i)] for i in kept)
+    user_ids = tuple(compress(shard.user_ids, keep.tolist()))
     kept_counts = np.ascontiguousarray(counts[keep])
     matrix = ProfileMatrix.from_counts(user_ids, kept_counts)
     flat, zones = classify_profiles(matrix, references, metric)
     return ShardPartial(
-        rows=(kept + int(shard.start_index)).astype(np.int64),
+        rows=(np.flatnonzero(keep) + int(shard.start_index)).astype(np.int64),
         user_ids=user_ids,
         counts=kept_counts,
         lengths=lengths[keep],
@@ -209,39 +217,6 @@ def compute_shard_partial(
         ).astype(np.int64),
         n_users_seen=len(shard),
     )
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Pool-worker work order: a store path plus one user range.
-
-    Only the path crosses the process boundary -- the worker opens the
-    memmapped columns itself, so dispatch cost is O(1) in the crowd size.
-    The references ride along pickled as-is (pickle round-trips float
-    bits; rebuilding them in the worker would re-normalise and drift).
-    """
-
-    store_path: str
-    start: int
-    stop: int
-    metric: str
-    min_posts: int
-    references: ReferenceProfiles
-
-
-def _compute_shard_task(task: ShardTask) -> tuple[ShardPartial, float]:
-    """Worker entry: open the store, reduce the range, report wall time."""
-    from repro.datasets.store import TraceStore
-
-    watch = obs_metrics.Stopwatch()
-    store = TraceStore.open(task.store_path)
-    partial = compute_shard_partial(
-        store.shard(task.start, task.stop),
-        task.references,
-        metric=task.metric,
-        min_posts=task.min_posts,
-    )
-    return partial, watch.elapsed_s()
 
 
 def _record_partial(partial: ShardPartial, wall_s: float, mode: str) -> None:
@@ -287,25 +262,12 @@ def _shard_fallback(exc: Exception) -> None:
     )
 
 
-def _compute_inline(
-    store: "TraceStore",
-    bounds: list[tuple[int, int]],
-    references: ReferenceProfiles,
-    metric: str,
-    min_posts: int,
-) -> list[ShardPartial]:
-    partials: list[ShardPartial] = []
-    for start, stop in bounds:
-        shard_watch = obs_metrics.Stopwatch()
-        partial = compute_shard_partial(
-            store.shard(start, stop),
-            references,
-            metric=metric,
-            min_posts=min_posts,
-        )
-        _record_partial(partial, shard_watch.elapsed_s(), "inline")
-        partials.append(partial)
-    return partials
+def _usable_cores() -> int:
+    """Cores this process may run on: the cap on a fan-out's threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def compute_partials(
@@ -317,53 +279,82 @@ def compute_partials(
     n_shards: int = 1,
     max_workers: int = 1,
 ) -> list[ShardPartial]:
-    """Reduce every shard of *store*, fanning out over a process pool.
+    """Reduce every shard of *store*, fanning out over threads.
 
     The store is partitioned into up to *n_shards* contiguous user ranges
-    (:meth:`~repro.datasets.store.TraceStore.shard_bounds`).  With
-    ``max_workers > 1`` and more than one shard, ranges are dispatched to
-    a ``ProcessPoolExecutor`` as :class:`ShardTask` values -- each worker
-    opens the memmapped columns itself -- and results are collected in
-    submission order, so the returned list is deterministic regardless of
-    worker scheduling.  A pool that cannot be spawned or breaks mid-run
-    degrades to inline computation with a ``RuntimeWarning``, never a
-    lost run.
+    (:meth:`~repro.datasets.store.TraceStore.shard_bounds`).  The calling
+    thread and up to ``max_workers - 1`` helper threads -- never more
+    threads than shards or usable cores -- take shards from one list and
+    compute them over the caller's open store, so nothing is opened,
+    copied or pickled per shard; each result goes to its shard's slot,
+    so the returned list is in shard order whatever the scheduling.  With
+    ``max_workers <= 1`` the caller computes every shard itself.
+
+    A shard that raises stops the fan-out: no thread starts another
+    shard, the helpers are joined and the shard's own exception is
+    raised here.  A helper that cannot be started degrades to fewer
+    threads with a ``RuntimeWarning``; the caller computes what is left.
     """
     bounds = store.shard_bounds(n_shards)
+    slots: list[tuple[ShardPartial, float, str] | None] = [None] * len(bounds)
+    errors: list[BaseException] = []
+    pending = iter(enumerate(bounds))
+    lock = threading.Lock()
+
+    def drain(mode: str) -> None:
+        # Spans stay in the caller: the tracer nests per thread.
+        while True:
+            with lock:
+                task = None if errors else next(pending, None)
+            if task is None:
+                return
+            index, (start, stop) = task
+            watch = obs_metrics.Stopwatch()
+            try:
+                partial = compute_shard_partial(
+                    store.shard(start, stop),
+                    references,
+                    metric=metric,
+                    min_posts=min_posts,
+                )
+            except BaseException as exc:  # re-raised in the caller
+                with lock:
+                    errors.append(exc)
+                return
+            slots[index] = (partial, watch.elapsed_s(), mode)
+
+    n_helpers = min(max_workers, len(bounds), _usable_cores()) - 1
     with trace_span(
         "shard_fanout",
         n_shards=len(bounds),
         max_workers=max_workers,
         n_users=len(store),
     ):
-        if max_workers <= 1 or len(bounds) <= 1:
-            return _compute_inline(store, bounds, references, metric, min_posts)
-        tasks = [
-            ShardTask(
-                store_path=str(store.path),
-                start=start,
-                stop=stop,
-                metric=metric,
-                min_posts=min_posts,
-                references=references,
-            )
-            for start, stop in bounds
-        ]
+        helpers: list[threading.Thread] = []
         try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=min(max_workers, len(tasks))
-            ) as pool:
-                results = list(pool.map(_compute_shard_task, tasks))
-        except Exception as exc:
-            _shard_fallback(exc)
-            return _compute_inline(store, bounds, references, metric, min_posts)
-        partials = []
-        for partial, wall_s in results:
-            _record_partial(partial, wall_s, "pool")
-            partials.append(partial)
-        return partials
+            for _ in range(n_helpers):
+                helper = threading.Thread(
+                    target=drain, args=("pool",), name="repro-shard", daemon=True
+                )
+                try:
+                    helper.start()
+                except RuntimeError as exc:
+                    _shard_fallback(exc)
+                    break
+                helpers.append(helper)
+            drain("inline")
+        finally:
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
+    partials: list[ShardPartial] = []
+    for slot in slots:
+        assert slot is not None  # every shard was computed: no error
+        partial, wall_s, mode = slot
+        _record_partial(partial, wall_s, mode)
+        partials.append(partial)
+    return partials
 
 
 def merge_partials(partials: Sequence[ShardPartial]) -> ShardPartial:

@@ -56,7 +56,7 @@ STORE_KIND = "trace-store"
 STORE_VERSION = 1
 
 #: Default shard granularity of :meth:`TraceStore.iter_shards`.
-DEFAULT_SHARD_USERS = 65_536
+DEFAULT_SHARD_USERS = 8_192
 
 _META_NAME = "meta.json"
 _STAMPS_NAME = "stamps.npy"
@@ -369,7 +369,7 @@ class TraceStore:
         store exactly: every user lands in exactly one shard, shard sizes
         differ by at most one, and empty runs (more shards than users) are
         dropped.  The sharded engine (:mod:`repro.core.shard`) feeds these
-        to :meth:`shard` on whichever process handles each range.
+        to :meth:`shard` on whichever thread takes each range.
         """
         if n_shards <= 0:
             raise DatasetError(f"n_shards must be positive, got {n_shards}")
@@ -395,7 +395,7 @@ class TraceStore:
             "repro_datasets_store_shards_total", "store shards yielded"
         ).inc()
         return StoreShard(
-            user_ids=tuple(str(u) for u in self._user_ids[start:stop]),
+            user_ids=tuple(self._user_ids[start:stop].tolist()),
             stamps=self._stamps[lo:hi],
             lengths=np.diff(self._offsets[start : stop + 1]),
             start_index=int(start),

@@ -44,7 +44,7 @@ from repro.core.profiles import (
 )
 from repro.core.reference import ReferenceProfiles
 from repro.core.streaming import StreamingGeolocator
-from repro.errors import EmptyTraceError
+from repro.errors import EmptyTraceError, ProfileError
 from repro.timebase.zones import ZONE_OFFSETS, get_region, normalize_offset
 from test_kernels import _naive_counts
 
@@ -522,3 +522,61 @@ class TestFastSelect:
         matrix = ProfileMatrix(["a"], np.full((1, HOURS), 1.0))
         with pytest.raises(Exception, match="mask"):
             matrix.select(np.array([True, False]))
+
+
+class TestLazyIdIndex:
+    """The id -> row dict is built on the first lookup, not at construction."""
+
+    def _matrix(self, n_users=9, seed=8):
+        rng = np.random.default_rng(seed)
+        ids = [f"u{i}" for i in range(n_users)]
+        return ids, ProfileMatrix.from_counts(
+            ids, rng.integers(1, 5, size=(n_users, HOURS)).astype(float)
+        )
+
+    def test_lookups_after_from_counts(self):
+        ids, matrix = self._matrix()
+        for row, user_id in enumerate(ids):
+            assert user_id in matrix
+            assert matrix.index_of(user_id) == row
+            np.testing.assert_array_equal(matrix.row(user_id), matrix.matrix[row])
+            np.testing.assert_array_equal(
+                matrix.profile(user_id).mass, Profile(matrix.matrix[row]).mass
+            )
+        assert "absent" not in matrix
+        with pytest.raises(EmptyTraceError, match="absent"):
+            matrix.index_of("absent")
+
+    @pytest.mark.parametrize("looked_up_first", [False, True])
+    def test_lookups_after_select(self, looked_up_first):
+        ids, matrix = self._matrix()
+        if looked_up_first:
+            assert matrix.index_of("u4") == 4
+        mask = np.arange(len(ids)) % 3 != 1
+        subset = matrix.select(mask)
+        kept = [user_id for user_id, keep in zip(ids, mask) if keep]
+        assert subset.user_ids == tuple(kept)
+        for row, user_id in enumerate(kept):
+            assert user_id in subset
+            assert subset.index_of(user_id) == row
+            np.testing.assert_array_equal(
+                subset.row(user_id), matrix.row(user_id)
+            )
+        for user_id in set(ids) - set(kept):
+            assert user_id not in subset
+            with pytest.raises(EmptyTraceError):
+                subset.row(user_id)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ids, rows: ProfileMatrix(ids, rows),
+            lambda ids, rows: ProfileMatrix.from_counts(ids, rows),
+            lambda ids, rows: ProfileMatrix.from_counts(iter(ids), rows),
+        ],
+        ids=["constructor", "from_counts", "from_counts_iterator"],
+    )
+    def test_duplicate_ids_still_raise(self, build):
+        rows = np.ones((3, HOURS))
+        with pytest.raises(ProfileError, match="duplicate"):
+            build(["a", "b", "a"], rows)

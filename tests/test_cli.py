@@ -219,6 +219,50 @@ class TestGeolocateCommand:
         assert "mangled" in out  # named in the load report's quarantine list
         assert "quarantined hollow: empty-trace" in out
 
+    @pytest.mark.parametrize("flag", ["--shards", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_bad_shard_and_worker_counts_refused(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["geolocate", "t.store", "--store", f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: " in err
+        assert "must be at least 1" in err or "not an integer" in err
+
+    @pytest.mark.parametrize("flag", ["--shards", "--workers"])
+    def test_shard_flags_require_store(self, tmp_path, flag):
+        path = tmp_path / "traces.jsonl"
+        self._write_traces(path)
+        with pytest.raises(SystemExit, match=f"{flag} requires --store"):
+            main(["--scale", "0.02", "geolocate", str(path), flag, "2"])
+
+    def test_store_shard_flags_parse(self):
+        args = build_parser().parse_args(
+            ["geolocate", "t.store", "--store", "--shards", "8", "--workers", "2"]
+        )
+        assert (args.shards, args.workers) == (8, 2)
+        defaults = build_parser().parse_args(["geolocate", "t.store", "--store"])
+        assert (defaults.shards, defaults.workers) == (None, None)
+
+    def test_store_with_workers_matches_jsonl(self, capsys, tmp_path):
+        jsonl = tmp_path / "traces.jsonl"
+        self._write_traces(jsonl)
+        store = tmp_path / "traces.store"
+        assert main(["--scale", "0.02", "convert", str(jsonl), str(store)]) == 0
+        capsys.readouterr()
+        assert main(["--scale", "0.02", "geolocate", str(jsonl)]) == 0
+        from_jsonl = capsys.readouterr().out.splitlines()[-1]
+        assert (
+            main(
+                [
+                    "--scale", "0.02", "geolocate", str(store), "--store",
+                    "--shards", "3", "--workers", "2",
+                ]
+            )
+            == 0
+        )
+        assert capsys.readouterr().out.splitlines()[-1] == from_jsonl
+
 
 class TestReplayCommand:
     def _write_traces(self, path):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.placement import (
     PlacementDistribution,
+    assign_zones,
     place_trace_set,
     place_users,
     placement_distribution,
@@ -75,6 +77,28 @@ class TestPlaceUsers:
         profile = canonical_references.for_zone(11)
         assignments = place_users({"u": profile}, canonical_references, metric="circular")
         assert assignments["u"] == 11
+
+
+class TestAssignZones:
+    @given(
+        st.lists(st.integers(0, len(ZONE_OFFSETS) - 1), min_size=1, max_size=60)
+    )
+    def test_equals_the_per_user_dict(self, indices):
+        user_ids = [f"user{i:03d}" for i in range(len(indices))][::-1]
+        nearest = np.asarray(indices, dtype=np.int64)
+        assignments, placement = assign_zones(user_ids, nearest)
+        expected = {
+            user_id: ZONE_OFFSETS[int(index)]
+            for user_id, index in zip(user_ids, nearest)
+        }
+        assert assignments == expected
+        assert list(assignments) == list(expected)
+        assert all(type(value) is int for value in assignments.values())
+        assert placement == placement_distribution(expected.values())
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyTraceError):
+            assign_zones([], np.zeros(0, dtype=np.int64))
 
 
 class TestPlacementAggregation:

@@ -9,12 +9,18 @@ oracle of ``store_oracle.py`` bit for bit, for any shard and worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
+import multiprocessing.process
+import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.shard as shard_module
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.geolocate import CrowdGeolocator, GeolocationReport
 from repro.core.reference import ReferenceProfiles
@@ -30,10 +36,9 @@ from store_oracle import geolocate_store_oracle
 
 MIN_POSTS = 10
 
-#: A pool that cannot run its workers falls back inline with a
+#: A fan-out whose helper threads cannot start falls back inline with a
 #: RuntimeWarning and still matches the oracle; erroring on the warning
-#: makes every pooled test fail on that silent fallback (e.g. an
-#: unpicklable worker).
+#: makes every pooled test fail on that silent fallback.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -276,12 +281,11 @@ class TestShardedOracle:
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
         oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
 
-        def _broken_pool(*args, **kwargs):
-            raise OSError("no process pool in this sandbox")
+        def _no_thread(thread):
+            raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _broken_pool
-        )
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
         with pytest.warns(RuntimeWarning, match="computing shards inline"):
             fallback = locator.geolocate_store_sharded(
                 shard_store, crowd_name="c", n_shards=4, max_workers=2
@@ -311,3 +315,185 @@ class TestComputePartials:
             )
         )
         _assert_partials_equal(only, merged)
+
+
+class _ShardFailure(Exception):
+    """Raised by one shard in the fan-out tests."""
+
+
+def _inline_partials(store, refs, n_shards):
+    return [
+        compute_shard_partial(store.shard(start, stop), refs, min_posts=MIN_POSTS)
+        for start, stop in store.shard_bounds(n_shards)
+    ]
+
+
+def _shard_threads_alive() -> list[threading.Thread]:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "repro-shard" and thread.is_alive()
+    ]
+
+
+class TestThreadFanOut:
+    """The helper-thread fan-out: order, errors, fallback and thread caps.
+
+    ``_usable_cores`` is forced above 1 where a test needs helper threads,
+    so they run on a one-core runner too.
+    """
+
+    @pytest.mark.parametrize("n_shards", [1, 3, 8, 500])
+    @pytest.mark.parametrize("max_workers", [1, 2, 3])
+    def test_partials_equal_inline_in_shard_order(
+        self, shard_store, refs, monkeypatch, n_shards, max_workers
+    ):
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        expected = _inline_partials(shard_store, refs, n_shards)
+        got = compute_partials(
+            shard_store,
+            refs,
+            min_posts=MIN_POSTS,
+            n_shards=n_shards,
+            max_workers=max_workers,
+        )
+        assert len(got) == len(expected) == min(n_shards, len(shard_store))
+        for a, b in zip(got, expected):
+            _assert_partials_equal(a, b)
+        assert not _shard_threads_alive()
+
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_failing_shard_raises_its_own_error(
+        self, shard_store, refs, monkeypatch, max_workers
+    ):
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        real = shard_module.compute_shard_partial
+        started: list[int] = []
+        lock = threading.Lock()
+
+        def _flaky(shard, *args, **kwargs):
+            with lock:
+                started.append(shard.start_index)
+            if shard.start_index == 2:
+                raise _ShardFailure(f"shard at {shard.start_index}")
+            time.sleep(0.002)  # lets the failing thread record its error
+            return real(shard, *args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "compute_shard_partial", _flaky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(_ShardFailure, match="shard at 2"):
+                compute_partials(
+                    shard_store,
+                    refs,
+                    min_posts=MIN_POSTS,
+                    n_shards=len(shard_store),
+                    max_workers=max_workers,
+                )
+        assert not _shard_threads_alive()
+        # Shards run in order; after the failure no thread takes another.
+        assert len(started) < len(shard_store)
+        if max_workers == 1:
+            assert started == [0, 1, 2]
+
+    def test_helper_that_cannot_start_leaves_the_rest_to_the_caller(
+        self, shard_store, monkeypatch
+    ):
+        locator = CrowdGeolocator(min_posts=MIN_POSTS)
+        oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
+        real_start = threading.Thread.start
+        attempts: list[str] = []
+
+        def _second_fails(thread):
+            attempts.append(thread.name)
+            if len(attempts) == 2:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", _second_fails)
+        with pytest.warns(RuntimeWarning, match="computing shards inline"):
+            report = locator.geolocate_store_sharded(
+                shard_store, crowd_name="c", n_shards=8, max_workers=4
+            )
+        assert attempts == ["repro-shard", "repro-shard"]
+        _assert_reports_identical(oracle, report)
+
+    @pytest.mark.parametrize("cores", [None, 3])
+    def test_helpers_capped_by_usable_cores(
+        self, shard_store, refs, monkeypatch, cores
+    ):
+        if cores is not None:
+            monkeypatch.setattr(shard_module, "_usable_cores", lambda: cores)
+        usable = shard_module._usable_cores()
+        real_start = threading.Thread.start
+        starts: list[str] = []
+
+        def _counting(thread):
+            starts.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", _counting)
+        partials = compute_partials(
+            shard_store, refs, min_posts=MIN_POSTS, n_shards=50, max_workers=10_000
+        )
+        assert len(partials) == 50
+        assert len(starts) <= usable - 1
+        if cores is not None:
+            assert starts == ["repro-shard"] * (cores - 1)
+
+    def test_stress_each_shard_once_in_order(self, shard_store, refs, monkeypatch):
+        """More threads than cores, a tiny switch interval: no lost update."""
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 8)
+        real = shard_module.compute_shard_partial
+        calls: list[int] = []
+        lock = threading.Lock()
+
+        def _counted(shard, *args, **kwargs):
+            with lock:
+                calls.append(shard.start_index)
+            return real(shard, *args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "compute_shard_partial", _counted)
+        expected = _inline_partials(shard_store, refs, len(shard_store))
+        got: list[list[ShardPartial]] = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: got.append(
+                    compute_partials(
+                        shard_store,
+                        refs,
+                        min_posts=MIN_POSTS,
+                        n_shards=len(shard_store),
+                        max_workers=8,
+                    )
+                )
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not runner.is_alive()
+        assert sorted(calls) == list(range(len(shard_store)))
+        (partials,) = got
+        assert len(partials) == len(expected)
+        for a, b in zip(partials, expected):
+            _assert_partials_equal(a, b)
+
+    def test_pooled_call_starts_no_child_process(
+        self, shard_store, monkeypatch
+    ):
+        def _no_child(*args, **kwargs):
+            raise AssertionError("the fan-out started a child process")
+
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_child)
+        monkeypatch.setattr(os, "fork", _no_child)
+        locator = CrowdGeolocator(min_posts=MIN_POSTS)
+        oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
+        pooled = locator.geolocate_store_sharded(
+            shard_store, crowd_name="c", n_shards=8, max_workers=4
+        )
+        _assert_reports_identical(oracle, pooled)
