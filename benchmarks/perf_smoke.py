@@ -170,8 +170,10 @@ def _drift_inertness_check() -> bool:
     ``snapshot_reference()`` oracle.
     """
     from _shared import synthetic_crowd
+    from repro.core.kernels import valid_stamps
     from repro.core.profiles import HOURS
-    from repro.core.streaming import StreamingGeolocator
+    from repro.core.streaming import StreamingGeolocator, _refusal
+    from repro.errors import CorruptTraceError
 
     class _PreDriftReplica(StreamingGeolocator):
         # A copy of StreamingGeolocator.observe (core/streaming.py) that
@@ -180,6 +182,8 @@ def _drift_inertness_check() -> bool:
         # call.  The rest mirrors observe() statement for statement, so a
         # change to how observe() updates the user table is made here too.
         def observe(self, user_id: str, timestamp: float) -> None:
+            if not valid_stamps(timestamp):
+                raise CorruptTraceError(_refusal(user_id, timestamp, "the event"))
             table = self._table
             row = table.index.get(user_id)
             if row is None:

@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 _log = get_logger("core")
 
 
-def shard_hour_counts(shard: "StoreShard", offset_hours: float = 0.0) -> FloatArray:
+def shard_hour_counts(shard: "StoreShard") -> FloatArray:
     """Eq. 1 numerators of every user in one store shard, in one pass.
 
     Runs the counts kernel straight on the shard's memmapped stamp
@@ -65,17 +65,13 @@ def shard_hour_counts(shard: "StoreShard", offset_hours: float = 0.0) -> FloatAr
     all-zero one.  Shared by :meth:`ProfileMatrix.from_store` and the
     sharded engine, and accounted as one profile build.
     """
-    return _column_counts(
-        np.asarray(shard.stamps, dtype=np.float64), shard.lengths, offset_hours
-    )
+    return _column_counts(np.asarray(shard.stamps, dtype=np.float64), shard.lengths)
 
 
-def _column_counts(
-    stamps: FloatArray, lengths: IntArray, offset_hours: float
-) -> FloatArray:
+def _column_counts(stamps: FloatArray, lengths: IntArray) -> FloatArray:
     """Eq. 1 numerators of a stamp column, accounted as one profile build."""
     watch = obs_metrics.Stopwatch()
-    counts = segment_counts(stamps, lengths, offset_hours)
+    counts = segment_counts(stamps, lengths)
     _record_build(int(lengths.size), watch.elapsed_s())
     return counts
 
@@ -140,20 +136,13 @@ class ProfileMatrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_trace_set(
-        cls,
-        traces: TraceSet,
-        offset_hours: float = 0.0,
-        *,
-        skip_empty: bool = True,
-    ) -> "ProfileMatrix":
-        """One-pass vectorised Eq. 1 over a whole crowd's stamp column."""
+    def from_trace_set(cls, traces: TraceSet) -> "ProfileMatrix":
+        """One-pass vectorised Eq. 1 over a whole crowd's stamp column.
+
+        Users without posts get no row.
+        """
         user_ids, lengths, stamps = traces.columns()
-        posted = lengths > 0
-        if not skip_empty and not posted.all():
-            empty = user_ids[int(np.argmin(posted))]
-            raise EmptyTraceError(f"user {empty!r} has no posts")
-        return cls._from_column(user_ids, lengths, stamps, posted, offset_hours)
+        return cls._from_column(user_ids, lengths, stamps, lengths > 0)
 
     @classmethod
     def _from_column(
@@ -162,7 +151,6 @@ class ProfileMatrix:
         lengths: IntArray,
         stamps: FloatArray,
         keep: BoolArray,
-        offset_hours: float = 0.0,
     ) -> "ProfileMatrix":
         """Eq. 1 rows of the users *keep* selects from a stamp column.
 
@@ -173,7 +161,7 @@ class ProfileMatrix:
             stamps = stamps[np.repeat(keep, lengths)]
             lengths = lengths[keep]
             user_ids = list(compress(user_ids, keep.tolist()))
-        return cls(user_ids, _column_counts(stamps, lengths, offset_hours))
+        return cls(user_ids, _column_counts(stamps, lengths))
 
     @classmethod
     def from_profiles(
@@ -199,18 +187,13 @@ class ProfileMatrix:
 
     @classmethod
     def from_store(
-        cls,
-        store: "TraceStore",
-        offset_hours: float = 0.0,
-        *,
-        min_posts: int = 0,
-        max_users_per_shard: int | None = None,
+        cls, store: "TraceStore", *, min_posts: int = 0
     ) -> "ProfileMatrix":
         """Build straight from a columnar :class:`~repro.datasets.store.TraceStore`.
 
-        The store is walked shard by shard (``max_users_per_shard`` users
-        at a time; default :data:`~repro.datasets.store.DEFAULT_SHARD_USERS`)
-        and the flat Eq. 1 kernel runs on each shard's stamp segment
+        The store is walked shard by shard
+        (:data:`~repro.datasets.store.DEFAULT_SHARD_USERS` users at a
+        time) and the flat Eq. 1 kernel runs on each shard's stamp segment
         directly, so no per-trace Python object is ever constructed and
         peak memory is bounded by one shard.  Users with fewer than
         *min_posts* posts (and always zero-post users) are skipped, which
@@ -218,16 +201,14 @@ class ProfileMatrix:
         """
         from repro.datasets.store import DEFAULT_SHARD_USERS
 
-        if max_users_per_shard is None:
-            max_users_per_shard = DEFAULT_SHARD_USERS
         threshold = max(int(min_posts), 1)
         ids: list[str] = []
         blocks: list[FloatArray] = []
         progress = ProgressReporter(
             "core", "profile_build", total=len(store), unit="users"
         )
-        for shard in store.iter_shards(max_users_per_shard):
-            counts = shard_hour_counts(shard, offset_hours)
+        for shard in store.iter_shards(DEFAULT_SHARD_USERS):
+            counts = shard_hour_counts(shard)
             progress.advance(len(shard))
             keep = shard.lengths >= threshold
             if not keep.any():

@@ -16,22 +16,26 @@ everything the paper reports per forum.
 
 Every entry point makes the per-user decisions (flat or not, nearest
 zone) with one :func:`~repro.core.placement.classify_profiles` pass and
-hands the survivors to one report assembler.  In-memory crowds
+hands the survivors to one report assembler.  Every crowd is polished:
+the paper removes flat profiles before placement (Sec. IV-C), and no
+entry point offers to skip it.  In-memory crowds
 (:meth:`CrowdGeolocator.geolocate`) are handled as one stamp column
-(:meth:`~repro.core.events.TraceSet.columns`): one ``np.isfinite``
-validates it, the activity threshold is a mask over the per-user
-lengths, one :class:`~repro.core.batch.ProfileMatrix` is built from the
-masked column, and ``n_users`` / ``n_posts`` are sums over the lengths;
-columnar stores
-(:meth:`CrowdGeolocator.geolocate_store`) go through the sharded engine
-of :mod:`repro.core.shard`.  The per-:class:`Profile` pipeline the
-batch path replaced is kept under ``tests/`` as its correctness oracle.
+(:meth:`~repro.core.events.TraceSet.columns`): one pass of the stamp
+rule (:func:`~repro.core.kernels.valid_stamps`) validates it, the
+activity threshold is a mask over the per-user lengths, one
+:class:`~repro.core.batch.ProfileMatrix` is built from the masked
+column, and ``n_users`` / ``n_posts`` are sums over the lengths;
+columnar stores (:meth:`CrowdGeolocator.geolocate_store`) go through the
+sharded engine of :mod:`repro.core.shard`.  The per-:class:`Profile`
+pipeline the batch path replaced is kept under ``tests/`` as its
+correctness oracle.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -178,7 +182,6 @@ class CrowdGeolocator:
         traces: TraceSet,
         *,
         crowd_name: str = "crowd",
-        polish: bool = True,
         hemisphere_top_n: int = 0,
         quarantine: bool = False,
     ) -> GeolocationReport:
@@ -190,11 +193,11 @@ class CrowdGeolocator:
         and places it with one :func:`classify_profiles` pass and shares
         it with the crowd-profile and Pearson stages.
 
-        With ``quarantine=True`` corrupt traces (empty, or with NaN/inf
-        timestamps) are set aside instead of poisoning the analysis: the
-        healthy remainder is geolocated and the report's ``data_quality``
-        field names every quarantined user and reason -- partial results
-        with an honest accounting.  With ``quarantine=False`` (the
+        With ``quarantine=True`` corrupt traces (empty, or with NaN, inf
+        or out-of-range timestamps) are set aside instead of poisoning
+        the analysis: the healthy remainder is geolocated and the report's
+        ``data_quality`` field names every quarantined user and reason --
+        partial results with an honest accounting.  With ``quarantine=False`` (the
         default) corrupt traces raise
         :class:`~repro.errors.CorruptTraceError`, never a silently wrong
         placement.
@@ -217,13 +220,11 @@ class CrowdGeolocator:
             flat, nearest = classify_profiles(
                 matrix, self.references, metric=self.metric
             )
-            keep = ~flat if polish else np.ones_like(flat)
-            n_removed = int(np.count_nonzero(~keep))
+            keep = ~flat
+            n_removed = int(np.count_nonzero(flat))
         hemisphere: tuple[HemisphereResult, ...] = ()
         if hemisphere_top_n > 0:
-            removed_ids = [
-                user_id for user_id, kept in zip(matrix.user_ids, keep) if not kept
-            ]
+            removed_ids = list(compress(matrix.user_ids, flat.tolist()))
             crowd = traces.with_min_posts(self.min_posts).without_users(removed_ids)
             hemisphere = tuple(
                 classify_most_active(crowd, hemisphere_top_n, metric=self.metric)
@@ -248,7 +249,6 @@ class CrowdGeolocator:
         store: "TraceStore",
         *,
         crowd_name: str = "crowd",
-        polish: bool = True,
         n_shards: int | None = None,
         max_workers: int = 1,
     ) -> GeolocationReport:
@@ -267,7 +267,8 @@ class CrowdGeolocator:
         ``geolocate(store.to_trace_set())`` for any shard and worker
         count.  The hemisphere test and quarantine partitioning need
         trace-level access and are not offered on this path (the store
-        format already rejects corrupt traces at ``convert`` time).
+        writers already refuse every stamp the intake rule of
+        :func:`~repro.core.kernels.valid_stamps` refuses).
         """
         from repro.core.shard import compute_partials, merge_partials
         from repro.datasets.store import DEFAULT_SHARD_USERS
@@ -287,8 +288,7 @@ class CrowdGeolocator:
                 )
             )
         with trace_span("polish", n_users=len(merged)):
-            flat = merged.flat_mask
-            keep = ~flat if polish else np.ones_like(flat)
+            keep = ~merged.flat_mask
             survivors = ProfileMatrix.from_counts(
                 merged.user_ids, merged.counts
             ).select(keep)

@@ -14,7 +14,7 @@ cells, then bincount.  The EMD kernel is cache-blocked numpy too and
 lives in :mod:`repro.core.emd`.
 
 **The cell encoder.**  A post's cell ``day * 24 + hour`` is the number
-of whole hours since the epoch, ``floor(shifted / 3600)``, and
+of whole hours since the epoch, ``floor(stamp / 3600)``, and
 :func:`_hour_cells` computes it with one float division and one floor
 per post.  :func:`repro.timebase.clock.split_day_hours` remains the
 definition (two floor-divides, a modulo and a clip per post), and the
@@ -31,24 +31,28 @@ encoder equals it cell for cell:
   ``|q|`` over the column, and 2**-47 h is more than 2**-37 s), both
   methods give the floor of the real quotient.
 * Stamps inside that distance are re-encoded by ``split_day_hours``,
-  unless ``floor(q) * 3600 == shifted``: an exact hour multiple, whose
+  unless ``floor(q) * 3600 == stamp``: an exact hour multiple, whose
   every intermediate is an exact integer in both methods, stays on the
   fast path, so hour-quantised columns do not fall back wholesale.
 * A column holding a non-finite stamp, or one beyond 2**40 hours (where
   products of cells and 3600 stop being exact), is encoded by
   ``split_day_hours`` in full.
+
+Every intake admits a stamp only when :func:`valid_stamps` holds: finite
+and less than 2**40 hours from the epoch, where the encoder is exact.
+Cells are UTC; a caller wanting another zone's clock shifts its stamps.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, overload
 
 import numpy as np
 
 from repro.timebase.clock import split_day_hours
 
 if TYPE_CHECKING:
-    from repro.core.types import FloatArray, IntArray
+    from repro.core.types import BoolArray, FloatArray, IntArray
 
 #: Hours per day -- duplicated from :mod:`repro.core.profiles` to keep this
 #: module import-light (profiles imports events; kernels must not).
@@ -60,9 +64,31 @@ _SECONDS_PER_HOUR = 3600.0
 #: may round, so the column is left to :func:`split_day_hours`.
 _MAX_FAST_HOURS = 2.0**40
 
+#: The stamp rule's bound in seconds: 2**40 hours, about 125 million years.
+MAX_ABS_STAMP_S = _MAX_FAST_HOURS * _SECONDS_PER_HOUR
 
-def _hour_cells(stamps: "FloatArray", offset_hours: float) -> "IntArray":
-    """``day * 24 + hour`` of every stamp in zone UTC+offset, as int64.
+
+@overload
+def valid_stamps(stamps: float) -> bool:
+    ...
+
+
+@overload
+def valid_stamps(stamps: "FloatArray") -> "BoolArray":
+    ...
+
+
+def valid_stamps(stamps: "float | FloatArray") -> "bool | BoolArray":
+    """The stamp rule: finite and less than 2**40 hours from the epoch.
+
+    One bool for a scalar, a mask for an array.  NaN compares false, so
+    the one comparison refuses non-finite stamps too.
+    """
+    return abs(stamps) < MAX_ABS_STAMP_S
+
+
+def _hour_cells(stamps: "FloatArray") -> "IntArray":
+    """``day * 24 + hour`` of every UTC stamp, as int64.
 
     Cell for cell equal to ``days * 24 + hours`` of
     :func:`~repro.timebase.clock.split_day_hours` (the module docstring
@@ -72,15 +98,11 @@ def _hour_cells(stamps: "FloatArray", offset_hours: float) -> "IntArray":
     stamps = np.asarray(stamps, dtype=np.float64)
     if stamps.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if offset_hours:
-        shifted = stamps + offset_hours * _SECONDS_PER_HOUR
-    else:
-        shifted = stamps
-    quotient = shifted / _SECONDS_PER_HOUR
+    quotient = stamps / _SECONDS_PER_HOUR
     floors = np.floor(quotient)
     bound = max(-float(floors.min()), float(floors.max()) + 1.0)
     if not bound <= _MAX_FAST_HOURS:  # also catches NaN and inf
-        days, hours = split_day_hours(shifted)
+        days, hours = split_day_hours(stamps)
         return days * HOURS + hours
     tol = bound * 2.0**-52 + 2.0**-47
     # |fraction - 1/2| >= 1/2 - tol  <=>  within tol of an hour boundary.
@@ -91,9 +113,9 @@ def _hour_cells(stamps: "FloatArray", offset_hours: float) -> "IntArray":
     cells = floors.astype(np.int64)
     if near.any():
         doubtful = np.flatnonzero(near)
-        doubtful = doubtful[floors[doubtful] * _SECONDS_PER_HOUR != shifted[doubtful]]
+        doubtful = doubtful[floors[doubtful] * _SECONDS_PER_HOUR != stamps[doubtful]]
         if doubtful.size:
-            days, hours = split_day_hours(shifted[doubtful])
+            days, hours = split_day_hours(stamps[doubtful])
             cells[doubtful] = days * HOURS + hours
     return cells
 
@@ -116,7 +138,7 @@ def _sorted_unique(values: "IntArray") -> "IntArray":
 
 
 def _unique_cells(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float
+    stamps: "FloatArray", lengths: "IntArray"
 ) -> "tuple[IntArray, IntArray]":
     """Every distinct (user, cell) pair of a column, by user then cell.
 
@@ -124,7 +146,7 @@ def _unique_cells(
     ``day * 24 + hour`` cell of each pair.  *stamps* must be non-empty.
     """
     user_index = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    cells = _hour_cells(stamps, offset_hours)
+    cells = _hour_cells(stamps)
     cell_min = int(cells.min())
     span = int(cells.max()) - cell_min + 1
     encoded = user_index * span + (cells - cell_min)
@@ -143,9 +165,7 @@ def _unique_cells(
     return owners, unique - owners * span + cell_min
 
 
-def segment_counts(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
-) -> "FloatArray":
+def segment_counts(stamps: "FloatArray", lengths: "IntArray") -> "FloatArray":
     """Vectorised Eq. 1 counts over a stamp column.
 
     *stamps* holds every user's timestamps back to back; *lengths* gives
@@ -156,7 +176,7 @@ def segment_counts(
     n_users = int(lengths.size)
     if stamps.size == 0:
         return np.zeros((n_users, HOURS), dtype=float)
-    owners, cells = _unique_cells(stamps, lengths, offset_hours)
+    owners, cells = _unique_cells(stamps, lengths)
     # owners * 24 + cells % 24, in place: numpy's integer remainder costs
     # several times a floor-division by a scalar.
     codes = cells // HOURS
@@ -168,7 +188,7 @@ def segment_counts(
 
 
 def segment_unique_cells(
-    stamps: "FloatArray", lengths: "IntArray", offset_hours: float = 0.0
+    stamps: "FloatArray", lengths: "IntArray"
 ) -> "tuple[IntArray, IntArray]":
     """Per-user sorted unique ``day * 24 + hour`` cells of a segmented column.
 
@@ -187,6 +207,6 @@ def segment_unique_cells(
             np.zeros(0, dtype=np.int64),
             np.zeros(n_users, dtype=np.int64),
         )
-    owners, cells = _unique_cells(stamps, lengths, offset_hours)
+    owners, cells = _unique_cells(stamps, lengths)
     cell_lengths = np.bincount(owners, minlength=n_users).astype(np.int64)
     return cells, cell_lengths

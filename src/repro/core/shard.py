@@ -23,7 +23,8 @@ same matrix:
   so the flat mask is a pure per-user predicate, decided together with
   the nearest zone by one
   :func:`~repro.core.placement.classify_profiles` pass;
-* placement histograms and post totals are integer sums.
+* post totals are integer sums, and the placement histogram is built
+  once, from the merged zone column.
 
 The test suite keeps that whole-store pipeline as the oracle the sharded
 verdict is compared with.
@@ -60,15 +61,12 @@ from repro.errors import DatasetError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
 from repro.obs.tracing import trace_span
-from repro.timebase.zones import ZONE_OFFSETS
 
 if TYPE_CHECKING:
     from repro.core.types import BoolArray, FloatArray, IntArray
     from repro.datasets.store import StoreShard, TraceStore
 
 _log = get_logger("core")
-
-_N_ZONES = len(ZONE_OFFSETS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +80,9 @@ class ShardPartial:
     tree over disjoint partials yields the same canonical value.
 
     ``flat_mask`` and ``zone_indices`` cover *every* active user (at least
-    ``min_posts`` posts) -- polishing decisions are applied at assembly
-    time, which is what lets one partial serve both the polished and the
-    unpolished pipeline.  ``placement_counts`` is the per-zone histogram
-    of the non-flat users, kept explicitly so histogram mergeability is
-    testable on its own; ``n_users_seen`` counts every user the shard
-    examined, including those dropped below the activity threshold.
+    ``min_posts`` posts); the flat users are dropped at assembly time.
+    ``n_users_seen`` counts every user the shard examined, including
+    those dropped below the activity threshold.
     """
 
     rows: "IntArray"
@@ -96,7 +91,6 @@ class ShardPartial:
     lengths: "IntArray"
     flat_mask: "BoolArray"
     zone_indices: "IntArray"
-    placement_counts: "IntArray"
     n_users_seen: int
 
     def __post_init__(self) -> None:
@@ -115,11 +109,6 @@ class ShardPartial:
                 raise DatasetError(
                     f"partial {name} shape {column.shape} != ({n},)"
                 )
-        if self.placement_counts.shape != (_N_ZONES,):
-            raise DatasetError(
-                f"partial placement_counts shape {self.placement_counts.shape} "
-                f"!= ({_N_ZONES},)"
-            )
         if n > 1 and not bool(np.all(np.diff(self.rows) > 0)):
             raise DatasetError("partial rows must be strictly increasing")
 
@@ -136,7 +125,6 @@ class ShardPartial:
             lengths=np.zeros(0, dtype=np.int64),
             flat_mask=np.zeros(0, dtype=bool),
             zone_indices=np.zeros(0, dtype=np.int64),
-            placement_counts=np.zeros(_N_ZONES, dtype=np.int64),
             n_users_seen=0,
         )
 
@@ -173,9 +161,6 @@ def _merge(partials: Sequence[ShardPartial]) -> ShardPartial:
     return ShardPartial(
         rows=rows,
         user_ids=user_ids,
-        placement_counts=np.sum(
-            [partial.placement_counts for partial in partials], axis=0
-        ),
         n_users_seen=sum(partial.n_users_seen for partial in partials),
         **columns,
     )
@@ -212,9 +197,6 @@ def compute_shard_partial(
         lengths=lengths[keep],
         flat_mask=flat,
         zone_indices=zones,
-        placement_counts=np.bincount(
-            zones[~flat], minlength=_N_ZONES
-        ).astype(np.int64),
         n_users_seen=len(shard),
     )
 

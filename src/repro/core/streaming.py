@@ -58,7 +58,7 @@ point and the reloaded instance produces the same snapshots.  One codec
 serves both payload formats: :meth:`StreamingGeolocator.binary_state`
 writes the table's columns as they are (all users' cells in one encoded
 column), the ``.npz`` payload stores them, and the JSON document of
-earlier releases (still written by default, still loadable) is
+earlier releases (still written for any other path, still loadable) is
 :meth:`StreamingGeolocator.state_dict`'s rendering of them.  Loading
 parses either payload back into the same columns, which become the
 table's (:meth:`StreamingGeolocator.from_binary_state`), so a
@@ -93,7 +93,7 @@ from repro.core.em import GaussianMixtureModel, select_mixture
 from repro.core.events import PostEvent, id_column
 from repro.core.flatness import flat_profile_mask
 from repro.core.gaussian import PAPER_SIGMA
-from repro.core.kernels import segment_unique_cells
+from repro.core.kernels import segment_unique_cells, valid_stamps
 from repro.core.placement import (
     PlacementDistribution,
     classify_profiles,
@@ -111,7 +111,7 @@ from repro.reliability.checkpoint import (
     write_binary_checkpoint,
     write_checkpoint,
 )
-from repro.reliability.clocks import WallClockFn, wall_now
+from repro.reliability.clocks import wall_now
 
 if TYPE_CHECKING:
     from repro.core.types import AnyArray, BoolArray, FloatArray, IntArray
@@ -143,6 +143,10 @@ _NO_DAY = -(2**62)
 #: times ``min_reestimate_cells`` -- at which point one more cell cannot
 #: move the placement and the estimate is considered settled.
 _REFINE_SETTLED_FACTOR = 4.0
+
+#: :meth:`_UserTable.merge_frozen` merges row by row when ``row * span +
+#: cell`` keys could reach this (2**21 rows spanning the stamp rule's range).
+_KEY_LIMIT = 2**62
 
 #: :meth:`StreamingGeolocator.observe_events` routes sized inputs holding at
 #: least this many events through the vectorised bulk path; below it the
@@ -195,6 +199,15 @@ class StreamSnapshot:
 
 #: Zone-column sentinel: the row is unplaced (dirty, under-evidenced) or flat.
 _UNPLACED = -1
+
+
+def _refusal(user_id: str, stamp: float, what: str) -> str:
+    """The message of a stamp the intake rule refuses; *what* was dropped."""
+    kind = "a non-finite" if not np.isfinite(stamp) else "an out-of-range"
+    return (
+        f"user {user_id!r} has {kind} timestamp ({float(stamp)}); "
+        f"nothing of {what} was ingested"
+    )
 
 
 def _pick(column: "list[Any]", rows: "IntArray") -> "list[Any]":
@@ -451,8 +464,7 @@ class _UserTable:
         if records.size:
             cell_min = min(int(cand.min()), int(records.min()))
             span = max(int(cand.max()), int(records.max())) - cell_min + 1
-            if n_rows * span >= 2**62:
-                # Pathological cell range: the encoded keys would overflow.
+            if n_rows * span >= _KEY_LIMIT:  # the keys could overflow int64
                 ends = np.cumsum(cand_lengths)
                 bounds = zip(rows.tolist(), (ends - cand_lengths).tolist(), ends.tolist())
                 flags = [self.merge_set(r, cand[a:b]) for r, a, b in bounds]
@@ -577,8 +589,8 @@ class StreamingGeolocator:
     go through the same dirty set, which is what keeps ``snapshot()``
     equal to ``snapshot_reference()`` whether or not migrations fired.
     The wall-clock stamps on emitted migration events are read through
-    the injectable seam of :mod:`repro.reliability.clocks` (``wall_clock``
-    parameter), never ``time.time()`` directly.
+    :func:`repro.reliability.clocks.wall_now` (which tests freeze), never
+    ``time.time()`` directly.
     """
 
     def __init__(
@@ -591,7 +603,6 @@ class StreamingGeolocator:
         max_components: int = 4,
         min_users_for_verdict: int = 10,
         drift: DriftConfig | None = None,
-        wall_clock: WallClockFn | None = None,
     ) -> None:
         self.references = references or ReferenceProfiles.canonical()
         self.metric = metric
@@ -608,7 +619,6 @@ class StreamingGeolocator:
         self._matrix_cache: ProfileMatrix | None = None
         # -- temporal-drift layer (inert when drift is None) --------------
         self.drift = drift
-        self._wall_now: WallClockFn = wall_clock if wall_clock is not None else wall_now
         self._detector = ChangePointDetector(drift) if drift is not None else None
         self._stream_day: int | None = None
         self.timeline: CompositionTimeline | None = (
@@ -628,7 +638,10 @@ class StreamingGeolocator:
         self._checkpoint_wall: float | None = None
 
     def observe(self, user_id: str, timestamp: float) -> None:
-        """Feed one (author, UTC timestamp) observation."""
+        """Feed one (author, UTC timestamp) observation; a stamp the intake
+        rule refuses raises :class:`~repro.errors.CorruptTraceError` first."""
+        if not valid_stamps(timestamp):
+            raise CorruptTraceError(_refusal(user_id, timestamp, "the event"))
         table = self._table
         row = table.index.get(user_id)
         if row is None:
@@ -703,9 +716,9 @@ class StreamingGeolocator:
         freely) -- while the heavy lifting (cell binning, per-user
         grouping, deduplication) runs as array operations through the
         :mod:`repro.core.kernels` segmented kernel.  Returns the
-        number of events ingested.  A non-finite timestamp raises
-        :class:`~repro.errors.CorruptTraceError` before any event of the
-        chunk is ingested.
+        number of events ingested.  A timestamp the intake rule refuses
+        raises :class:`~repro.errors.CorruptTraceError` before any event
+        of the chunk is ingested.
         """
         stamps = np.ascontiguousarray(timestamps, dtype=np.float64)
         if stamps.ndim != 1:
@@ -754,9 +767,9 @@ class StreamingGeolocator:
         any result: chunk boundaries never split a user, and the store
         columns arrive pre-grouped, so the per-chunk regrouping of
         :meth:`observe_batch` is skipped entirely.  Returns the number of
-        events ingested.  A chunk holding a non-finite timestamp raises
-        :class:`~repro.errors.CorruptTraceError` before any of its events
-        is ingested (earlier chunks stay ingested).
+        events ingested.  A chunk holding a timestamp the intake rule
+        refuses raises :class:`~repro.errors.CorruptTraceError` before
+        any of its events is ingested (earlier chunks stay ingested).
 
         *on_chunk*, when given, is called after each ingested chunk with
         ``(events_so_far, max_chunk_timestamp)`` -- the observatory hook
@@ -820,13 +833,12 @@ class StreamingGeolocator:
             raise ValueError("lengths do not cover the stamp column")
         if stamps.size == 0:
             return
-        finite = np.isfinite(stamps)
-        if not bool(finite.all()):
-            bad = int(np.argmin(finite))
+        valid = valid_stamps(stamps)
+        if not bool(valid.all()):
+            bad = int(np.argmin(valid))
             culprit = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
             raise CorruptTraceError(
-                f"user {user_ids[culprit]!r} has a non-finite timestamp "
-                f"({float(stamps[bad])}); nothing of this chunk was ingested"
+                _refusal(user_ids[culprit], stamps[bad], "this chunk")
             )
         if bool((lengths == 0).any()):
             # A zero-length user never reaches observe() in the per-event
@@ -951,7 +963,7 @@ class StreamingGeolocator:
             "checkpoint_lag_events": float(self._n_events - checkpointed),
         }
         if self._checkpoint_wall is not None:
-            beat["checkpoint_age_s"] = float(self._wall_now() - self._checkpoint_wall)
+            beat["checkpoint_age_s"] = float(wall_now() - self._checkpoint_wall)
         if self.drift is not None:
             if self._stream_day is not None:
                 beat["stream_day"] = float(self._stream_day)
@@ -1241,7 +1253,7 @@ class StreamingGeolocator:
             window_cells=int(recent.sum()),
             reason=reason,
             record_version=int(table.version[row]),
-            wall_time=self._wall_now(),
+            wall_time=wall_now(),
         )
         # The zone is re-checked at later lifecycle checks until the
         # truncated record settles, whether or not an event fires now.
@@ -1292,7 +1304,7 @@ class StreamingGeolocator:
             window_cells=int(cells),
             reason="refine",
             record_version=int(table.version[row]),
-            wall_time=self._wall_now(),
+            wall_time=wall_now(),
         )
         if not settled:
             self._pending_refine[user_id] = event
@@ -1612,39 +1624,24 @@ class StreamingGeolocator:
         }
         return meta, columns
 
-    def save_checkpoint(
-        self, path: "str | Path", *, format: str | None = None
-    ) -> None:
-        """Atomically persist the state; *format* is ``"json"``, ``"binary"``
-        or ``None`` to infer from the path suffix (``.npz`` -> binary).
+    def save_checkpoint(self, path: "str | Path") -> None:
+        """Atomically persist the state; a ``.npz`` *path* gets the binary
+        payload, any other the JSON document.
 
-        JSON stays the default for non-``.npz`` paths, so checkpoints
+        JSON stays the format of non-``.npz`` paths, so checkpoints
         written by earlier releases and by unchanged callers keep their
         format; the binary payload is the fast path for big crowds.  Both
         formats are written at :data:`STREAM_CHECKPOINT_VERSION` (2): an
         old reader refuses them loudly instead of silently dropping the
         drift state.
         """
-        if format is None:
-            format = "binary" if str(path).endswith(".npz") else "json"
-        if format == "json":
-            write_checkpoint(
-                path,
-                STREAM_CHECKPOINT_KIND,
-                STREAM_CHECKPOINT_VERSION,
-                self.state_dict(),
-            )
-        elif format == "binary":
-            meta, arrays = self.binary_state()
-            write_binary_checkpoint(
-                path, STREAM_CHECKPOINT_KIND, STREAM_CHECKPOINT_VERSION, meta, arrays
-            )
+        kind, version = STREAM_CHECKPOINT_KIND, STREAM_CHECKPOINT_VERSION
+        if str(path).endswith(".npz"):
+            write_binary_checkpoint(path, kind, version, *self.binary_state())
         else:
-            raise CheckpointError(
-                f"unknown checkpoint format {format!r}; options: json, binary"
-            )
+            write_checkpoint(path, kind, version, self.state_dict())
         self._checkpoint_events = self._n_events
-        self._checkpoint_wall = self._wall_now()
+        self._checkpoint_wall = wall_now()
 
     @classmethod
     def _from_config(

@@ -28,7 +28,8 @@ per-trace Python object.  Both writers spool the stamp column to disk
 block by block (``tofile``): :meth:`TraceStore.write` hands its traces
 to :meth:`TraceStore.write_columns` in blocks of
 :data:`_WRITE_BLOCK_TRACES`, so converting holds one block beyond the
-source arrays.
+source arrays.  Both refuse a stamp that
+:func:`repro.core.kernels.valid_stamps` refuses before it reaches disk.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.events import ActivityTrace, TraceSet, id_column
+from repro.core.kernels import valid_stamps
 from repro.errors import DatasetError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
@@ -66,6 +68,18 @@ _USER_IDS_NAME = "user_ids.npy"
 #: Traces per column chunk that :meth:`TraceStore.write` hands to
 #: :meth:`TraceStore.write_columns`.
 _WRITE_BLOCK_TRACES = 4096
+
+
+def _check_block_stamps(
+    user_ids: list[str], lengths: np.ndarray, stamps: np.ndarray
+) -> None:
+    """Refuse a block holding a stamp the intake rule refuses, naming its user."""
+    valid = valid_stamps(stamps)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        user = user_ids[int(np.searchsorted(np.cumsum(lengths), bad, side="right"))]
+        kind = "non-finite" if not np.isfinite(stamps[bad]) else "out-of-range"
+        raise DatasetError(f"user {user!r}: {kind} timestamp {stamps[bad]}")
 
 
 def _id_block(user_ids: list[str], seen: set[str]) -> np.ndarray:
@@ -151,8 +165,8 @@ class TraceStore:
 
         The traces are read in blocks of :data:`_WRITE_BLOCK_TRACES` and
         written by :meth:`write_columns`, so peak memory beyond the input
-        is one block's stamps, and a repeated id refuses the write with
-        nothing landing at *path*.
+        is one block's stamps, and a repeated id or a refused stamp
+        refuses the write with nothing landing at *path*.
         """
         return cls.write_columns(_trace_blocks(traces), path)
 
@@ -172,7 +186,9 @@ class TraceStore:
         column) in memory: stamps are spooled straight to disk chunk by
         chunk and the ``.npy`` header is fixed up once the total is known.
         Only the id and length tables stay resident (a few dozen bytes per
-        user).  An existing store at *path* is replaced atomically (built
+        user).  A chunk holding a stamp the intake rule refuses raises a
+        :class:`~repro.errors.DatasetError` naming its user before it is
+        spooled.  An existing store at *path* is replaced atomically (built
         under a temporary name, then swapped in), so a crash or a refused
         chunk mid-write never leaves a half store behind.
         """
@@ -202,6 +218,7 @@ class TraceStore:
                             f"chunk lengths sum to {int(lengths.sum())} but "
                             f"carry {stamps.size} stamps"
                         )
+                    _check_block_stamps(id_block, lengths, stamps)
                     id_parts.append(_id_block(id_block, seen))
                     length_parts.append(lengths)
                     stamps.tofile(handle)
@@ -248,8 +265,8 @@ class TraceStore:
     # -- opening -----------------------------------------------------------
 
     @classmethod
-    def open(cls, path: "str | Path", *, mmap: bool = True) -> "TraceStore":
-        """Open a store directory; the stamp column is memmapped by default."""
+    def open(cls, path: "str | Path") -> "TraceStore":
+        """Open a store directory; the stamp column is memmapped."""
         watch = obs_metrics.Stopwatch()
         source = Path(path)
         meta_path = source / _META_NAME
@@ -273,13 +290,9 @@ class TraceStore:
             offsets = np.load(source / _OFFSETS_NAME, allow_pickle=False)
             try:
                 stamps = np.load(
-                    source / _STAMPS_NAME,
-                    mmap_mode="r" if mmap else None,
-                    allow_pickle=False,
+                    source / _STAMPS_NAME, mmap_mode="r", allow_pickle=False
                 )
             except ValueError:
-                if not mmap:
-                    raise
                 # Zero-post stores cannot be mmapped (empty file); fall back.
                 stamps = np.load(source / _STAMPS_NAME, allow_pickle=False)
         except (OSError, ValueError) as exc:
@@ -310,7 +323,6 @@ class TraceStore:
             path=str(source),
             n_users=int(user_ids.size),
             n_posts=int(stamps.size),
-            mmap=bool(mmap),
             wall_s=round(elapsed, 6),
         )
         return cls(source, user_ids, offsets.astype(np.int64), stamps)

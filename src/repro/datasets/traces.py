@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.events import ActivityTrace, TraceSet
+from repro.core.kernels import valid_stamps
 from repro.core.profiles import (
     Profile,
     build_crowd_profile,
@@ -168,9 +169,13 @@ class LabeledDataset:
 
 
 def _check_stamps(user: str, values: FloatArray) -> None:
-    """The format's stamp rule: finite and nonnegative, else DatasetError."""
+    """The format's stamp rule, else DatasetError: the intake rule
+    (:func:`~repro.core.kernels.valid_stamps`) and nonnegative."""
     if values.size and not np.all(np.isfinite(values)):
         raise DatasetError(f"user {user!r}: non-finite timestamp")
+    if values.size and not valid_stamps(values).all():
+        extreme = values[np.argmax(np.abs(values))]
+        raise DatasetError(f"user {user!r}: out-of-range timestamp {extreme}")
     if values.size and float(values.min()) < 0.0:
         raise DatasetError(f"user {user!r}: negative timestamp {values.min()}")
 
@@ -179,8 +184,9 @@ def save_trace_set(traces: TraceSet, path: "str | Path") -> None:
     """Write one JSON line per user: {"user": ..., "timestamps": [...]}.
 
     Refuses, with the :class:`DatasetError` :func:`load_trace_set` would
-    raise, any trace holding a non-finite or negative stamp -- before the
-    file is opened, so an existing file at *path* stays as it was.
+    raise, any trace holding a non-finite, out-of-range or negative stamp
+    -- before the file is opened, so an existing file at *path* stays as
+    it was.
     """
     for trace in traces:
         _check_stamps(trace.user_id, trace.timestamps)
@@ -198,8 +204,8 @@ def _parse_trace_line(line: str) -> ActivityTrace:
     """Decode and validate one JSONL record into an :class:`ActivityTrace`.
 
     Raises :class:`DatasetError` on anything malformed -- truncated JSON,
-    wrong field types, non-finite or negative timestamps -- never a bare
-    ``KeyError``/``ValueError`` from deep inside the decoder.
+    wrong field types, non-finite, out-of-range or negative timestamps --
+    never a bare ``KeyError``/``ValueError`` from deep inside the decoder.
     """
     try:
         record = json.loads(line)
@@ -223,10 +229,10 @@ def _parse_trace_line(line: str) -> ActivityTrace:
 def load_trace_set(path: "str | Path") -> TraceSet:
     """Inverse of :func:`save_trace_set`; strict about malformed records.
 
-    Any malformed line (truncated JSON, wrong types, non-finite or
-    negative timestamps) raises :class:`DatasetError` naming the file and
-    line.  Use :func:`load_trace_set_resilient` to quarantine bad lines
-    instead of failing the whole load.
+    Any malformed line (truncated JSON, wrong types, non-finite,
+    out-of-range or negative timestamps) raises :class:`DatasetError`
+    naming the file and line.  Use :func:`load_trace_set_resilient` to
+    quarantine bad lines instead of failing the whole load.
     """
     source = Path(path)
     traces = TraceSet()

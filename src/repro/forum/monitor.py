@@ -20,6 +20,8 @@ a poll that still fails is skipped (its window folds into the next
 successful poll), replayed posts are deduplicated by id, and the full
 monitor state checkpoints to an atomic JSON file from which
 :meth:`ForumMonitor.from_checkpoint` resumes.
+The monitor only collects: ``darkcrowd monitor --drift-window`` streams
+the campaign's traces once it ends, posts from before a resume included.
 """
 
 from __future__ import annotations
@@ -93,18 +95,12 @@ class ForumMonitor:
         *,
         retry_policy: RetryPolicy | None = None,
         clock: Clock | None = None,
-        engine=None,
         observatory=None,
     ) -> None:
         self.forum = forum
         self.username = username
         self.retry_policy = retry_policy
         self.clock = clock
-        #: Optional :class:`~repro.core.streaming.StreamingGeolocator`;
-        #: every poll's fresh observations are flushed into it through the
-        #: vectorised bulk path, so a long campaign feeds the streaming
-        #: verdict without a per-post python loop.
-        self.engine = engine
         #: Optional :class:`~repro.obs.health.Observatory` (anything with
         #: ``tick(now)``): ticked once per campaign step on campaign time,
         #: so series sampling and health evaluation ride the poll cadence.
@@ -177,13 +173,6 @@ class ForumMonitor:
                 )
             )
         self._observations.extend(fresh)
-        if self.engine is not None and fresh:
-            # One bulk call per poll: the window's posts arrive as a batch,
-            # bit-identical to observing them one by one in poll order.
-            self.engine.observe_batch(
-                [observation.author for observation in fresh],
-                [observation.observed_at for observation in fresh],
-            )
         if fresh:
             obs_metrics.counter(
                 "repro_forum_monitor_posts_stamped_total",
@@ -310,17 +299,14 @@ class ForumMonitor:
         *,
         retry_policy: RetryPolicy | None = None,
         clock: Clock | None = None,
-        engine=None,
         observatory=None,
     ) -> "ForumMonitor":
         """Rebuild a monitor from :meth:`save_checkpoint` state.
 
         Re-running :meth:`run_campaign` with the original arguments then
         continues from the last completed poll: already-performed polls
-        are skipped and already-stamped posts are deduplicated.  *engine*
-        re-attaches a streaming geolocator; polls replayed from before
-        the checkpoint are skipped, so nothing is double-fed.
-        *observatory* re-attaches a health observatory the same way.
+        are skipped and already-stamped posts are deduplicated.
+        *observatory* re-attaches a health observatory.
         """
         state = read_checkpoint(
             path, MONITOR_CHECKPOINT_KIND, MONITOR_CHECKPOINT_VERSION
@@ -330,7 +316,6 @@ class ForumMonitor:
             username=str(state["username"]),
             retry_policy=retry_policy,
             clock=clock,
-            engine=engine,
             observatory=observatory,
         )
         monitor._last_poll_time = float(state["last_poll_time"])

@@ -2,7 +2,8 @@
 
 A long collection campaign against a flaky forum produces some garbage --
 users whose traces came back empty, or whose timestamps were mangled into
-NaN/inf on the way through a broken scrape.  Hard-failing the whole
+NaN/inf, or into values 2**40 hours or more from the epoch, on the way
+through a broken scrape.  Hard-failing the whole
 geolocation on one bad user loses the campaign; silently dropping the
 user hides the damage.  The quarantine mode does neither: corrupt traces
 are set aside, the healthy crowd is analysed, and a
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.events import ActivityTrace, TraceSet
+from repro.core.kernels import valid_stamps
 from repro.core.types import FloatArray, IntArray
 from repro.errors import CorruptTraceError
 from repro.obs import metrics as obs_metrics
@@ -28,6 +30,7 @@ _log = get_logger("reliability")
 #: Quarantine reason strings (stable identifiers, used in reports and tests).
 REASON_EMPTY = "empty-trace"
 REASON_NON_FINITE = "non-finite-timestamps"
+REASON_OUT_OF_RANGE = "out-of-range-timestamps"
 
 #: Reasons that indicate actual data corruption (vs mere lack of evidence);
 #: strict (non-quarantine) pipelines hard-fail on these.  Negative
@@ -35,7 +38,7 @@ REASON_NON_FINITE = "non-finite-timestamps"
 #: is arbitrary, so zones east of UTC legitimately produce posts at
 #: (slightly) negative UTC seconds -- only the on-disk JSONL format
 #: (:mod:`repro.datasets.traces`) pins timestamps to be nonnegative.
-CORRUPT_REASONS = frozenset({REASON_NON_FINITE})
+CORRUPT_REASONS = frozenset({REASON_NON_FINITE, REASON_OUT_OF_RANGE})
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,8 @@ def trace_fault(trace: ActivityTrace) -> str | None:
         return REASON_EMPTY
     if not np.all(np.isfinite(trace.timestamps)):
         return REASON_NON_FINITE
+    if not valid_stamps(trace.timestamps).all():
+        return REASON_OUT_OF_RANGE
     return None
 
 
@@ -159,14 +164,15 @@ def assert_traces_clean(
     the activity threshold drops them downstream, which was the pipeline's
     behaviour long before the quarantine mode existed.
 
-    The check is one :func:`numpy.isfinite` over the crowd's stamp column
+    The check is one pass of :func:`~repro.core.kernels.valid_stamps`
+    over the crowd's stamp column
     (:meth:`~repro.core.events.TraceSet.columns`); only a crowd that fails
     it is walked trace by trace, to name the offenders.  A clean crowd's
     column is returned, so the caller profiles the column it validated
     instead of building it again.
     """
     columns = traces.columns()
-    if np.isfinite(columns[2]).all():
+    if valid_stamps(columns[2]).all():
         return columns
     offenders: list[tuple[str, str]] = []
     for trace in traces:

@@ -33,12 +33,13 @@ from repro.core.streaming import (
     StreamSnapshot,
 )
 from repro.reliability.checkpoint import write_checkpoint
+from repro.reliability.clocks import frozen_wall_clock
 from repro.synth.drift import build_relocation_scenario
 
 #: Where the committed fixtures live.
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "streaming"
 
-#: Migration events stamp ``wall_time`` through the injectable clock.
+#: Migration events stamp ``wall_time`` through the wall-clock seam.
 FROZEN_WALL = 1.7e9
 
 #: Small thresholds, so a few weeks of a dozen users truncate a record.
@@ -70,18 +71,16 @@ def build_campaign() -> StreamingGeolocator:
         n_users=12, n_days=48, posts_per_day_mean=1.5, seed=3
     )
     engine = StreamingGeolocator(
-        min_posts=20,
-        min_users_for_verdict=3,
-        drift=FIXTURE_DRIFT,
-        wall_clock=lambda: FROZEN_WALL,
+        min_posts=20, min_users_for_verdict=3, drift=FIXTURE_DRIFT
     )
     day = None
-    for timestamp, user_id in scenario.sorted_events():
-        if day is not None and int(timestamp // 86400) != day:
-            engine.snapshot()
-        day = int(timestamp // 86400)
-        engine.observe(user_id, timestamp)
-    engine.snapshot()
+    with frozen_wall_clock(FROZEN_WALL):
+        for timestamp, user_id in scenario.sorted_events():
+            if day is not None and int(timestamp // 86400) != day:
+                engine.snapshot()
+            day = int(timestamp // 86400)
+            engine.observe(user_id, timestamp)
+        engine.snapshot()
     return engine
 
 

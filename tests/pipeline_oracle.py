@@ -1,7 +1,7 @@
 """Per-trace oracle for the in-memory ``geolocate()`` batch path.
 
 ``CrowdGeolocator.geolocate`` validates, thresholds and counts a crowd on
-its stamp column (``TraceSet.columns``): one ``np.isfinite``, an activity
+its stamp column (``TraceSet.columns``): one stamp-rule check, an activity
 mask over the lengths, one Eq. 1 kernel pass, and ``n_users`` /
 ``n_posts`` as sums over the lengths.  The oracle here is the path it
 replaced: a validation loop over the traces, then ``with_min_posts``,
@@ -12,8 +12,6 @@ report assembly is shared with production.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.batch import ProfileMatrix
 from repro.core.events import TraceSet
@@ -47,7 +45,6 @@ def geolocate_oracle(
     traces: TraceSet,
     *,
     crowd_name: str = "crowd",
-    polish: bool = True,
     hemisphere_top_n: int = 0,
 ) -> GeolocationReport:
     """Validate -> ``with_min_posts`` -> naive Eq. 1 -> polish -> report."""
@@ -62,7 +59,7 @@ def geolocate_oracle(
     flat, nearest = classify_profiles(
         matrix, locator.references, metric=locator.metric
     )
-    keep = ~flat if polish else np.ones_like(flat)
+    keep = ~flat
     removed_ids = [
         user_id for user_id, kept in zip(matrix.user_ids, keep) if not kept
     ]

@@ -77,22 +77,17 @@ def geolocate_reference(
     traces: TraceSet,
     *,
     crowd_name: str = "crowd",
-    polish: bool = True,
     hemisphere_top_n: int = 0,
 ) -> GeolocationReport:
     """The pre-batch per-``Profile`` pipeline, preserved verbatim."""
-    if polish:
-        polish_result = polish_trace_set_reference(
-            traces,
-            locator.references,
-            metric=locator.metric,
-            min_posts=locator.min_posts,
-        )
-        crowd = polish_result.polished
-        n_removed = polish_result.n_removed
-    else:
-        crowd = traces.with_min_posts(locator.min_posts)
-        n_removed = 0
+    polish_result = polish_trace_set_reference(
+        traces,
+        locator.references,
+        metric=locator.metric,
+        min_posts=locator.min_posts,
+    )
+    crowd = polish_result.polished
+    n_removed = polish_result.n_removed
     if len(crowd) == 0:
         raise EmptyTraceError(
             f"{crowd_name}: no active users after polishing "

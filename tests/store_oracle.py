@@ -24,16 +24,13 @@ def geolocate_store_oracle(
     store: TraceStore,
     *,
     crowd_name: str = "crowd",
-    polish: bool = True,
 ) -> GeolocationReport:
     """``from_store`` -> ``polish_profile_matrix`` -> placement -> report."""
     matrix = ProfileMatrix.from_store(store, min_posts=locator.min_posts)
-    n_removed = 0
-    if polish:
-        matrix, removed_ids, _ = polish_profile_matrix(
-            matrix, locator.references, metric=locator.metric
-        )
-        n_removed = len(removed_ids)
+    matrix, removed_ids, _ = polish_profile_matrix(
+        matrix, locator.references, metric=locator.metric
+    )
+    n_removed = len(removed_ids)
     if len(matrix) == 0:
         raise EmptyTraceError(f"{crowd_name}: no active users after polishing")
     assignments, placement = place_profile_matrix(

@@ -98,7 +98,7 @@ class TestProfileEquivalence:
     @given(trace_set_strategy, st.floats(-12.0, 12.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_matrix_rows_equal_reference_profiles(self, traces, offset):
-        matrix = ProfileMatrix.from_trace_set(traces, offset_hours=offset)
+        matrix = ProfileMatrix.from_trace_set(traces.shifted(offset))
         assert matrix.user_ids == tuple(
             trace.user_id for trace in traces if not trace.is_empty()
         )
@@ -147,7 +147,7 @@ class TestProfileEquivalence:
         matrix = ProfileMatrix.from_trace_set(traces)
         assert matrix.user_ids == ("a",)
         with pytest.raises(EmptyTraceError):
-            ProfileMatrix.from_trace_set(traces, skip_empty=False)
+            ProfileMatrix.from_counts(["b"], np.zeros((1, HOURS)))
 
     def test_crowd_profile_matches_reference(self):
         crowd = _mixed_crowd(seed=4)
@@ -406,12 +406,11 @@ class TestOnePassClassifier:
 
 
 class TestPipelineEquivalence:
-    @pytest.mark.parametrize("polish", [True, False])
-    def test_geolocate_engines_agree(self, polish):
+    def test_geolocate_engines_agree(self):
         crowd = _mixed_crowd(seed=7, n_diurnal=20, n_flat=5)
         locator = CrowdGeolocator(min_posts=10)
-        fast = locator.geolocate(crowd, crowd_name="c", polish=polish)
-        slow = geolocate_reference(locator, crowd, crowd_name="c", polish=polish)
+        fast = locator.geolocate(crowd, crowd_name="c")
+        slow = geolocate_reference(locator, crowd, crowd_name="c")
         assert fast.n_users == slow.n_users
         assert fast.n_posts == slow.n_posts
         assert fast.n_removed_flat == slow.n_removed_flat

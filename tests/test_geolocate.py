@@ -39,13 +39,6 @@ class TestGeolocate:
         assert report.n_removed_flat >= 3
         assert all("bot" not in user for user in report.user_zones)
 
-    def test_no_polish_keeps_bots(self, references, rng):
-        crowd = build_region_crowd("japan", 40, seed=10, n_days=366)
-        crowd.add(generate_bot_trace("bot0", rng, n_days=366, posts_per_day=3.0))
-        report = CrowdGeolocator(references).geolocate(crowd, polish=False)
-        assert report.n_removed_flat == 0
-        assert "bot0" in report.user_zones
-
     def test_empty_crowd_rejected(self, references):
         with pytest.raises(EmptyTraceError):
             CrowdGeolocator(references).geolocate(TraceSet())

@@ -116,7 +116,7 @@ class TestNumpyBackend:
         lists = [np.asarray(a, dtype=float) for a in arrays]
         stamps, lengths = _flatten(lists)
         np.testing.assert_array_equal(
-            segment_counts(stamps, lengths, offset),
+            segment_counts(stamps + offset * 3600.0, lengths),
             _naive_counts(lists, offset),
         )
 
@@ -151,7 +151,7 @@ class TestHourCellEncoder:
         # whatever split_day_hours makes of them.
         with np.errstate(invalid="ignore"):
             days, hours = split_day_hours(stamps, offset)
-            cells = _hour_cells(stamps, offset)
+            cells = _hour_cells(stamps + offset * 3600.0)
         assert cells.dtype == np.int64
         np.testing.assert_array_equal(cells, days * 24 + hours)
 
@@ -163,7 +163,7 @@ class TestHourCellEncoder:
         """split_day_hours' rounded modulo, not the exact floor, decides."""
         stamps = np.asarray([stamp])
         days, hours = split_day_hours(stamps)
-        np.testing.assert_array_equal(_hour_cells(stamps, 0.0), days * 24 + hours)
+        np.testing.assert_array_equal(_hour_cells(stamps), days * 24 + hours)
 
 
 def _naive_unique(arrays: list, offset: float) -> tuple:
@@ -194,7 +194,7 @@ class TestSegmentUniqueCells:
         """Unsorted, negative and empty segments all deduplicate correctly."""
         lists = [np.asarray(a, dtype=float) for a in arrays]
         stamps, lengths = _flatten(lists)
-        cells, counts = segment_unique_cells(stamps, lengths, offset)
+        cells, counts = segment_unique_cells(stamps + offset * 3600.0, lengths)
         want_cells, want_counts = _naive_unique(lists, offset)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(cells, want_cells)

@@ -139,49 +139,3 @@ class TestForumMonitor:
         remote = client.connect(descriptor.onion, {descriptor.onion: host})
         result = ForumMonitor(remote).run_campaign(0.0, 5 * 86400.0, 7200.0)
         assert len(result.traces) == 2
-
-
-class TestMonitorEngineFeed:
-    """An attached streaming engine is fed through the bulk path."""
-
-    def test_poll_flushes_fresh_observations(self):
-        from repro.core.streaming import StreamingGeolocator
-
-        engine = StreamingGeolocator(min_posts=1)
-        monitor = ForumMonitor(_forum_with_live_posts(), engine=engine)
-        monitor.poll(5 * 86400.0)
-        # First poll discards the backlog: nothing reaches the engine.
-        assert engine.n_events == 0
-        fresh = monitor.poll(20 * 86400.0)
-        assert engine.n_events == len(fresh) > 0
-        oracle = StreamingGeolocator(min_posts=1)
-        for observation in fresh:
-            oracle.observe(observation.author, observation.observed_at)
-        assert engine.state_dict() == oracle.state_dict()
-
-    def test_campaign_feeds_every_stamped_post(self):
-        from repro.core.streaming import StreamingGeolocator
-
-        engine = StreamingGeolocator(min_posts=1)
-        monitor = ForumMonitor(_forum_with_live_posts(), engine=engine)
-        result = monitor.run_campaign(0.0, 12 * 86400.0, 3600.0)
-        assert engine.n_events == len(result.observations)
-        assert set(result.traces.user_ids()) <= {"alice", "bob"}
-
-    def test_resume_does_not_double_feed(self, tmp_path):
-        from repro.core.streaming import StreamingGeolocator
-
-        path = tmp_path / "campaign.json"
-        first = ForumMonitor(
-            _forum_with_live_posts(), engine=StreamingGeolocator(min_posts=1)
-        )
-        first.run_campaign(0.0, 6 * 86400.0, 3600.0, checkpoint_path=path)
-        n_before_resume = len(first._observations)
-        resumed_engine = StreamingGeolocator(min_posts=1)
-        resumed = ForumMonitor.from_checkpoint(
-            _forum_with_live_posts(), path, engine=resumed_engine
-        )
-        result = resumed.run_campaign(0.0, 12 * 86400.0, 3600.0)
-        # Replayed polls are skipped, so the re-attached engine sees only
-        # the post-checkpoint observations.
-        assert resumed_engine.n_events == len(result.observations) - n_before_resume

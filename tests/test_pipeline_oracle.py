@@ -110,19 +110,15 @@ class TestPipelineOracle:
     @given(
         crowds(),
         st.sampled_from([0, 1, 30]),
-        st.booleans(),
         st.sampled_from([0, 3]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_every_report_field_matches(
-        self, traces, min_posts, polish, hemisphere_top_n
-    ):
+    def test_every_report_field_matches(self, traces, min_posts, hemisphere_top_n):
         locator = CrowdGeolocator(REFERENCES, min_posts=min_posts)
         assert_same_outcome(
             locator,
             traces,
             crowd_name="oracle",
-            polish=polish,
             hemisphere_top_n=hemisphere_top_n,
         )
 
@@ -172,6 +168,6 @@ class TestPipelineOracle:
             + [ActivityTrace("silent")]
         )
         locator = CrowdGeolocator(REFERENCES, min_posts=0)
-        report = assert_same_outcome(locator, traces, polish=False)
+        report = assert_same_outcome(locator, traces)
         assert report is not None
         assert report.n_users == 13 and len(report.user_zones) == 12

@@ -435,11 +435,6 @@ class TestStreamingBinaryCheckpoint:
         with pytest.raises(CheckpointError, match="unsorted|duplicate"):
             StreamingGeolocator.load_checkpoint(path)
 
-    def test_unknown_format_name_refused(self, references, tmp_path):
-        stream = StreamingGeolocator(references)
-        with pytest.raises(CheckpointError, match="format"):
-            stream.save_checkpoint(tmp_path / "s.bin", format="parquet")
-
 
 class TestFrozenStreamingCheckpoints:
     """Checkpoints written by an earlier engine load exactly as they did.

@@ -91,7 +91,6 @@ def _assert_partials_equal(a: ShardPartial, b: ShardPartial) -> None:
     np.testing.assert_array_equal(a.lengths, b.lengths)
     np.testing.assert_array_equal(a.flat_mask, b.flat_mask)
     np.testing.assert_array_equal(a.zone_indices, b.zone_indices)
-    np.testing.assert_array_equal(a.placement_counts, b.placement_counts)
     assert a.n_users_seen == b.n_users_seen
 
 
@@ -124,19 +123,6 @@ class TestShardAlgebra:
         with pytest.raises(DatasetError, match="overlapping"):
             partials[0].merge(partials[0])
 
-    def test_placement_histogram_merges_by_addition(self, partials):
-        merged = merge_partials(list(partials))
-        np.testing.assert_array_equal(
-            merged.placement_counts,
-            np.sum([p.placement_counts for p in partials], axis=0),
-        )
-        np.testing.assert_array_equal(
-            merged.placement_counts,
-            np.bincount(
-                merged.zone_indices[~merged.flat_mask], minlength=24
-            ),
-        )
-
     def test_merged_covers_every_user_once(self, shard_store, partials):
         merged = merge_partials(list(partials))
         assert merged.n_users_seen == len(shard_store)
@@ -153,7 +139,6 @@ class TestShardAlgebra:
                 lengths=np.array([5], dtype=np.int64),
                 flat_mask=np.zeros(1, dtype=bool),
                 zone_indices=np.zeros(1, dtype=np.int64),
-                placement_counts=np.zeros(24, dtype=np.int64),
                 n_users_seen=1,
             )
         with pytest.raises(DatasetError, match="strictly increasing"):
@@ -164,7 +149,6 @@ class TestShardAlgebra:
                 lengths=np.array([5, 5], dtype=np.int64),
                 flat_mask=np.zeros(2, dtype=bool),
                 zone_indices=np.zeros(2, dtype=np.int64),
-                placement_counts=np.zeros(24, dtype=np.int64),
                 n_users_seen=2,
             )
         assert len(good) == 0
@@ -225,16 +209,6 @@ class TestShardedOracle:
         _assert_reports_identical(oracle, sharded)
         assert oracle.n_removed_flat > 0  # the polish path is exercised
 
-    def test_bit_identical_without_polish(self, shard_store):
-        locator = CrowdGeolocator(min_posts=MIN_POSTS)
-        oracle = geolocate_store_oracle(
-            locator, shard_store, crowd_name="c", polish=False
-        )
-        sharded = locator.geolocate_store_sharded(
-            shard_store, crowd_name="c", polish=False, n_shards=3
-        )
-        _assert_reports_identical(oracle, sharded)
-
     def test_bit_identical_across_worker_pool(self, shard_store):
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
         oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
@@ -243,21 +217,17 @@ class TestShardedOracle:
         )
         _assert_reports_identical(oracle, pooled)
 
-    @pytest.mark.parametrize("polish", [True, False])
     @pytest.mark.parametrize("max_workers", [1, 2])
     @pytest.mark.parametrize("n_shards", [None, 1, 2, 8])
     def test_store_entry_points_match_oracle(
-        self, shard_store, n_shards, max_workers, polish
+        self, shard_store, n_shards, max_workers
     ):
-        """Default and explicit shard counts, inline and pooled, polish on/off."""
+        """Default and explicit shard counts, inline and pooled."""
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
-        oracle = geolocate_store_oracle(
-            locator, shard_store, crowd_name="c", polish=polish
-        )
+        oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
         report = locator.geolocate_store(
             shard_store,
             crowd_name="c",
-            polish=polish,
             n_shards=n_shards,
             max_workers=max_workers,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -149,12 +150,15 @@ class TestShardedReads:
         assert via_store.user_ids == via_traces.user_ids
         np.testing.assert_array_equal(via_store.matrix, via_traces.matrix)
 
-    def test_from_store_sharding_does_not_change_profiles(self, tmp_path):
+    def test_from_store_sharding_does_not_change_profiles(
+        self, tmp_path, monkeypatch
+    ):
         crowd = _crowd(30)
         TraceStore.write(crowd, tmp_path / "s")
         store = TraceStore.open(tmp_path / "s")
         whole = ProfileMatrix.from_store(store)
-        sharded = ProfileMatrix.from_store(store, max_users_per_shard=7)
+        monkeypatch.setattr("repro.datasets.store.DEFAULT_SHARD_USERS", 7)
+        sharded = ProfileMatrix.from_store(store)
         assert sharded.user_ids == whole.user_ids
         np.testing.assert_array_equal(sharded.matrix, whole.matrix)
 
@@ -282,6 +286,73 @@ class TestWriteColumns:
         ]
         with pytest.raises(DatasetError, match="duplicate"):
             TraceStore.write_columns(iter(bad), tmp_path / "bad")
+
+
+def _one_bad_stamp(bad: float) -> TraceSet:
+    """User "a" holds one *bad* stamp among 41; user "b" is clean."""
+    stamps = np.arange(41, dtype=float) * 3607.0
+    stamps[20] = bad
+    return TraceSet(
+        [ActivityTrace("a", stamps), ActivityTrace("b", np.arange(40) * 3599.0)]
+    )
+
+
+#: SHA-256 of each file of :func:`_tiny_crowd`'s store, as the writers
+#: produced it before they checked stamps.
+TINY_STORE_DIGESTS = {
+    "meta.json": "807252039018461b4971e8df94dde88e5067bd68dead00a508c2d5fdcf44e4ab",
+    "offsets.npy": "073a18e35b575e1ac96fa61fbeaec68d0b1113a98b015cb499ca2d66f69034fb",
+    "stamps.npy": "c3047466b05ebf07ecb7607f70776174299e6b44f6cd67968d1ef854c7c05b80",
+    "user_ids.npy": "22360085a62c8ab78da087673d200eac87ce468b211f05d539a3d0cba199ffb2",
+}
+
+
+def _tiny_crowd() -> TraceSet:
+    return TraceSet(
+        ActivityTrace(
+            f"u{i}", [day * 86400.0 + i * 3600.0 + 0.25 for day in range(i + 1)]
+        )
+        for i in range(5)
+    )
+
+
+def _file_bytes(path) -> dict[str, bytes]:
+    return {child.name: child.read_bytes() for child in sorted(path.iterdir())}
+
+
+class TestStampRuleOnWrite:
+    """The writers refuse, before spooling, a stamp the intake rule refuses."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+    def test_refused_write_leaves_nothing(self, tmp_path, bad):
+        with pytest.raises(DatasetError, match="'a'"):
+            TraceStore.write(_one_bad_stamp(bad), tmp_path / "s")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_later_chunk_leaves_nothing(self, tmp_path):
+        chunks = [
+            (["x"], np.array([1], dtype=np.int64), np.array([1.0])),
+            (["y", "z"], np.array([1, 1], dtype=np.int64), np.array([2.0, np.nan])),
+        ]
+        with pytest.raises(DatasetError, match="'z'"):
+            TraceStore.write_columns(iter(chunks), tmp_path / "c")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_write_keeps_the_existing_store(self, tmp_path):
+        TraceStore.write(_crowd(3), tmp_path / "kept")
+        before = _file_bytes(tmp_path / "kept")
+        with pytest.raises(DatasetError, match="non-finite"):
+            TraceStore.write(_one_bad_stamp(np.nan), tmp_path / "kept")
+        assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+        assert _file_bytes(tmp_path / "kept") == before
+
+    def test_clean_store_bytes_unchanged(self, tmp_path):
+        TraceStore.write(_tiny_crowd(), tmp_path / "s")
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in _file_bytes(tmp_path / "s").items()
+        }
+        assert digests == TINY_STORE_DIGESTS
 
 
 class TestShardBoundsAndRanges:

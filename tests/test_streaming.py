@@ -7,6 +7,7 @@ import numpy as np
 from repro.analysis.streaming_experiments import run_convergence_experiment
 from repro.core.events import PostEvent
 from repro.core.streaming import StreamingGeolocator
+from repro.reliability.clocks import frozen_wall_clock
 from repro.synth.twitter import build_region_crowd
 
 
@@ -226,13 +227,13 @@ class TestHeartbeat:
         assert stream.heartbeat()["snapshot_lag_events"] == 1.0
 
     def test_checkpoint_lag_and_age(self, references, tmp_path):
-        clock = {"t": 1000.0}
-        stream = StreamingGeolocator(references, wall_clock=lambda: clock["t"])
+        stream = StreamingGeolocator(references)
         self._fill(stream, n_users=3)
         assert "checkpoint_age_s" not in stream.heartbeat()
-        stream.save_checkpoint(tmp_path / "c.npz")
-        clock["t"] = 1007.0
-        beat = stream.heartbeat()
+        with frozen_wall_clock(1000.0):
+            stream.save_checkpoint(tmp_path / "c.npz")
+        with frozen_wall_clock(1007.0):
+            beat = stream.heartbeat()
         assert beat["checkpoint_lag_events"] == 0.0
         assert beat["checkpoint_age_s"] == 7.0
 

@@ -27,15 +27,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.drift import DriftConfig
+from repro.core import streaming as streaming_module
 from repro.core.events import ActivityTrace, PostEvent
 from repro.core.streaming import BATCH_OBSERVE_THRESHOLD, StreamingGeolocator, _UserTable
 from repro.datasets.store import TraceStore
 from repro.errors import CorruptTraceError
+from repro.reliability.clocks import frozen_wall_clock
 from repro.synth.drift import build_relocation_scenario
 
-#: Migration events stamp ``wall_time`` from the injectable clock seam;
+#: Migration events stamp ``wall_time`` from the wall-clock seam;
 #: freezing it makes event logs comparable across engines.
 FROZEN_WALL = 1.7e9
+
+
+@pytest.fixture(autouse=True)
+def _frozen_wall():
+    with frozen_wall_clock(FROZEN_WALL):
+        yield
 
 #: Small thresholds so the drift lifecycle actually fires on the few
 #: hundred events a property-test example feeds.
@@ -53,9 +61,7 @@ BETWEEN_OPS = ("snapshot", "roundtrip", "roundtrip_binary")
 
 
 def make_engine(drift: DriftConfig | None) -> StreamingGeolocator:
-    return StreamingGeolocator(
-        min_posts=3, drift=drift, wall_clock=lambda: FROZEN_WALL
-    )
+    return StreamingGeolocator(min_posts=3, drift=drift)
 
 
 def feed_per_event(engine: StreamingGeolocator, segment) -> None:
@@ -157,10 +163,8 @@ def apply_bulk(engine: StreamingGeolocator, op: str, segment):
         engine.snapshot()
     elif op == "roundtrip":
         engine = StreamingGeolocator.from_state_dict(engine.state_dict())
-        engine._wall_now = lambda: FROZEN_WALL
     elif op == "roundtrip_binary":
         engine = StreamingGeolocator.from_binary_state(*engine.binary_state())
-        engine._wall_now = lambda: FROZEN_WALL
     else:  # pragma: no cover - strategy bug
         raise AssertionError(op)
     return engine
@@ -233,9 +237,7 @@ class TestTableScale:
     @staticmethod
     def _round_trip(engine: StreamingGeolocator, path: Path) -> StreamingGeolocator:
         engine.save_checkpoint(path)
-        restored = StreamingGeolocator.load_checkpoint(path)
-        restored._wall_now = lambda: FROZEN_WALL
-        return restored
+        return StreamingGeolocator.load_checkpoint(path)
 
     @pytest.mark.parametrize("drift", [None, SMALL_DRIFT], ids=["plain", "drift"])
     def test_mixed_intake_matches_per_event_oracle(self, drift, tmp_path):
@@ -293,9 +295,12 @@ class TestTableScale:
 
     @pytest.mark.parametrize("restored", [False, True], ids=["bulk", "restored"])
     def test_cell_range_overflow_merges_row_by_row(self, restored, monkeypatch):
-        # Posts near 1e22 s land so far from the records' cells that the
-        # whole-chunk merge's ``row * span + cell`` keys would overflow
-        # int64, so each row of the chunk is merged on its own instead.
+        # When the whole-chunk merge's ``row * span + cell`` keys could
+        # overflow int64 -- millions of rows whose cells span the stamp
+        # rule's whole range -- each row of the chunk is merged on its own
+        # instead.  The key limit is lowered so that forty users whose
+        # posts lie a century apart take that path.
+        monkeypatch.setattr(streaming_module, "_KEY_LIMIT", 2**20)
         rng = np.random.default_rng(1022)
         users = [f"u{index}" for index in range(40)]
         early = [
@@ -306,7 +311,7 @@ class TestTableScale:
         late = [
             (user, stamp)
             for user in users
-            for stamp in (1e22 + rng.uniform(0.0, 1e8, size=4)).tolist()
+            for stamp in (3.2e9 + rng.uniform(0.0, 1e8, size=4)).tolist()
         ]
         rng.shuffle(late)
         oracle = make_engine(None)
@@ -337,18 +342,14 @@ class TestRelocationChunked:
     def test_chunked_replay_matches_per_event(self):
         scenario = build_relocation_scenario(seed=42)
         events = scenario.sorted_events()
-        oracle = StreamingGeolocator(
-            drift=DriftConfig(), wall_clock=lambda: FROZEN_WALL
-        )
+        oracle = StreamingGeolocator(drift=DriftConfig())
         for timestamp, user_id in events:
             oracle.observe(user_id, timestamp)
         assert oracle.migrations, "scenario must actually fire migrations"
         reference_state = oracle.state_dict()
         reference_log = [event.to_dict() for event in oracle.migrations]
         for chunk in (13, 4096, len(events)):
-            engine = StreamingGeolocator(
-                drift=DriftConfig(), wall_clock=lambda: FROZEN_WALL
-            )
+            engine = StreamingGeolocator(drift=DriftConfig())
             for low in range(0, len(events), chunk):
                 segment = events[low : low + chunk]
                 engine.observe_batch(
@@ -463,7 +464,8 @@ class TestStampJustBeforeMidnight:
 
 
 class TestNonFiniteTimestamps:
-    """Bulk intake refuses NaN/inf stamps before touching any state."""
+    """Every intake refuses the stamps the intake rule refuses (NaN, inf,
+    2**40 hours or more from the epoch) before touching any state."""
 
     @staticmethod
     def _engine() -> StreamingGeolocator:
@@ -471,7 +473,27 @@ class TestNonFiniteTimestamps:
         engine.observe("a", 3600.0)
         return engine
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+    def test_observe_refuses_like_the_bulk_path(self, bad):
+        engine = self._engine()
+        meta, arrays = engine.binary_state()
+        feeds = (
+            lambda: engine.observe("z", bad),
+            lambda: engine.observe("a", bad),
+            lambda: engine.observe_batch(["z"], [bad]),
+            lambda: engine.observe_batch(["a"], [bad]),
+        )
+        for feed in feeds:
+            with pytest.raises(CorruptTraceError, match="'[az]'"):
+                feed()
+            meta_after, arrays_after = engine.binary_state()
+            assert meta_after == meta
+            assert arrays_after.keys() == arrays.keys()
+            for key in arrays:
+                assert np.array_equal(arrays_after[key], arrays[key]), key
+        assert engine.n_users() == 1 and engine.n_events == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
     def test_observe_batch_rejects_without_ingesting(self, bad):
         engine = self._engine()
         before = engine.state_dict()
@@ -482,10 +504,17 @@ class TestNonFiniteTimestamps:
         assert engine.state_dict() == before
 
     def test_ingest_store_rejects_without_ingesting(self, tmp_path):
-        store = TraceStore.write_columns(
-            [(["b", "c"], np.array([2, 1]), np.array([3600.0, np.nan, 7200.0]))],
+        # The store writers refuse a NaN, so it is planted in the written
+        # column, as in a store damaged on disk.
+        TraceStore.write_columns(
+            [(["b", "c"], np.array([2, 1]), np.array([3600.0, 5400.0, 7200.0]))],
             tmp_path / "bad.store",
         )
+        column = np.load(tmp_path / "bad.store" / "stamps.npy", mmap_mode="r+")
+        column[1] = np.nan
+        column.flush()
+        del column
+        store = TraceStore.open(tmp_path / "bad.store")
         engine = self._engine()
         before = engine.state_dict()
         with pytest.raises(CorruptTraceError, match="'b'"):
