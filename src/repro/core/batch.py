@@ -11,12 +11,15 @@ and every timestamp back to back): every post is encoded into a flat
 duplicate day-hours (the paper's indicator ``a_d(h)``) are dropped, and
 one ``np.bincount`` accumulates the per-hour counts for every user at
 once (:func:`repro.core.kernels.segment_counts`).  Users are selected by
-masking the column by lengths, never by rebuilding trace sets.
+masking the column by lengths before the kernel runs, never by
+rebuilding trace sets: :func:`masked_counts` is that masked build, shared
+by every batch path.
 
 Out-of-core crowds enter through :meth:`ProfileMatrix.from_store`, which
-walks a :class:`~repro.datasets.store.TraceStore` shard by shard and runs
-the flat Eq. 1 kernel directly on each shard's memmapped stamp segment --
-no per-trace Python objects, peak memory bounded by one shard.  Crowds
+walks a :class:`~repro.datasets.store.TraceStore` over its
+:meth:`~repro.datasets.store.TraceStore.shard_bounds` ranges and runs
+the masked build directly on each shard's memmapped stamp segment -- no
+per-trace Python objects, peak memory bounded by one shard.  Crowds
 that need more than one core go through the sharded engine
 (:mod:`repro.core.shard`), whose threads over the one memmapped store are
 the only fan-out.  User ids travel as columns (tuples picked with
@@ -36,7 +39,7 @@ they are property-tested against.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
 from typing import TYPE_CHECKING
 
@@ -52,28 +55,33 @@ from repro.obs.progress import ProgressReporter
 
 if TYPE_CHECKING:
     from repro.core.types import BoolArray, FloatArray, IntArray
-    from repro.datasets.store import StoreShard, TraceStore
+    from repro.datasets.store import TraceStore
 
 _log = get_logger("core")
 
 
-def shard_hour_counts(shard: "StoreShard") -> FloatArray:
-    """Eq. 1 numerators of every user in one store shard, in one pass.
+def masked_counts(
+    user_ids: Sequence[str],
+    lengths: IntArray,
+    stamps: FloatArray,
+    keep: BoolArray,
+) -> tuple[Sequence[str], IntArray, FloatArray]:
+    """Eq. 1 numerators of the users *keep* selects from a stamp column.
 
-    Runs the counts kernel straight on the shard's memmapped stamp
-    segment; every user of the shard gets a row, zero-post users an
-    all-zero one.  Shared by :meth:`ProfileMatrix.from_store` and the
-    sharded engine, and accounted as one profile build.
+    Dropped users' stamps are masked out of the column by lengths, so the
+    counts kernel runs once, over the kept users' posts only.  Returns
+    the kept users' ids, lengths and ``(kept, 24)`` raw counts, in column
+    order; a kept zero-post user gets an all-zero row.  Accounted as one
+    profile build.
     """
-    return _column_counts(np.asarray(shard.stamps, dtype=np.float64), shard.lengths)
-
-
-def _column_counts(stamps: FloatArray, lengths: IntArray) -> FloatArray:
-    """Eq. 1 numerators of a stamp column, accounted as one profile build."""
+    if not keep.all():
+        stamps = np.asarray(stamps)[np.repeat(keep, lengths)]
+        lengths = lengths[keep]
+        user_ids = tuple(compress(user_ids, keep.tolist()))
     watch = obs_metrics.Stopwatch()
     counts = segment_counts(stamps, lengths)
     _record_build(int(lengths.size), watch.elapsed_s())
-    return counts
+    return user_ids, lengths, counts
 
 
 def _record_build(n_users: int, elapsed_s: float) -> None:
@@ -142,26 +150,8 @@ class ProfileMatrix:
         Users without posts get no row.
         """
         user_ids, lengths, stamps = traces.columns()
-        return cls._from_column(user_ids, lengths, stamps, lengths > 0)
-
-    @classmethod
-    def _from_column(
-        cls,
-        user_ids: list[str],
-        lengths: IntArray,
-        stamps: FloatArray,
-        keep: BoolArray,
-    ) -> "ProfileMatrix":
-        """Eq. 1 rows of the users *keep* selects from a stamp column.
-
-        Every selected user must have posts.  Dropped users' stamps are
-        masked out of the column by lengths before the kernel runs.
-        """
-        if not keep.all():
-            stamps = stamps[np.repeat(keep, lengths)]
-            lengths = lengths[keep]
-            user_ids = list(compress(user_ids, keep.tolist()))
-        return cls(user_ids, _column_counts(stamps, lengths))
+        kept_ids, _, counts = masked_counts(user_ids, lengths, stamps, lengths > 0)
+        return cls(kept_ids, counts)
 
     @classmethod
     def from_profiles(
@@ -191,30 +181,29 @@ class ProfileMatrix:
     ) -> "ProfileMatrix":
         """Build straight from a columnar :class:`~repro.datasets.store.TraceStore`.
 
-        The store is walked shard by shard
-        (:data:`~repro.datasets.store.DEFAULT_SHARD_USERS` users at a
-        time) and the flat Eq. 1 kernel runs on each shard's stamp segment
-        directly, so no per-trace Python object is ever constructed and
-        peak memory is bounded by one shard.  Users with fewer than
-        *min_posts* posts (and always zero-post users) are skipped, which
-        matches ``from_trace_set(traces.with_min_posts(min_posts))``.
+        The store is walked over its
+        :meth:`~repro.datasets.store.TraceStore.shard_bounds` ranges (its
+        :meth:`~repro.datasets.store.TraceStore.default_shard_count`) and
+        :func:`masked_counts` runs on each shard's stamp segment directly,
+        so no per-trace Python object is ever constructed and peak memory
+        is bounded by one shard.  Users with fewer than *min_posts* posts
+        (and always zero-post users) are skipped, which matches
+        ``from_trace_set(traces.with_min_posts(min_posts))``.
         """
-        from repro.datasets.store import DEFAULT_SHARD_USERS
-
         threshold = max(int(min_posts), 1)
         ids: list[str] = []
         blocks: list[FloatArray] = []
         progress = ProgressReporter(
             "core", "profile_build", total=len(store), unit="users"
         )
-        for shard in store.iter_shards(DEFAULT_SHARD_USERS):
-            counts = shard_hour_counts(shard)
+        for start, stop in store.shard_bounds(store.default_shard_count()):
+            shard = store.shard(start, stop)
+            kept_ids, _, counts = masked_counts(
+                shard.user_ids, shard.lengths, shard.stamps, shard.lengths >= threshold
+            )
             progress.advance(len(shard))
-            keep = shard.lengths >= threshold
-            if not keep.any():
-                continue
-            ids.extend(compress(shard.user_ids, keep.tolist()))
-            blocks.append(counts[keep])
+            ids.extend(kept_ids)
+            blocks.append(counts)
         progress.finish()
         if not ids:
             return cls.empty()

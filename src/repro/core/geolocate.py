@@ -14,21 +14,22 @@
 The result is a :class:`GeolocationReport`, a plain data object holding
 everything the paper reports per forum.
 
-Every entry point makes the per-user decisions (flat or not, nearest
-zone) with one :func:`~repro.core.placement.classify_profiles` pass and
-hands the survivors to one report assembler.  Every crowd is polished:
-the paper removes flat profiles before placement (Sec. IV-C), and no
-entry point offers to skip it.  In-memory crowds
-(:meth:`CrowdGeolocator.geolocate`) are handled as one stamp column
-(:meth:`~repro.core.events.TraceSet.columns`): one pass of the stamp
-rule (:func:`~repro.core.kernels.valid_stamps`) validates it, the
-activity threshold is a mask over the per-user lengths, one
-:class:`~repro.core.batch.ProfileMatrix` is built from the masked
-column, and ``n_users`` / ``n_posts`` are sums over the lengths;
-columnar stores (:meth:`CrowdGeolocator.geolocate_store`) go through the
-sharded engine of :mod:`repro.core.shard`.  The per-:class:`Profile`
-pipeline the batch path replaced is kept under ``tests/`` as its
-correctness oracle.
+Both batch entry points make every per-user decision with one
+reduction, :func:`~repro.core.shard.compute_shard_partial`: the activity
+threshold masks a stamp column, one Eq. 1 kernel pass builds the
+admitted users' profiles, and one
+:func:`~repro.core.placement.classify_profiles` pass decides flat or
+not and the nearest zone.  In-memory crowds
+(:meth:`CrowdGeolocator.geolocate`) are reduced as one column
+(:meth:`~repro.core.events.TraceSet.columns`, validated by one pass of
+the stamp rule :func:`~repro.core.kernels.valid_stamps`); columnar
+stores (:meth:`CrowdGeolocator.geolocate_store`) shard by shard, the
+partials merged in shard order (:mod:`repro.core.shard`).  One report
+assembler takes the partial and derives the survivors, ``n_users``,
+``n_posts`` and ``n_removed_flat``.  Every crowd is polished: the paper
+removes flat profiles before placement (Sec. IV-C), and no entry point
+offers to skip it.  The per-:class:`Profile` pipeline the batch path
+replaced is kept under ``tests/`` as its correctness oracle.
 """
 
 from __future__ import annotations
@@ -38,21 +39,20 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.batch import ProfileMatrix
 from repro.core.em import GaussianMixtureModel, select_mixture
 from repro.core.events import TraceSet
 from repro.core.gaussian import PAPER_SIGMA
 from repro.core.hemisphere import HemisphereResult, classify_most_active
 from repro.core.metrics import FitDistanceMetrics, fit_distance_metrics, pearson
-from repro.core.placement import (
-    PlacementDistribution,
-    assign_zones,
-    classify_profiles,
-)
+from repro.core.placement import PlacementDistribution, assign_zones
 from repro.core.profiles import Profile
 from repro.core.reference import ReferenceProfiles
+from repro.core.shard import (
+    ShardPartial,
+    compute_partials,
+    compute_shard_partial,
+    merge_partials,
+)
 from repro.errors import EmptyTraceError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
@@ -64,7 +64,6 @@ from repro.reliability.quality import (
 )
 
 if TYPE_CHECKING:
-    from repro.core.types import IntArray
     from repro.datasets.store import TraceStore
 
 _log = get_logger("core")
@@ -188,10 +187,9 @@ class CrowdGeolocator:
         """Run the full pipeline on an anonymous crowd's traces.
 
         Takes the crowd's stamp column once (validation checks the column
-        the profile build reads), builds its
-        :class:`ProfileMatrix` from the active users' segments, polishes
-        and places it with one :func:`classify_profiles` pass and shares
-        it with the crowd-profile and Pearson stages.
+        the profile build reads) and reduces it with
+        :func:`~repro.core.shard.compute_shard_partial`, the reduction
+        :meth:`geolocate_store` runs on every store shard.
 
         With ``quarantine=True`` corrupt traces (empty, or with NaN, inf
         or out-of-range timestamps) are set aside instead of poisoning
@@ -207,37 +205,26 @@ class CrowdGeolocator:
         with trace_span("quarantine" if quarantine else "validate"):
             if quarantine:
                 traces, quality = partition_trace_set(traces)
+                columns = traces.columns()
             else:
                 columns = assert_traces_clean(traces)
         with trace_span("profile_build", crowd=crowd_name):
-            user_ids, lengths, stamps = (
-                traces.columns() if quarantine else columns
+            partial = compute_shard_partial(
+                *columns,
+                self.references,
+                metric=self.metric,
+                min_posts=self.min_posts,
             )
-            active = lengths >= self.min_posts
-            rows = active & (lengths > 0)
-            matrix = ProfileMatrix._from_column(user_ids, lengths, stamps, rows)
-        with trace_span("polish", n_users=len(matrix)):
-            flat, nearest = classify_profiles(
-                matrix, self.references, metric=self.metric
-            )
-            keep = ~flat
-            n_removed = int(np.count_nonzero(flat))
         hemisphere: tuple[HemisphereResult, ...] = ()
         if hemisphere_top_n > 0:
-            removed_ids = list(compress(matrix.user_ids, flat.tolist()))
+            removed_ids = list(compress(partial.user_ids, partial.flat_mask.tolist()))
             crowd = traces.with_min_posts(self.min_posts).without_users(removed_ids)
             hemisphere = tuple(
                 classify_most_active(crowd, hemisphere_top_n, metric=self.metric)
             )
         return self._assemble(
             crowd_name,
-            matrix.select(keep),
-            nearest[keep],
-            # Active users include the empty ones when min_posts <= 0;
-            # they never get a row, so polishing never removes them.
-            n_users=int(np.count_nonzero(active)) - n_removed,
-            n_posts=int(lengths[rows][keep].sum()),
-            n_removed=n_removed,
+            partial,
             pipeline="batch",
             watch=watch,
             hemisphere=hemisphere,
@@ -255,27 +242,27 @@ class CrowdGeolocator:
         """Out-of-core pipeline entry: geolocate a columnar trace store.
 
         The store is partitioned into *n_shards* contiguous user ranges
-        (default: one per :data:`~repro.datasets.store.DEFAULT_SHARD_USERS`
-        users) and each range is reduced to a
+        (default: :meth:`~repro.datasets.store.TraceStore.default_shard_count`)
+        and each range is reduced to a
         :class:`~repro.core.shard.ShardPartial` straight from the store's
-        memmapped columns, by the calling thread alone or with up to
-        ``max_workers - 1`` helper threads reading the same open store
-        (:func:`~repro.core.shard.compute_partials`).  The merged
-        partials feed the same report assembly as :meth:`geolocate`.
-        Every per-user quantity is independent of its neighbours (see
-        :mod:`repro.core.shard`), so the verdict is identical to
-        ``geolocate(store.to_trace_set())`` for any shard and worker
-        count.  The hemisphere test and quarantine partitioning need
-        trace-level access and are not offered on this path (the store
-        writers already refuse every stamp the intake rule of
-        :func:`~repro.core.kernels.valid_stamps` refuses).
+        memmapped columns, by the same reduction as :meth:`geolocate`,
+        on the calling thread alone or with up to ``max_workers - 1``
+        helper threads reading the same open store
+        (:func:`~repro.core.shard.compute_partials`).  The partials,
+        merged in shard order, feed the same report assembly as
+        :meth:`geolocate`.  Every per-user quantity is independent of its
+        neighbours (see :mod:`repro.core.shard`), so the verdict is
+        identical to ``geolocate(store.to_trace_set())`` for any shard
+        and worker count.  The hemisphere test and quarantine
+        partitioning need trace-level access and are not offered on this
+        path.  An admitted user's stamp that the stamp rule of
+        :func:`~repro.core.kernels.valid_stamps` refuses (the writers
+        never store one, but a damaged store may hold one) raises
+        :class:`~repro.errors.CorruptTraceError`, as in :meth:`geolocate`.
         """
-        from repro.core.shard import compute_partials, merge_partials
-        from repro.datasets.store import DEFAULT_SHARD_USERS
-
         watch = obs_metrics.Stopwatch()
         if n_shards is None:
-            n_shards = max(1, -(-len(store) // DEFAULT_SHARD_USERS))
+            n_shards = store.default_shard_count()
         with trace_span("profile_build", crowd=crowd_name, source="store"):
             merged = merge_partials(
                 compute_partials(
@@ -287,21 +274,7 @@ class CrowdGeolocator:
                     max_workers=max_workers,
                 )
             )
-        with trace_span("polish", n_users=len(merged)):
-            keep = ~merged.flat_mask
-            survivors = ProfileMatrix.from_counts(
-                merged.user_ids, merged.counts
-            ).select(keep)
-        return self._assemble(
-            crowd_name,
-            survivors,
-            merged.zone_indices[keep],
-            n_users=len(survivors),
-            n_posts=int(merged.lengths[keep].sum()),
-            n_removed=len(merged) - len(survivors),
-            pipeline="store",
-            watch=watch,
-        )
+        return self._assemble(crowd_name, merged, pipeline="store", watch=watch)
 
     #: The sharded spelling of :meth:`geolocate_store`, kept for callers
     #: that name the shard and worker counts.
@@ -310,30 +283,34 @@ class CrowdGeolocator:
     def _assemble(
         self,
         crowd_name: str,
-        survivors: ProfileMatrix,
-        nearest: "IntArray",
+        partial: ShardPartial,
         *,
-        n_users: int,
-        n_posts: int,
-        n_removed: int,
         pipeline: str,
         watch: obs_metrics.Stopwatch,
         hemisphere: tuple[HemisphereResult, ...] = (),
         data_quality: DataQualityReport | None = None,
     ) -> GeolocationReport:
-        """The report of every entry point, from the polished crowd.
+        """The report of every entry point, from the crowd's partial.
 
-        *survivors* are the polished users' profiles and *nearest* their
-        zone indices; placement histogram, EM mixture, crowd profile,
-        Pearson, fit metrics and the run's accounting all follow here.
+        Polishing drops the flat users; the survivors' rows and zone
+        indices give the placement histogram, EM mixture, crowd profile,
+        Pearson and fit metrics, and ``n_users`` / ``n_posts`` /
+        ``n_removed_flat`` and the run's accounting follow here.
         """
-        if len(survivors) == 0:
+        with trace_span("polish", n_users=len(partial)):
+            keep = ~partial.flat_mask
+            survivor_ids = tuple(compress(partial.user_ids, keep.tolist()))
+            survivors = partial.profiles[keep]
+            n_removed = len(partial) - len(survivor_ids)
+        if not survivor_ids:
             raise EmptyTraceError(
                 f"{crowd_name}: no active users after polishing "
                 f"(threshold {self.min_posts} posts)"
             )
-        with trace_span("placement", n_users=len(survivors)):
-            assignments, placement = assign_zones(survivors.user_ids, nearest)
+        with trace_span("placement", n_users=len(survivor_ids)):
+            assignments, placement = assign_zones(
+                survivor_ids, partial.zone_indices[keep]
+            )
         with trace_span("mixture"):
             mixture = select_mixture(
                 placement,
@@ -342,11 +319,13 @@ class CrowdGeolocator:
                 min_weight=self.min_component_weight,
                 criterion=self.criterion,
             )
-        crowd_profile = survivors.crowd_profile()
+        # Eq. 2 over the survivors' rows, in column order.
+        crowd_profile = Profile(survivors.sum(axis=0))
         report = GeolocationReport(
             crowd_name=crowd_name,
-            n_users=n_users,
-            n_posts=n_posts,
+            # Zero-post users the threshold admitted count, with no row.
+            n_users=partial.n_admitted - n_removed,
+            n_posts=int(partial.lengths[keep].sum()),
             n_removed_flat=n_removed,
             crowd_profile=crowd_profile,
             pearson_vs_generic=pearson(

@@ -34,21 +34,24 @@ encoder equals it cell for cell:
   unless ``floor(q) * 3600 == stamp``: an exact hour multiple, whose
   every intermediate is an exact integer in both methods, stays on the
   fast path, so hour-quantised columns do not fall back wholesale.
-* A column holding a non-finite stamp, or one beyond 2**40 hours (where
-  products of cells and 3600 stop being exact), is encoded by
-  ``split_day_hours`` in full.
 
-Every intake admits a stamp only when :func:`valid_stamps` holds: finite
-and less than 2**40 hours from the epoch, where the encoder is exact.
-Cells are UTC; a caller wanting another zone's clock shifts its stamps.
+The encoder is exact only where :func:`valid_stamps` holds -- finite and
+less than 2**40 hours from the epoch; beyond that, products of cells and
+3600 stop being exact.  Every intake admits a stamp only under that rule,
+and the encoder enforces it too: a column holding a stamp the rule
+refuses raises :class:`~repro.errors.CorruptTraceError`, so no caller
+gets a cell for a NaN.  Cells are UTC; a caller wanting another zone's
+clock shifts its stamps.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, overload
 
 import numpy as np
 
+from repro.errors import CorruptTraceError
 from repro.timebase.clock import split_day_hours
 
 if TYPE_CHECKING:
@@ -60,12 +63,11 @@ HOURS = 24
 
 _SECONDS_PER_HOUR = 3600.0
 
-#: Largest ``|cell|`` the division encoder takes; beyond it ``cell * 3600``
-#: may round, so the column is left to :func:`split_day_hours`.
-_MAX_FAST_HOURS = 2.0**40
+#: The stamp rule's bound in hours; beyond it ``cell * 3600`` may round.
+_MAX_HOURS = 2.0**40
 
 #: The stamp rule's bound in seconds: 2**40 hours, about 125 million years.
-MAX_ABS_STAMP_S = _MAX_FAST_HOURS * _SECONDS_PER_HOUR
+MAX_ABS_STAMP_S = _MAX_HOURS * _SECONDS_PER_HOUR
 
 
 @overload
@@ -93,17 +95,24 @@ def _hour_cells(stamps: "FloatArray") -> "IntArray":
     Cell for cell equal to ``days * 24 + hours`` of
     :func:`~repro.timebase.clock.split_day_hours` (the module docstring
     gives the argument), at the cost of one division and one floor per
-    post instead of two floor-divides, a modulo and a clip.
+    post instead of two floor-divides, a modulo and a clip.  Raises
+    :class:`~repro.errors.CorruptTraceError` when a stamp breaks the
+    stamp rule of :func:`valid_stamps`.
     """
     stamps = np.asarray(stamps, dtype=np.float64)
     if stamps.size == 0:
         return np.zeros(0, dtype=np.int64)
     quotient = stamps / _SECONDS_PER_HOUR
+    # Division by 3600 keeps |q| < 2**40 exactly when |stamp| < 2**40 h,
+    # so the quotient's extremes decide the rule for the whole column.
+    low, high = float(quotient.min()), float(quotient.max())
+    if not -_MAX_HOURS < low <= high < _MAX_HOURS:  # also catches NaN
+        raise CorruptTraceError(
+            "stamp column holds a non-finite timestamp or one 2**40 hours "
+            "or more from the epoch"
+        )
     floors = np.floor(quotient)
-    bound = max(-float(floors.min()), float(floors.max()) + 1.0)
-    if not bound <= _MAX_FAST_HOURS:  # also catches NaN and inf
-        days, hours = split_day_hours(stamps)
-        return days * HOURS + hours
+    bound = float(max(-math.floor(low), math.floor(high) + 1))
     tol = bound * 2.0**-52 + 2.0**-47
     # |fraction - 1/2| >= 1/2 - tol  <=>  within tol of an hour boundary.
     distance = np.subtract(quotient, floors, out=quotient)

@@ -1,45 +1,44 @@
-"""Sharded crowd engine: mergeable per-shard partials with exact reduction.
+"""The per-user reduction of every batch crowd, and its shard fan-out.
 
-This is the out-of-core pipeline behind
-:meth:`~repro.core.geolocate.CrowdGeolocator.geolocate_store`.  Each
-contiguous user range of a :class:`~repro.datasets.store.TraceStore` is
-reduced independently to a :class:`ShardPartial` -- Eq. 1 count rows, the
-flat-profile (bot) mask and the EMD-nearest zone index for every active
-user -- and partials are combined with an associative, commutative
-:func:`merge_partials`.
+The per-user half of the paper's method -- Eq. 1 profiles, EMD placement
+(Sec. IV-A) and flat-profile removal against fixed references
+(Sec. IV-C) -- decides each user from that user's posts alone.
+:func:`compute_shard_partial` is that half, written once: it takes any
+stamp column -- an in-memory crowd's validated
+:meth:`~repro.core.events.TraceSet.columns` or one shard of a
+:class:`~repro.datasets.store.TraceStore` -- masks it by the activity
+threshold, runs the Eq. 1 kernel once over the admitted users and makes
+every flat-or-not and nearest-zone decision in one
+:func:`~repro.core.placement.classify_profiles` pass.  Its
+:class:`ShardPartial` is what
+:class:`~repro.core.geolocate.CrowdGeolocator` assembles a report from:
+``geolocate()`` reduces the whole crowd as one column,
+``geolocate_store()`` reduces each shard and merges the partials.
 
-The merged result is **bit-identical** to building one
-:class:`~repro.core.batch.ProfileMatrix` for the whole store and then
-polishing and placing it, because every per-user quantity in the
-pipeline is computed independently of the other users present in the
-same matrix:
+Because no per-user quantity depends on which other users share its
+column, one reduction is correct for any partition of a crowd, and the
+merged result is **bit-identical** to reducing the whole store at once
+(and to the whole-store pipeline kept as the oracle under ``tests/``):
 
 * Eq. 1 counts are integer-valued and per-user segmented;
-* :class:`ProfileMatrix` normalisation divides each row by its own sum;
+* :class:`ProfileMatrix` normalisation divides each row by its own
+  (exact, integer) sum;
 * every :func:`~repro.core.emd.distance_matrix` element is a reduction
   over one (profile, reference) pair -- block and shard boundaries cannot
   change a single output bit;
 * polishing against *fixed* references converges in one effective round,
-  so the flat mask is a pure per-user predicate, decided together with
-  the nearest zone by one
-  :func:`~repro.core.placement.classify_profiles` pass;
-* post totals are integer sums, and the placement histogram is built
-  once, from the merged zone column.
-
-The test suite keeps that whole-store pipeline as the oracle the sharded
-verdict is compared with.
-
-Order is re-canonicalised at merge time: partials carry the global store
-row of every kept user and the merge sorts the concatenation by row, so
-the reduction is associative and commutative (proven by Hypothesis tests)
-and the order in which shards finish cannot leak into the result.
+  so the flat mask is a pure per-user predicate;
+* post totals are integer sums, and the placement histogram and the crowd
+  profile are built once, from the merged columns.
 
 :func:`compute_partials` is the batch engine's only fan-out: threads
 sharing the caller's open store -- its memmapped columns and the
 references -- drain one list of shards, the calling thread among them,
-and each result lands in its shard's slot.  numpy releases the GIL in
-its ufunc loops, sorts and bincounts, which is where a shard spends its
-time; user ids stay in columns until the report needs them as strings.
+and each result lands in its shard's slot, so the partials come back in
+shard order and :func:`merge_partials` is one in-order concatenation.
+numpy releases the GIL in its ufunc loops, sorts and bincounts, which is
+where a shard spends its time; user ids stay in columns until the report
+needs them as strings.
 """
 
 from __future__ import annotations
@@ -49,155 +48,100 @@ import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batch import ProfileMatrix, shard_hour_counts
+from repro.core.batch import ProfileMatrix, masked_counts
 from repro.core.placement import classify_profiles
 from repro.core.reference import ReferenceProfiles
-from repro.errors import DatasetError
+from repro.errors import ProfileError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
 from repro.obs.tracing import trace_span
 
 if TYPE_CHECKING:
     from repro.core.types import BoolArray, FloatArray, IntArray
-    from repro.datasets.store import StoreShard, TraceStore
+    from repro.datasets.store import TraceStore
 
 _log = get_logger("core")
 
 
 @dataclass(frozen=True, eq=False)
 class ShardPartial:
-    """Everything one shard contributes to a crowd verdict, mergeable.
+    """The per-user reduction of one stamp column: a crowd or a store shard.
 
-    The fields form a commutative monoid under :meth:`merge` with
-    :meth:`identity` as the neutral element: per-user columns are keyed by
-    the user's global store row (``rows``, strictly increasing within a
-    partial) and merging concatenates then re-sorts by row, so any merge
-    tree over disjoint partials yields the same canonical value.
-
-    ``flat_mask`` and ``zone_indices`` cover *every* active user (at least
-    ``min_posts`` posts); the flat users are dropped at assembly time.
-    ``n_users_seen`` counts every user the shard examined, including
-    those dropped below the activity threshold.
+    The per-user columns cover the users the activity threshold admitted
+    who have posts, in column order: their ids, their Eq. 1 ``profiles``
+    (the normalised rows the decisions were made on) and ``totals`` (each
+    row's active day-hours, the sum it was normalised by), post
+    ``lengths``, the flat-profile flag and the EMD-nearest zone index.
+    ``n_admitted`` counts every user the threshold admitted, zero-post
+    users too when ``min_posts <= 0``; they have no profile, so polishing
+    never removes them.
     """
 
-    rows: "IntArray"
     user_ids: tuple[str, ...]
-    counts: "FloatArray"
+    profiles: "FloatArray"
+    totals: "FloatArray"
     lengths: "IntArray"
     flat_mask: "BoolArray"
     zone_indices: "IntArray"
-    n_users_seen: int
-
-    def __post_init__(self) -> None:
-        n = int(self.rows.size)
-        if len(self.user_ids) != n:
-            raise DatasetError(
-                f"partial has {n} rows but {len(self.user_ids)} user ids"
-            )
-        if self.counts.shape != (n, 24):
-            raise DatasetError(
-                f"partial counts shape {self.counts.shape} != ({n}, 24)"
-            )
-        for name in ("lengths", "flat_mask", "zone_indices"):
-            column: np.ndarray = getattr(self, name)
-            if column.shape != (n,):
-                raise DatasetError(
-                    f"partial {name} shape {column.shape} != ({n},)"
-                )
-        if n > 1 and not bool(np.all(np.diff(self.rows) > 0)):
-            raise DatasetError("partial rows must be strictly increasing")
+    n_admitted: int
 
     def __len__(self) -> int:
-        return int(self.rows.size)
+        return len(self.user_ids)
 
-    @classmethod
-    def identity(cls) -> "ShardPartial":
-        """The merge-neutral element (an empty shard)."""
-        return cls(
-            rows=np.zeros(0, dtype=np.int64),
-            user_ids=(),
-            counts=np.zeros((0, 24), dtype=np.float64),
-            lengths=np.zeros(0, dtype=np.int64),
-            flat_mask=np.zeros(0, dtype=bool),
-            zone_indices=np.zeros(0, dtype=np.int64),
-            n_users_seen=0,
-        )
+    @property
+    def counts(self) -> "FloatArray":
+        """The raw Eq. 1 count rows, exactly as the kernel produced them.
 
-    def merge(self, other: "ShardPartial") -> "ShardPartial":
-        """Combine two disjoint partials: the two-operand :func:`merge_partials`."""
-        return _merge([self, other])
-
-
-def _merge(partials: Sequence[ShardPartial]) -> ShardPartial:
-    """Canonical union of disjoint partials: one concatenation, one sort.
-
-    The per-user columns are concatenated and re-sorted by global store
-    row, so the result is independent of operand order and grouping
-    (associativity + commutativity).  Partials that arrive in row order,
-    as :func:`compute_partials` returns them, skip the permutation.
-    Overlapping rows mean the same user was computed twice -- a sharding
-    bug, refused loudly rather than double-counted.
-    """
-    if not partials:
-        return ShardPartial.identity()
-    rows = np.concatenate([partial.rows for partial in partials])
-    user_ids = tuple(chain.from_iterable(partial.user_ids for partial in partials))
-    columns = {
-        name: np.concatenate([getattr(partial, name) for partial in partials])
-        for name in ("counts", "lengths", "flat_mask", "zone_indices")
-    }
-    if not bool(np.all(rows[1:] > rows[:-1])):
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        if bool(np.any(np.diff(rows) == 0)):
-            raise DatasetError("cannot merge overlapping shard partials")
-        user_ids = tuple(np.array(user_ids, dtype=object)[order].tolist())
-        columns = {name: column[order] for name, column in columns.items()}
-    return ShardPartial(
-        rows=rows,
-        user_ids=user_ids,
-        n_users_seen=sum(partial.n_users_seen for partial in partials),
-        **columns,
-    )
+        A profile entry is ``count / total`` rounded once, so multiplying
+        back lands within ``count * 2**-52`` of the integer count -- far
+        below 1/2 for any count of a valid stamp column -- and
+        :func:`numpy.rint` restores it.  Computed on each access; the
+        partial holds one ``(users, 24)`` array, not two.
+        """
+        return np.rint(self.profiles * self.totals[:, None])
 
 
 def compute_shard_partial(
-    shard: "StoreShard",
+    user_ids: Sequence[str],
+    lengths: "IntArray",
+    stamps: "FloatArray",
     references: ReferenceProfiles,
     *,
     metric: str = "linear",
     min_posts: int = 30,
 ) -> ShardPartial:
-    """Reduce one store shard to its :class:`ShardPartial`.
+    """Reduce one stamp column to its :class:`ShardPartial`.
 
-    Runs the per-user half of the pipeline -- Eq. 1 counts
-    (:func:`~repro.core.batch.shard_hour_counts`), then the flat-profile
-    predicate and the EMD-nearest zone from one
-    :func:`~repro.core.placement.classify_profiles` pass -- for every user
-    with at least *min_posts* posts.  All three are per-user independent
-    given fixed *references*, which is exactly why the shard
-    decomposition is lossless (module docstring).
+    The column is ``(user_ids, lengths, stamps)``: every user's stamps
+    back to back, as :meth:`~repro.core.events.TraceSet.columns` returns
+    them and as a :class:`~repro.datasets.store.StoreShard` holds them.
+    Users with at least *min_posts* posts are admitted; the admitted
+    users with posts get their Eq. 1 counts from one masked kernel pass
+    (:func:`~repro.core.batch.masked_counts`), then the flat flag and the
+    nearest zone from one :func:`~repro.core.placement.classify_profiles`
+    pass.  An admitted user's stamp that breaks the stamp rule raises
+    :class:`~repro.errors.CorruptTraceError` from the kernel; the other
+    users' stamps are masked out unread.
     """
-    counts = shard_hour_counts(shard)
-    lengths = np.asarray(shard.lengths, dtype=np.int64)
-    keep = lengths >= max(int(min_posts), 1)
-    user_ids = tuple(compress(shard.user_ids, keep.tolist()))
-    kept_counts = np.ascontiguousarray(counts[keep])
-    matrix = ProfileMatrix.from_counts(user_ids, kept_counts)
+    admitted = lengths >= min_posts
+    ids, kept_lengths, counts = masked_counts(
+        user_ids, lengths, stamps, admitted & (lengths > 0)
+    )
+    matrix = ProfileMatrix.from_counts(ids, counts)
     flat, zones = classify_profiles(matrix, references, metric)
     return ShardPartial(
-        rows=(np.flatnonzero(keep) + int(shard.start_index)).astype(np.int64),
-        user_ids=user_ids,
-        counts=kept_counts,
-        lengths=lengths[keep],
+        user_ids=matrix.user_ids,
+        profiles=matrix.matrix,
+        totals=counts.sum(axis=1),
+        lengths=kept_lengths,
         flat_mask=flat,
         zone_indices=zones,
-        n_users_seen=len(shard),
+        n_admitted=int(np.count_nonzero(admitted)),
     )
 
 
@@ -215,7 +159,7 @@ def _record_partial(partial: ShardPartial, wall_s: float, mode: str) -> None:
         logging.DEBUG,
         "shard_partial",
         mode=mode,
-        n_users_seen=partial.n_users_seen,
+        n_admitted=partial.n_admitted,
         n_active=len(partial),
         n_flat=int(partial.flat_mask.sum()),
         wall_s=round(wall_s, 6),
@@ -264,20 +208,22 @@ def compute_partials(
     """Reduce every shard of *store*, fanning out over threads.
 
     The store is partitioned into up to *n_shards* contiguous user ranges
-    (:meth:`~repro.datasets.store.TraceStore.shard_bounds`).  The calling
-    thread and up to ``max_workers - 1`` helper threads -- never more
-    threads than shards or usable cores -- take shards from one list and
-    compute them over the caller's open store, so nothing is opened,
-    copied or pickled per shard; each result goes to its shard's slot,
-    so the returned list is in shard order whatever the scheduling.  With
-    ``max_workers <= 1`` the caller computes every shard itself.
+    (:meth:`~repro.datasets.store.TraceStore.shard_bounds`); an empty
+    store is one empty shard.  The calling thread and up to
+    ``max_workers - 1`` helper threads -- never more threads than shards
+    or usable cores -- take shards from one list and reduce them with
+    :func:`compute_shard_partial` over the caller's open store, so
+    nothing is opened, copied or pickled per shard; each result goes to
+    its shard's slot, so the returned list is in shard order whatever the
+    scheduling.  With ``max_workers <= 1`` the caller computes every
+    shard itself.
 
     A shard that raises stops the fan-out: no thread starts another
     shard, the helpers are joined and the shard's own exception is
     raised here.  A helper that cannot be started degrades to fewer
     threads with a ``RuntimeWarning``; the caller computes what is left.
     """
-    bounds = store.shard_bounds(n_shards)
+    bounds = store.shard_bounds(n_shards) or [(0, 0)]
     slots: list[tuple[ShardPartial, float, str] | None] = [None] * len(bounds)
     errors: list[BaseException] = []
     pending = iter(enumerate(bounds))
@@ -293,8 +239,11 @@ def compute_partials(
             index, (start, stop) = task
             watch = obs_metrics.Stopwatch()
             try:
+                shard = store.shard(start, stop)
                 partial = compute_shard_partial(
-                    store.shard(start, stop),
+                    shard.user_ids,
+                    shard.lengths,
+                    shard.stamps,
                     references,
                     metric=metric,
                     min_posts=min_posts,
@@ -340,14 +289,30 @@ def compute_partials(
 
 
 def merge_partials(partials: Sequence[ShardPartial]) -> ShardPartial:
-    """Merge every partial into one canonical value.
+    """The partial of the shards' union: one in-order concatenation.
 
-    One concatenation and one stable sort by store row, whatever the
-    number of partials (see :func:`_merge`).  :func:`compute_partials`
-    guarantees the partials tile the store, so the merged
-    ``n_users_seen`` equals the store's user count.
+    *partials* (at least one) come in shard order, as
+    :func:`compute_partials` returns them, so concatenating every
+    per-user column once puts each user at its store row; a single
+    partial is returned as it is.  Each shard's profile matrix refuses
+    an id it holds twice; an id repeated across shards -- a damaged id
+    table -- is refused here with the same
+    :class:`~repro.errors.ProfileError`.
     """
     with obs_metrics.histogram(
         "repro_shard_merge_seconds", "wall time to merge shard partials"
     ).time(), trace_span("shard_merge", n_partials=len(partials)):
-        return _merge(partials)
+        if len(partials) == 1:
+            return partials[0]
+        user_ids = tuple(chain.from_iterable(p.user_ids for p in partials))
+        if len(set(user_ids)) != len(user_ids):
+            raise ProfileError("duplicate user ids across shard partials")
+        return ShardPartial(
+            user_ids=user_ids,
+            profiles=np.concatenate([p.profiles for p in partials]),
+            totals=np.concatenate([p.totals for p in partials]),
+            lengths=np.concatenate([p.lengths for p in partials]),
+            flat_mask=np.concatenate([p.flat_mask for p in partials]),
+            zone_indices=np.concatenate([p.zone_indices for p in partials]),
+            n_admitted=sum(p.n_admitted for p in partials),
+        )

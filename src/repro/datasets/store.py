@@ -21,11 +21,14 @@ files inside a store directory:
       user_ids.npy     unicode[n_users]       row order of the offset table
 
 Readers open the stamp column with ``numpy``'s memmap support, so
-:meth:`TraceStore.iter_shards` walks a crowd of any size with peak memory
-bounded by the shard, and :meth:`repro.core.batch.ProfileMatrix.from_store`
-feeds the Eq. 1 kernel raw stamp segments without constructing a single
-per-trace Python object.  Both writers spool the stamp column to disk
-block by block (``tofile``): :meth:`TraceStore.write` hands its traces
+:meth:`TraceStore.shard` hands out any contiguous user range of
+:meth:`TraceStore.shard_bounds` as zero-copy views, peak memory bounded
+by the shard, and the sharded engine (:mod:`repro.core.shard`) and
+:meth:`repro.core.batch.ProfileMatrix.from_store` feed the Eq. 1 kernel
+raw stamp segments without constructing a single per-trace Python
+object.  :meth:`TraceStore.open` refuses an offset table that does not
+tile the stamp column in order.  Both writers spool the stamp column to
+disk block by block (``tofile``): :meth:`TraceStore.write` hands its traces
 to :meth:`TraceStore.write_columns` in blocks of
 :data:`_WRITE_BLOCK_TRACES`, so converting holds one block beyond the
 source arrays.  Both refuse a stamp that
@@ -57,7 +60,7 @@ _log = get_logger("datasets")
 STORE_KIND = "trace-store"
 STORE_VERSION = 1
 
-#: Default shard granularity of :meth:`TraceStore.iter_shards`.
+#: Users per shard of :meth:`TraceStore.default_shard_count`.
 DEFAULT_SHARD_USERS = 8_192
 
 _META_NAME = "meta.json"
@@ -130,7 +133,6 @@ class StoreShard:
     user_ids: tuple[str, ...]
     stamps: np.ndarray
     lengths: np.ndarray
-    start_index: int
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -309,6 +311,10 @@ class TraceStore:
                 f"corrupt trace store {source}: offset table does not cover "
                 f"the stamp column"
             )
+        if bool(np.any(offsets[1:] < offsets[:-1])):
+            raise DatasetError(
+                f"corrupt trace store {source}: offset table decreases"
+            )
         elapsed = watch.elapsed_s()
         obs_metrics.counter(
             "repro_datasets_store_opens_total", "trace stores opened"
@@ -394,6 +400,15 @@ class TraceStore:
             if hi > lo
         ]
 
+    def default_shard_count(self) -> int:
+        """One shard per :data:`DEFAULT_SHARD_USERS` users, at least one.
+
+        The :meth:`shard_bounds` count of a walk not told one:
+        ``geolocate_store`` and
+        :meth:`repro.core.batch.ProfileMatrix.from_store`.
+        """
+        return max(1, -(-len(self) // DEFAULT_SHARD_USERS))
+
     def shard(self, start: int, stop: int) -> StoreShard:
         """One contiguous user range as a :class:`StoreShard` (zero-copy)."""
         n_users = len(self)
@@ -410,31 +425,15 @@ class TraceStore:
             user_ids=tuple(self._user_ids[start:stop].tolist()),
             stamps=self._stamps[lo:hi],
             lengths=np.diff(self._offsets[start : stop + 1]),
-            start_index=int(start),
         )
-
-    def iter_shards(
-        self, max_users: int = DEFAULT_SHARD_USERS
-    ) -> Iterator[StoreShard]:
-        """Walk the store in contiguous user blocks of at most *max_users*.
-
-        Each shard's ``stamps`` is a view of the memmapped column, so peak
-        resident memory is bounded by one shard's posts regardless of
-        store size.
-        """
-        if max_users <= 0:
-            raise DatasetError(f"max_users must be positive, got {max_users}")
-        n_users = len(self)
-        for start in range(0, n_users, max_users):
-            yield self.shard(start, min(start + max_users, n_users))
 
     def iter_column_chunks(
         self, max_posts: int = 262_144
     ) -> "Iterator[tuple[list[str], np.ndarray, np.ndarray]]":
         """Walk the store as ``(user_ids, lengths, stamps)`` column chunks.
 
-        The event-count dual of :meth:`iter_shards`: chunks are cut at
-        roughly *max_posts* events instead of a fixed user count, so a
+        The event-count dual of :meth:`shard_bounds`: chunks are cut at
+        roughly *max_posts* events instead of a user count, so a
         crowd of casual posters and a crowd of heavy posters both stream
         with comparable peak memory.  Chunk boundaries never split a user
         -- a user posting more than *max_posts* times becomes a chunk of

@@ -8,16 +8,22 @@ replaced: a validation loop over the traces, then ``with_min_posts``,
 ``without_users`` and ``total_posts`` on rebuilt trace sets.  Its Eq. 1
 counts come from the per-user ``_naive_counts`` of ``test_kernels.py``,
 so the oracle checks the plumbing and the kernel together.  Only the
-report assembly is shared with production.
+report assembly is shared with production; ``n_users`` and ``n_posts``
+are the oracle's own, counted on the rebuilt trace sets.
 """
 
 from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
 
 from repro.core.batch import ProfileMatrix
 from repro.core.events import TraceSet
 from repro.core.geolocate import CrowdGeolocator, GeolocationReport
 from repro.core.hemisphere import classify_most_active
 from repro.core.placement import classify_profiles
+from repro.core.shard import ShardPartial
 from repro.errors import CorruptTraceError
 from repro.obs import metrics as obs_metrics
 from repro.reliability.quality import CORRUPT_REASONS, trace_fault
@@ -52,10 +58,8 @@ def geolocate_oracle(
     assert_traces_clean_oracle(traces)
     active = traces.with_min_posts(locator.min_posts)
     posted = [trace for trace in active if not trace.is_empty()]
-    matrix = ProfileMatrix(
-        [trace.user_id for trace in posted],
-        _naive_counts([trace.timestamps for trace in posted], 0.0),
-    )
+    counts = _naive_counts([trace.timestamps for trace in posted], 0.0)
+    matrix = ProfileMatrix([trace.user_id for trace in posted], counts)
     flat, nearest = classify_profiles(
         matrix, locator.references, metric=locator.metric
     )
@@ -69,14 +73,18 @@ def geolocate_oracle(
         if hemisphere_top_n > 0
         else ()
     )
-    return locator._assemble(
-        crowd_name,
-        matrix.select(keep),
-        nearest[keep],
-        n_users=len(crowd),
-        n_posts=crowd.total_posts(),
-        n_removed=len(removed_ids),
-        pipeline="oracle",
-        watch=watch,
-        hemisphere=hemisphere,
+    partial = ShardPartial(
+        user_ids=matrix.user_ids,
+        profiles=matrix.matrix,
+        totals=counts.sum(axis=1),
+        lengths=np.array([len(trace) for trace in posted], dtype=np.int64),
+        flat_mask=flat,
+        zone_indices=nearest,
+        n_admitted=len(active),
+    )
+    report = locator._assemble(
+        crowd_name, partial, pipeline="oracle", watch=watch, hemisphere=hemisphere
+    )
+    return dataclasses.replace(
+        report, n_users=len(crowd), n_posts=crowd.total_posts()
     )

@@ -4,7 +4,8 @@ The counts and unique-cells kernels must match per-user oracles on
 unsorted, negative and empty segments, on stamps at and next to hour and
 day boundaries, on stamps far from the epoch and on hour-quantised
 segments; their division-based cell encoder must equal
-``split_day_hours`` cell for cell.  The blocked ``distance_matrix``
+``split_day_hours`` cell for cell and refuse any column the stamp rule
+refuses.  The blocked ``distance_matrix``
 kernels must be invariant to the block size down to the last bit -- that
 exactness is what the sharded engine's merge correctness rests on -- and
 the column-major pair sums must equal a broadcast ``sum(axis=2)`` oracle
@@ -21,9 +22,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import emd as emd_module
 from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
-from repro.core.kernels import _hour_cells, segment_counts, segment_unique_cells
+from repro.core.kernels import (
+    MAX_ABS_STAMP_S,
+    _hour_cells,
+    segment_counts,
+    segment_unique_cells,
+)
 from repro.core.placement import classify_profiles
 from repro.core.reference import ReferenceProfiles
+from repro.errors import CorruptTraceError
 from repro.timebase.clock import split_day_hours
 
 
@@ -147,13 +154,25 @@ class TestHourCellEncoder:
     @settings(max_examples=300, deadline=None)
     def test_equals_split_day_hours(self, values, offset):
         stamps = np.asarray(values, dtype=float)
-        # NaN and inf cast to int64 with a RuntimeWarning; their cells are
-        # whatever split_day_hours makes of them.
-        with np.errstate(invalid="ignore"):
-            days, hours = split_day_hours(stamps, offset)
-            cells = _hour_cells(stamps + offset * 3600.0)
+        if not np.isfinite(stamps).all():
+            # A column holding NaN or inf gets no cells at all.
+            with pytest.raises(CorruptTraceError):
+                _hour_cells(stamps + offset * 3600.0)
+            return
+        days, hours = split_day_hours(stamps, offset)
+        cells = _hour_cells(stamps + offset * 3600.0)
         assert cells.dtype == np.int64
         np.testing.assert_array_equal(cells, days * 24 + hours)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_exactly_what_the_stamp_rule_refuses(self, sign):
+        """The bound holds on both sides; exactly -2**40 h is refused too."""
+        admitted = np.array([0.0, sign * float(np.nextafter(MAX_ABS_STAMP_S, 0.0))])
+        days, hours = split_day_hours(admitted)
+        np.testing.assert_array_equal(_hour_cells(admitted), days * 24 + hours)
+        for bad in (MAX_ABS_STAMP_S, 1e30, np.inf):
+            with pytest.raises(CorruptTraceError):
+                _hour_cells(np.array([0.0, sign * bad]))
 
     @pytest.mark.parametrize(
         "stamp",

@@ -1,10 +1,11 @@
-"""The shard algebra and the sharded engine's bit-identity to the oracle.
+"""The per-user reduction, its in-order merge and the sharded engine.
 
-``ShardPartial`` must behave as a commutative monoid (Hypothesis pins
-associativity, commutativity and the empty-shard identity), the shard
-bounds must tile the store exactly, and ``CrowdGeolocator.geolocate_store``
-(also spelled ``geolocate_store_sharded``) must reproduce the whole-store
-oracle of ``store_oracle.py`` bit for bit, for any shard and worker count.
+Merging the partials of any shard count must equal one reduction of the
+whole store, in store order; the shard bounds must tile the store
+exactly; ``CrowdGeolocator.geolocate_store`` (also spelled
+``geolocate_store_sharded``) must reproduce the whole-store oracle of
+``store_oracle.py`` bit for bit, for any shard and worker count, and
+agree with ``geolocate()`` on the same crowd, zero-post users included.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.shard as shard_module
+from repro.core.batch import ProfileMatrix, masked_counts
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.geolocate import CrowdGeolocator, GeolocationReport
 from repro.core.reference import ReferenceProfiles
@@ -31,7 +33,7 @@ from repro.core.shard import (
     merge_partials,
 )
 from repro.datasets.store import TraceStore
-from repro.errors import DatasetError, EmptyTraceError
+from repro.errors import DatasetError, EmptyTraceError, ProfileError
 from store_oracle import geolocate_store_oracle
 
 MIN_POSTS = 10
@@ -74,84 +76,72 @@ def refs() -> ReferenceProfiles:
     return ReferenceProfiles.canonical()
 
 
-@pytest.fixture(scope="module")
-def partials(shard_store, refs) -> list[ShardPartial]:
-    return [
-        compute_shard_partial(
-            shard_store.shard(start, stop), refs, min_posts=MIN_POSTS
-        )
-        for start, stop in shard_store.shard_bounds(6)
-    ]
+def _shard_partial(store, refs, start: int, stop: int) -> ShardPartial:
+    """One ``compute_shard_partial`` over the users ``[start, stop)``."""
+    shard = store.shard(start, stop)
+    return compute_shard_partial(
+        shard.user_ids, shard.lengths, shard.stamps, refs, min_posts=MIN_POSTS
+    )
 
 
 def _assert_partials_equal(a: ShardPartial, b: ShardPartial) -> None:
-    np.testing.assert_array_equal(a.rows, b.rows)
     assert a.user_ids == b.user_ids
+    np.testing.assert_array_equal(a.profiles, b.profiles)
+    np.testing.assert_array_equal(a.totals, b.totals)
     np.testing.assert_array_equal(a.counts, b.counts)
     np.testing.assert_array_equal(a.lengths, b.lengths)
     np.testing.assert_array_equal(a.flat_mask, b.flat_mask)
     np.testing.assert_array_equal(a.zone_indices, b.zone_indices)
-    assert a.n_users_seen == b.n_users_seen
+    assert a.n_admitted == b.n_admitted
 
 
-class TestShardAlgebra:
-    @given(order=st.permutations(list(range(6))))
-    @settings(max_examples=40, deadline=None)
-    def test_merge_is_commutative_under_any_order(self, partials, order):
-        """Any fold order over the same partials yields the canonical value."""
-        canonical = merge_partials(list(partials))
-        permuted = merge_partials([partials[i] for i in order])
-        _assert_partials_equal(canonical, permuted)
+class TestInOrderMerge:
+    @pytest.mark.parametrize("n_shards", [1, 3, 8, 500])
+    def test_merge_equals_one_whole_store_partial(self, shard_store, refs, n_shards):
+        """Every admitted user once, in store order, whatever the sharding."""
+        merged = merge_partials(
+            compute_partials(shard_store, refs, min_posts=MIN_POSTS, n_shards=n_shards)
+        )
+        whole = _shard_partial(shard_store, refs, 0, len(shard_store))
+        _assert_partials_equal(merged, whole)
+        admitted = [
+            user_id
+            for user_id, length in zip(shard_store.user_ids(), shard_store.lengths())
+            if length >= MIN_POSTS
+        ]
+        assert list(merged.user_ids) == admitted
+        assert merged.n_admitted == len(merged) == len(admitted) < len(shard_store)
+        shard = shard_store.shard(0, len(shard_store))
+        _, _, raw = masked_counts(
+            shard.user_ids, shard.lengths, shard.stamps, shard.lengths >= MIN_POSTS
+        )
+        np.testing.assert_array_equal(merged.counts, raw)
+        assert merged.flat_mask.any()  # the polish path is exercised
 
-    @given(i=st.integers(0, 5), j=st.integers(0, 5), k=st.integers(0, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_merge_is_associative(self, partials, i, j, k):
-        distinct = sorted({i, j, k})
-        if len(distinct) < 3:
-            return
-        a, b, c = (partials[n] for n in distinct)
-        _assert_partials_equal(a.merge(b).merge(c), a.merge(b.merge(c)))
-
-    def test_empty_shard_is_the_identity(self, partials):
-        empty = ShardPartial.identity()
-        for partial in partials:
-            _assert_partials_equal(empty.merge(partial), partial)
-            _assert_partials_equal(partial.merge(empty), partial)
-        _assert_partials_equal(empty.merge(empty), empty)
-
-    def test_overlapping_partials_refused(self, partials):
-        with pytest.raises(DatasetError, match="overlapping"):
-            partials[0].merge(partials[0])
-
-    def test_merged_covers_every_user_once(self, shard_store, partials):
-        merged = merge_partials(list(partials))
-        assert merged.n_users_seen == len(shard_store)
-        assert np.all(np.diff(merged.rows) > 0)
-        assert len(set(merged.user_ids)) == len(merged.user_ids)
-
-    def test_invariant_violations_refused(self):
-        good = ShardPartial.identity()
-        with pytest.raises(DatasetError, match="user ids"):
-            ShardPartial(
-                rows=np.array([0], dtype=np.int64),
-                user_ids=(),
-                counts=np.zeros((1, 24)),
-                lengths=np.array([5], dtype=np.int64),
-                flat_mask=np.zeros(1, dtype=bool),
-                zone_indices=np.zeros(1, dtype=np.int64),
-                n_users_seen=1,
-            )
-        with pytest.raises(DatasetError, match="strictly increasing"):
-            ShardPartial(
-                rows=np.array([3, 3], dtype=np.int64),
-                user_ids=("a", "b"),
-                counts=np.zeros((2, 24)),
-                lengths=np.array([5, 5], dtype=np.int64),
-                flat_mask=np.zeros(2, dtype=bool),
-                zone_indices=np.zeros(2, dtype=np.int64),
-                n_users_seen=2,
-            )
-        assert len(good) == 0
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 2**40), min_size=24, max_size=24),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_come_back_exactly(self, rows):
+        """``counts`` recovers integer rows from their normalised form."""
+        counts = np.asarray(rows, dtype=float)
+        counts[:, 0] += 1.0
+        matrix = ProfileMatrix.from_counts([f"u{i}" for i in range(len(rows))], counts)
+        n = len(rows)
+        partial = ShardPartial(
+            user_ids=matrix.user_ids,
+            profiles=matrix.matrix,
+            totals=counts.sum(axis=1),
+            lengths=np.ones(n, dtype=np.int64),
+            flat_mask=np.zeros(n, dtype=bool),
+            zone_indices=np.zeros(n, dtype=np.int64),
+            n_admitted=n,
+        )
+        np.testing.assert_array_equal(partial.counts, counts)
 
 
 class TestShardBounds:
@@ -247,6 +237,23 @@ class TestShardedOracle:
                 store, crowd_name="c", n_shards=3
             )
 
+    @pytest.mark.parametrize("n_shards, max_workers", [(None, 1), (2, 1), (8, 2)])
+    def test_id_repeated_across_shards_refused(
+        self, tmp_path, monkeypatch, n_shards, max_workers
+    ):
+        """A damaged id table: a repeated id is refused, not merged away."""
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        TraceStore.write(_crowd(40, seed=3), tmp_path / "s")
+        path = tmp_path / "s" / "user_ids.npy"
+        ids = np.load(path)
+        ids[35] = ids[0]  # both active zoned users, in different shards
+        np.save(path, ids)
+        store = TraceStore.open(tmp_path / "s")
+        with pytest.raises(ProfileError, match="duplicate user ids"):
+            CrowdGeolocator(min_posts=MIN_POSTS).geolocate_store(
+                store, n_shards=n_shards, max_workers=max_workers
+            )
+
     def test_broken_pool_degrades_to_inline(self, shard_store, monkeypatch):
         locator = CrowdGeolocator(min_posts=MIN_POSTS)
         oracle = geolocate_store_oracle(locator, shard_store, crowd_name="c")
@@ -261,6 +268,30 @@ class TestShardedOracle:
                 shard_store, crowd_name="c", n_shards=4, max_workers=2
             )
         _assert_reports_identical(oracle, fallback)
+
+
+class TestBatchAndStoreAgree:
+    """``geolocate_store`` and ``geolocate`` report the same crowd alike."""
+
+    @pytest.mark.parametrize("min_posts", [0, 30])
+    @pytest.mark.parametrize("n_shards, max_workers", [(None, 1), (8, 1), (8, 2)])
+    def test_zero_post_users_count_alike(
+        self, tmp_path, monkeypatch, n_shards, max_workers, min_posts
+    ):
+        monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+        traces = list(_crowd(40, seed=11))
+        for index in (0, 17, 40):
+            traces.insert(index, ActivityTrace(f"silent{index}"))
+        store = TraceStore.write(traces, tmp_path / "crowd.store")
+        locator = CrowdGeolocator(min_posts=min_posts)
+        batch = locator.geolocate(store.to_trace_set(), crowd_name="c")
+        report = locator.geolocate_store(
+            store, crowd_name="c", n_shards=n_shards, max_workers=max_workers
+        )
+        _assert_reports_identical(batch, report)
+        admitted = int(np.count_nonzero(store.lengths() >= min_posts))
+        assert report.n_users + report.n_removed_flat == admitted
+        assert (admitted == len(store)) == (min_posts == 0)
 
 
 class TestComputePartials:
@@ -293,7 +324,7 @@ class _ShardFailure(Exception):
 
 def _inline_partials(store, refs, n_shards):
     return [
-        compute_shard_partial(store.shard(start, stop), refs, min_posts=MIN_POSTS)
+        _shard_partial(store, refs, start, stop)
         for start, stop in store.shard_bounds(n_shards)
     ]
 
@@ -338,21 +369,21 @@ class TestThreadFanOut:
     ):
         monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
         real = shard_module.compute_shard_partial
-        started: list[int] = []
+        started: list[str] = []
         lock = threading.Lock()
 
-        def _flaky(shard, *args, **kwargs):
+        def _flaky(user_ids, *args, **kwargs):
             with lock:
-                started.append(shard.start_index)
-            if shard.start_index == 2:
-                raise _ShardFailure(f"shard at {shard.start_index}")
+                started.append(user_ids[0])
+            if user_ids[0] == "user0002":
+                raise _ShardFailure(f"shard at {user_ids[0]}")
             time.sleep(0.002)  # lets the failing thread record its error
-            return real(shard, *args, **kwargs)
+            return real(user_ids, *args, **kwargs)
 
         monkeypatch.setattr(shard_module, "compute_shard_partial", _flaky)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(_ShardFailure, match="shard at 2"):
+            with pytest.raises(_ShardFailure, match="shard at user0002"):
                 compute_partials(
                     shard_store,
                     refs,
@@ -364,7 +395,7 @@ class TestThreadFanOut:
         # Shards run in order; after the failure no thread takes another.
         assert len(started) < len(shard_store)
         if max_workers == 1:
-            assert started == [0, 1, 2]
+            assert started == ["user0000", "user0001", "user0002"]
 
     def test_helper_that_cannot_start_leaves_the_rest_to_the_caller(
         self, shard_store, monkeypatch
@@ -416,13 +447,13 @@ class TestThreadFanOut:
         """More threads than cores, a tiny switch interval: no lost update."""
         monkeypatch.setattr(shard_module, "_usable_cores", lambda: 8)
         real = shard_module.compute_shard_partial
-        calls: list[int] = []
+        calls: list[str] = []
         lock = threading.Lock()
 
-        def _counted(shard, *args, **kwargs):
+        def _counted(user_ids, *args, **kwargs):
             with lock:
-                calls.append(shard.start_index)
-            return real(shard, *args, **kwargs)
+                calls.append(user_ids[0])
+            return real(user_ids, *args, **kwargs)
 
         monkeypatch.setattr(shard_module, "compute_shard_partial", _counted)
         expected = _inline_partials(shard_store, refs, len(shard_store))
@@ -446,7 +477,7 @@ class TestThreadFanOut:
         finally:
             sys.setswitchinterval(previous)
         assert not runner.is_alive()
-        assert sorted(calls) == list(range(len(shard_store)))
+        assert sorted(calls) == shard_store.user_ids()
         (partials,) = got
         assert len(partials) == len(expected)
         for a, b in zip(partials, expected):

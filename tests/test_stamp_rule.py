@@ -11,13 +11,17 @@ of filing it at a wrapped cell.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.core.shard as shard_module
+from repro.core.batch import ProfileMatrix
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.kernels import MAX_ABS_STAMP_S, valid_stamps
+from repro.core.profiles import active_hour_counts, build_user_profile
 from repro.core.streaming import StreamingGeolocator
 from repro.datasets.store import TraceStore, convert_jsonl
 from repro.datasets.traces import load_trace_set, save_trace_set
@@ -107,3 +111,38 @@ def test_the_largest_admitted_stamp_passes_every_intake(tmp_path):
     assert store.stamps_of("a")[-1] == LARGEST
     save_trace_set(crowd, tmp_path / "t.jsonl")
     assert load_trace_set(tmp_path / "t.jsonl")["a"].timestamps[-1] == LARGEST
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e30])
+@pytest.mark.parametrize("n_shards, max_workers", [(None, 1), (8, 1), (8, 2)])
+def test_a_damaged_store_is_refused_by_every_store_path(
+    bad, n_shards, max_workers, tmp_path, monkeypatch
+):
+    """A bad stamp planted in a written column, as on a damaged disk."""
+    monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+    TraceStore.write(_crowd(0.0), tmp_path / "s")
+    column = np.load(tmp_path / "s" / "stamps.npy", mmap_mode="r+")
+    column[-1] = bad  # the last stamp of "a", the last user
+    column.flush()
+    del column
+    store = TraceStore.open(tmp_path / "s")
+    locator = CrowdGeolocator(min_posts=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptTraceError):
+            locator.geolocate_store(store, n_shards=n_shards, max_workers=max_workers)
+        with pytest.raises(CorruptTraceError):
+            ProfileMatrix.from_store(store)
+        with pytest.raises(CorruptTraceError):
+            locator.geolocate(store.to_trace_set())
+
+
+@pytest.mark.parametrize("bad", [1e30, np.nan, np.inf])
+def test_the_per_user_builders_refuse_what_the_rule_refuses(bad):
+    trace = ActivityTrace("a", [bad, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptTraceError):
+            build_user_profile(trace)
+        with pytest.raises(CorruptTraceError):
+            active_hour_counts(trace.timestamps)

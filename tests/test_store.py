@@ -65,7 +65,7 @@ class TestStoreRoundTrip:
         store = TraceStore.open(tmp_path / "empty")
         assert len(store) == 0
         assert store.total_posts() == 0
-        assert list(store.iter_shards()) == []
+        assert store.shard_bounds(1) == []
 
     def test_zero_post_user_round_trips(self, tmp_path):
         crowd = TraceSet(
@@ -123,23 +123,46 @@ class TestStoreRoundTrip:
         with pytest.raises(DatasetError):
             TraceStore.open(tmp_path / "absent")
 
+    def test_decreasing_offset_table_refused(self, tmp_path):
+        # Two swapped entries still start at 0 and end at the column's size.
+        TraceStore.write(_crowd(4), tmp_path / "s")
+        path = tmp_path / "s" / "offsets.npy"
+        offsets = np.load(path)
+        offsets[[1, 2]] = offsets[[2, 1]]
+        np.save(path, offsets)
+        with pytest.raises(DatasetError, match="offset table decreases"):
+            TraceStore.open(tmp_path / "s")
+
 
 class TestShardedReads:
     def test_shards_tile_the_store(self, tmp_path):
         crowd = _crowd(23)
         TraceStore.write(crowd, tmp_path / "s")
         store = TraceStore.open(tmp_path / "s")
-        shards = list(store.iter_shards(max_users=5))
-        assert [len(shard) for shard in shards] == [5, 5, 5, 5, 3]
+        shards = [store.shard(start, stop) for start, stop in store.shard_bounds(5)]
+        assert [len(shard) for shard in shards] == [5, 4, 5, 4, 5]
         assert sum(shard.n_posts() for shard in shards) == store.total_posts()
         seen = [user_id for shard in shards for user_id in shard.user_ids]
         assert seen == store.user_ids()
 
-    def test_default_shard_size_is_bounded(self, tmp_path):
+    def test_default_shard_size_is_bounded(self, tmp_path, monkeypatch):
         TraceStore.write(_crowd(6), tmp_path / "s")
         store = TraceStore.open(tmp_path / "s")
-        (shard,) = store.iter_shards(DEFAULT_SHARD_USERS)
-        assert len(shard) == 6
+        assert DEFAULT_SHARD_USERS >= 6
+        assert store.default_shard_count() == 1
+        # from_store walks one shard per DEFAULT_SHARD_USERS users.
+        walked: list[tuple[int, int]] = []
+        real_shard = TraceStore.shard
+
+        def _recording(self, start, stop):
+            walked.append((start, stop))
+            return real_shard(self, start, stop)
+
+        monkeypatch.setattr(TraceStore, "shard", _recording)
+        monkeypatch.setattr("repro.datasets.store.DEFAULT_SHARD_USERS", 4)
+        ProfileMatrix.from_store(store)
+        assert store.default_shard_count() == 2
+        assert walked == [(0, 3), (3, 6)]
 
     def test_from_store_equals_from_trace_set(self, tmp_path):
         crowd = _crowd(30)
@@ -356,17 +379,22 @@ class TestStampRuleOnWrite:
 
 
 class TestShardBoundsAndRanges:
-    def test_shard_matches_iter_shards(self, tmp_path):
-        TraceStore.write(_crowd(23), tmp_path / "s")
+    def test_shard_views_match_the_store(self, tmp_path):
+        crowd = _crowd(23)
+        TraceStore.write(crowd, tmp_path / "s")
         store = TraceStore.open(tmp_path / "s")
-        walked = list(store.iter_shards(max_users=5))
-        for shard in walked:
-            direct = store.shard(
-                shard.start_index, shard.start_index + len(shard)
+        for start, stop in store.shard_bounds(4):
+            shard = store.shard(start, stop)
+            assert list(shard.user_ids) == store.user_ids()[start:stop]
+            np.testing.assert_array_equal(
+                shard.lengths, store.lengths()[start:stop]
             )
-            assert direct.user_ids == shard.user_ids
-            np.testing.assert_array_equal(direct.stamps, shard.stamps)
-            np.testing.assert_array_equal(direct.lengths, shard.lengths)
+            np.testing.assert_array_equal(
+                shard.stamps,
+                np.concatenate(
+                    [crowd[user_id].timestamps for user_id in shard.user_ids]
+                ),
+            )
 
     def test_bounds_on_empty_store(self, tmp_path):
         TraceStore.write(TraceSet(), tmp_path / "s")
