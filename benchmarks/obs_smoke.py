@@ -23,7 +23,8 @@ the three observatory artifacts:
   heartbeat series and their derived rates;
 * the health log (``kind: repro-health``) must record the migration-rate
   SLO tripping on the relocation burst and recovering afterwards;
-* the profile (``kind: repro-profile``) must be schema-valid, and
+* the profile (``kind: repro-profile``) must be schema-valid, one
+  ``darkcrowd stats`` call must print all three and exit 0, and
   ``darkcrowd dashboard`` must render all three into one self-contained
   HTML page (written to ``$OBS_SMOKE_DASHBOARD_OUT`` when set, so CI can
   upload it).
@@ -37,6 +38,8 @@ defaults.  Exits non-zero on any violation, so CI can gate on it::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -251,6 +254,18 @@ def observatory_replay(work: Path) -> None:
     validate_series(series_out)
     validate_health(health_out)
     validate_profile(profile_out)
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli_main(["stats", str(series_out), str(health_out), str(profile_out)])
+    check(code == 0, "darkcrowd stats over the three artifacts exits 0")
+    check(
+        all(
+            title in printed.getvalue()
+            for title in ("series artifact:", "health rules", "sampling profile:")
+        ),
+        "darkcrowd stats prints a digest of each artifact",
+    )
 
     dashboard_out = Path(
         os.environ.get("OBS_SMOKE_DASHBOARD_OUT", work / "dashboard.html")

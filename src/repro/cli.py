@@ -59,20 +59,22 @@ from repro.core.geolocate import CrowdGeolocator
 from repro.core.streaming import StreamingGeolocator
 from repro.datasets.store import TraceStore, convert_jsonl
 from repro.datasets.traces import load_trace_set, load_trace_set_resilient
-from repro.errors import EmptyTraceError
-from repro.forum.monitor import ForumMonitor
+from repro.errors import EmptyTraceError, ForumError
+from repro.forum.monitor import ForumMonitor, check_campaign
+from repro.obs import artifacts as obs_artifacts
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.health import (
+    HEALTH_KIND,
     HealthMonitor,
     Observatory,
     default_streaming_rules,
-    load_health_jsonl,
+    health_digest,
 )
 from repro.obs.logs import configure_logging
-from repro.obs.manifest import RunManifest
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.timeseries import SeriesSampler, load_series_jsonl
+from repro.obs.manifest import MANIFEST_KIND, RunManifest
+from repro.obs.profiler import PROFILE_KIND, SamplingProfiler
+from repro.obs.timeseries import SERIES_KIND, SeriesFrame, SeriesSampler
 from repro.obs.tracing import trace_span
 from repro.reliability import FaultSpec, FlakyForumProxy, ManualClock, RetryPolicy
 from repro.synth.forums import FORUM_SPECS
@@ -636,13 +638,9 @@ def _cmd_geolocate(context, args) -> None:
             print(f"  quarantined {entry.user_id}: {entry.reason}")
 
 
-def _label_str(labels: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-
-
 def _print_metrics_snapshot(metrics: dict) -> None:
     scalar_rows = [
-        (entry["name"], _label_str(entry["labels"]), f"{entry['value']:g}")
+        (entry["name"], obs_artifacts.format_labels(entry["labels"]), f"{entry['value']:g}")
         for entry in metrics.get("counters", []) + metrics.get("gauges", [])
     ]
     if scalar_rows:
@@ -653,33 +651,25 @@ def _print_metrics_snapshot(metrics: dict) -> None:
                 title="counters & gauges",
             )
         )
-    histogram_rows = [
+    rows = [
         (
-            entry["name"],
-            _label_str(entry["labels"]),
-            entry["count"],
-            f"{entry['sum']:.4f}",
-            _quantile_cell(entry, 0.5),
-            _quantile_cell(entry, 0.95),
-            _quantile_cell(entry, 0.99),
+            row.name,
+            row.labels,
+            row.count,
+            f"{row.sum:.4f}",
+            *("-" if math.isnan(q) else f"{q:.4g}" for q in row.quantiles),
         )
-        for entry in metrics.get("histograms", [])
+        for row in obs_artifacts.histogram_rows(metrics)
     ]
-    if histogram_rows:
+    if rows:
         print()
         print(
             ascii_table(
                 ["histogram", "labels", "count", "sum", "p50", "p95", "p99"],
-                histogram_rows,
+                rows,
                 title="histograms",
             )
         )
-
-
-def _quantile_cell(entry: dict, q: float) -> str:
-    """Bucket-interpolated quantile of a serialised histogram entry."""
-    value = obs_metrics.percentile_from_counts(entry["buckets"], entry["counts"], q)
-    return "-" if math.isnan(value) else f"{value:.4g}"
 
 
 def _print_manifest(payload: dict) -> None:
@@ -725,27 +715,21 @@ def _print_manifest(payload: dict) -> None:
         _print_metrics_snapshot(metrics)
 
 
-def _print_chrome_trace(events: list) -> None:
-    by_name: dict[str, list[float]] = {}
-    for event in events:
-        by_name.setdefault(event["name"], []).append(float(event["dur"]) / 1e3)
-    rows = [
-        (name, len(durations), f"{sum(durations):.2f}", f"{max(durations):.2f}")
-        for name, durations in sorted(
-            by_name.items(), key=lambda item: -sum(item[1])
-        )
-    ]
+def _print_chrome_trace(document: dict) -> None:
+    spans = obs_artifacts.trace_digest(document)
     print(
         ascii_table(
             ["span", "events", "total (ms)", "max (ms)"],
-            rows,
-            title=f"chrome trace -- {len(events)} events",
+            [
+                (s.name, s.count, f"{s.total_us / 1e3:.2f}", f"{s.max_us / 1e3:.2f}")
+                for s in spans
+            ],
+            title=f"chrome trace -- {sum(span.count for span in spans)} events",
         )
     )
 
 
-def _print_series_artifact(path: Path) -> None:
-    frame = load_series_jsonl(path)
+def _print_series_artifact(frame: SeriesFrame) -> None:
     print(
         f"series artifact: {len(frame)} samples, {len(frame.names())} series "
         f"(interval {frame.interval_s:g}s)"
@@ -772,8 +756,8 @@ def _print_series_artifact(path: Path) -> None:
     )
 
 
-def _print_health_artifact(path: Path) -> None:
-    header, events = load_health_jsonl(path)
+def _print_health_artifact(health: tuple[dict, list]) -> None:
+    header, events = health
     rules = header.get("rules") or {}
     if rules:
         print(
@@ -786,9 +770,7 @@ def _print_health_artifact(path: Path) -> None:
     if not events:
         print("\nno health transitions recorded (every rule stayed ok)")
         return
-    final: dict[str, str] = {}
-    for event in events:
-        final[event.rule] = event.new_state
+    digest = health_digest(header, events)
     print()
     print(
         ascii_table(
@@ -805,9 +787,9 @@ def _print_health_artifact(path: Path) -> None:
             title=f"health transitions -- {len(events)} events",
         )
     )
-    worst = max(final.values(), key=lambda s: {"ok": 0, "warn": 1, "crit": 2}[s])
-    print("\nfinal states: " + ", ".join(f"{k}={v}" for k, v in sorted(final.items())))
-    print(f"overall: {worst}")
+    moved = {rule: lane[-1][1] for rule, lane in digest.lanes.items() if len(lane) > 1}
+    print("\nfinal states: " + ", ".join(f"{k}={v}" for k, v in moved.items()))
+    print(f"overall: {digest.overall}")
 
 
 def _print_profile_artifact(payload: dict) -> None:
@@ -836,56 +818,25 @@ def _print_profile_artifact(payload: dict) -> None:
     )
 
 
+#: ``darkcrowd stats``' printer for each artifact kind ``load_artifact`` reads.
+_STATS_PRINTERS = {
+    MANIFEST_KIND: _print_manifest,
+    obs_artifacts.METRICS_KIND: lambda doc: _print_metrics_snapshot(doc.get("metrics") or {}),
+    PROFILE_KIND: _print_profile_artifact,
+    SERIES_KIND: _print_series_artifact,
+    HEALTH_KIND: _print_health_artifact,
+    obs_artifacts.TRACE_KIND: _print_chrome_trace,
+}
+
+
 def _cmd_stats(context, args) -> None:
-    """Pretty-print a metrics / manifest / trace / observatory artifact."""
-    path = Path(args.artifact)
+    """Pretty-print observability artifacts, one after another."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        # JSONL artifacts (--series-out / --health-out) carry their kind
-        # on the header line; anything else is genuinely unreadable.
-        first = text.splitlines()[0] if text.strip() else ""
-        try:
-            header = json.loads(first)
-        except ValueError:
-            raise SystemExit(f"cannot read {path}: not JSON or JSONL")
-        kind = header.get("kind") if isinstance(header, dict) else None
-        try:
-            if kind == "repro-series":
-                _print_series_artifact(path)
-                return
-            if kind == "repro-health":
-                _print_health_artifact(path)
-                return
-        except ValueError as exc:
-            raise SystemExit(f"cannot read {path}: {exc}")
-        raise SystemExit(
-            f"{path}: not a recognised observability artifact "
-            "(expected --series-out / --health-out output)"
-        )
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind == "repro-run-manifest":
-        _print_manifest(payload)
-    elif kind == "repro-metrics":
-        _print_metrics_snapshot(payload.get("metrics") or {})
-    elif kind == "repro-profile":
-        _print_profile_artifact(payload)
-    elif kind == "repro-series":
-        _print_series_artifact(path)  # header-only JSONL (no samples yet)
-    elif kind == "repro-health":
-        _print_health_artifact(path)
-    elif isinstance(payload, dict) and "traceEvents" in payload:
-        _print_chrome_trace(payload["traceEvents"])
-    else:
-        raise SystemExit(
-            f"{path}: not a recognised observability artifact "
-            "(expected --metrics-out / --manifest-out / --trace-out / "
-            "--series-out / --health-out / --profile-out output)"
-        )
+        loaded = [obs_artifacts.load_artifact(path) for path in args.artifacts]
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"stats: {exc}")
+    for kind, content in loaded:
+        _STATS_PRINTERS[kind](content)
 
 
 def _cmd_lint(context, args) -> None:
@@ -918,11 +869,6 @@ def _cmd_dashboard(context, args) -> None:
     """Render the health-observatory dashboard from persisted artifacts."""
     from repro.obs.dashboard import render_dashboard
 
-    if not any((args.series, args.health, args.profile, args.metrics, args.trace)):
-        raise SystemExit(
-            "dashboard: give at least one artifact "
-            "(--series / --health / --profile / --metrics / --trace)"
-        )
     try:
         rendered = render_dashboard(
             series_path=args.series,
@@ -931,14 +877,9 @@ def _cmd_dashboard(context, args) -> None:
             metrics_path=args.metrics,
             trace_path=args.trace,
             title=args.title,
-            ansi=args.ansi,
-            color=not args.no_color,
         )
     except (OSError, ValueError) as exc:
         raise SystemExit(f"dashboard: {exc}")
-    if args.ansi:
-        print(rendered)
-        return
     out = Path(args.out)
     out.write_text(rendered, encoding="utf-8")
     print(f"dashboard written to {out} ({len(rendered)} bytes, self-contained)")
@@ -1094,6 +1035,63 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bounded(convert, check):
+    """argparse type: *convert* the text, then let the library *check* it.
+
+    *check* builds what the run builds from the value (a ``DriftConfig``,
+    a ``FaultSpec``, a campaign schedule), so a bad value exits 2 before
+    any work, with the library's message.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check(value)
+        except (ValueError, ForumError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _schedule_check(**share: float) -> None:
+    """``check_campaign`` on one monitor flag's share of the schedule."""
+    schedule = {"start": 0.0, "end": 1.0, "poll_interval": 1.0, "checkpoint_every": 1}
+    check_campaign(**{**schedule, **share})
+
+
+#: ``monitor``'s numeric flags, bounded by the campaign check and the fault spec.
+_POLL_HOURS = _bounded(float, lambda hours: _schedule_check(poll_interval=hours * 3600.0))
+_DAYS = _bounded(float, lambda days: _schedule_check(end=days * SECONDS_PER_DAY))
+_CHECKPOINT_EVERY = _bounded(int, lambda every: _schedule_check(checkpoint_every=every))
+_FAULT_RATE = _bounded(float, lambda rate: FaultSpec(failure_rate=rate))
+
+
+def _add_drift_args(parser: argparse.ArgumentParser) -> None:
+    """The drift flags ``monitor`` and ``replay`` share."""
+    parser.add_argument(
+        "--drift-window",
+        type=_bounded(int, lambda days: DriftConfig(window_days=days)),
+        default=None,
+        metavar="DAYS",
+        help="enable temporal-drift tracking with this rolling window "
+        "(monitor replays its campaign through the streaming engine)",
+    )
+    parser.add_argument(
+        "--confidence-threshold",
+        type=_bounded(float, lambda threshold: DriftConfig(confidence_threshold=threshold)),
+        default=0.5,
+        help="effective confidence below which a placement is re-verified "
+        "(with --drift-window)",
+    )
+    parser.add_argument(
+        "--migrations-out",
+        default=None,
+        metavar="PATH",
+        help="write zone-migration events to this JSONL file (with --drift-window)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darkcrowd",
@@ -1157,14 +1155,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--forum", default="idc", choices=sorted(FORUM_SPECS), help="forum to monitor"
     )
     monitor.add_argument(
-        "--poll-hours", type=float, default=1.0, help="polling interval in hours"
+        "--poll-hours", type=_POLL_HOURS, default=1.0, help="polling interval in hours"
     )
     monitor.add_argument(
-        "--days", type=float, default=None, help="campaign length in days"
+        "--days", type=_DAYS, default=None, help="campaign length in days"
     )
     monitor.add_argument(
         "--fault-rate",
-        type=float,
+        type=_FAULT_RATE,
         default=0.0,
         help="injected transient-failure probability per forum call",
     )
@@ -1173,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_CHECKPOINT_EVERY,
         default=24,
         help="successful polls between checkpoint writes",
     )
@@ -1183,28 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECKPOINT",
         help="resume the campaign from this checkpoint file",
     )
-    monitor.add_argument(
-        "--drift-window",
-        type=int,
-        default=None,
-        metavar="DAYS",
-        help="enable temporal-drift tracking with this rolling window "
-        "(replays the campaign through the streaming engine)",
-    )
-    monitor.add_argument(
-        "--confidence-threshold",
-        type=float,
-        default=0.5,
-        help="effective confidence below which a placement is re-verified "
-        "(with --drift-window)",
-    )
-    monitor.add_argument(
-        "--migrations-out",
-        default=None,
-        metavar="PATH",
-        help="write zone-migration events to this JSONL file "
-        "(with --drift-window)",
-    )
+    _add_drift_args(monitor)
     monitor.add_argument(
         "--batch-size",
         type=_positive_int,
@@ -1237,27 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="events per bulk call (chunk size for JSONL, max posts per "
         "column chunk for --store; bit-identical for any N)",
     )
-    replay.add_argument(
-        "--drift-window",
-        type=int,
-        default=None,
-        metavar="DAYS",
-        help="enable temporal-drift tracking with this rolling window",
-    )
-    replay.add_argument(
-        "--confidence-threshold",
-        type=float,
-        default=0.5,
-        help="effective confidence below which a placement is re-verified "
-        "(with --drift-window)",
-    )
-    replay.add_argument(
-        "--migrations-out",
-        default=None,
-        metavar="PATH",
-        help="write zone-migration events to this JSONL file "
-        "(with --drift-window)",
-    )
+    _add_drift_args(replay)
     _add_observatory_args(replay)
     geolocate = sub.add_parser(
         "geolocate",
@@ -1304,15 +1261,17 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("store", help="store directory to create")
     stats = sub.add_parser(
         "stats",
-        help="pretty-print an observability artifact written by "
+        help="pretty-print observability artifacts written by "
         "--metrics-out / --manifest-out / --trace-out / --series-out / "
         "--health-out / --profile-out",
         parents=parents,
     )
-    stats.add_argument("artifact", help="path to the artifact JSON/JSONL file")
+    stats.add_argument(
+        "artifacts", nargs="+", metavar="artifact", help="JSON/JSONL artifacts, printed in turn"
+    )
     dashboard = sub.add_parser(
         "dashboard",
-        help="render a self-contained HTML (or ANSI) health dashboard from "
+        help="render a self-contained HTML health dashboard from "
         "observatory artifacts",
         parents=parents,
     )
@@ -1335,17 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="dashboard.html",
         metavar="PATH",
-        help="HTML output path (ignored with --ansi)",
-    )
-    dashboard.add_argument(
-        "--ansi",
-        action="store_true",
-        help="print an ANSI terminal report instead of writing HTML",
-    )
-    dashboard.add_argument(
-        "--no-color",
-        action="store_true",
-        help="with --ansi: plain text without colour codes",
+        help="HTML output path",
     )
     dashboard.add_argument(
         "--title",

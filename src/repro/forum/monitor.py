@@ -27,6 +27,7 @@ the campaign's traces once it ends, posts from before a resume included.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -75,6 +76,18 @@ class MonitorResult:
             f"{self.n_polls} polls every {self.poll_interval / 3600:.2f}h "
             f"({len(self.observations)} posts stamped{degraded})"
         )
+
+
+def check_campaign(
+    start: float, end: float, poll_interval: float, checkpoint_every: int
+) -> None:
+    """Raise :class:`ForumError` for a schedule ``run_campaign`` cannot run."""
+    if not 0 < poll_interval < math.inf:
+        raise ForumError(f"poll interval must be positive and finite: {poll_interval}")
+    if not start < end < math.inf:
+        raise ForumError(f"campaign must end after it starts, in finite time: {end}")
+    if checkpoint_every < 1:
+        raise ForumError(f"checkpoint_every must be >= 1: {checkpoint_every}")
 
 
 class ForumMonitor:
@@ -207,12 +220,7 @@ class ForumMonitor:
         monitor state is persisted after every *checkpoint_every*-th
         successful poll and once more at campaign end.
         """
-        if poll_interval <= 0:
-            raise ForumError(f"poll interval must be positive: {poll_interval}")
-        if end <= start:
-            raise ForumError("campaign must end after it starts")
-        if checkpoint_every < 1:
-            raise ForumError(f"checkpoint_every must be >= 1: {checkpoint_every}")
+        check_campaign(start, end, poll_interval, checkpoint_every)
         progress = ProgressReporter(
             "forum",
             "monitor_campaign",

@@ -28,8 +28,10 @@ observatory** (see DESIGN "Health observatory"):
   the :class:`HealthMonitor` OK/WARN/CRIT state machine with hysteresis;
 * :mod:`repro.obs.profiler`   -- :class:`SamplingProfiler`, collapsed
   stacks and hotspot digests from periodic frame captures;
+* :mod:`repro.obs.artifacts`  -- one reader for every persisted artifact
+  and the digests ``darkcrowd stats`` and the dashboard both print;
 * :mod:`repro.obs.dashboard`  -- the ``darkcrowd dashboard``
-  self-contained HTML / ANSI report over the persisted artifacts.
+  self-contained HTML report over the persisted artifacts.
 
 Everything is opt-in: until the CLI (or a host application) calls
 ``metrics.enable()`` / ``tracing.enable()`` / ``configure_logging()``,

@@ -2,9 +2,10 @@
 
 ``darkcrowd dashboard`` folds the observatory's persisted artifacts --
 ``--series-out`` JSONL, ``--health-out`` JSONL, ``--profile-out`` JSON,
-plus the PR-4 metrics/trace documents -- into a single static HTML file
+plus the metrics and trace documents -- into a single static HTML file
 an operator can open from a USB stick on an air-gapped box: no CDN, no
-external scripts, inline CSS and SVG only.
+external scripts, inline CSS and SVG only.  It reads and digests each
+artifact as ``darkcrowd stats`` does (:mod:`repro.obs.artifacts`).
 
 Rendering follows the project's chart conventions:
 
@@ -18,29 +19,24 @@ Rendering follows the project's chart conventions:
 * Text wears ink tokens, never series color; grids are solid hairlines;
   dark mode is a selected palette behind ``prefers-color-scheme``, not
   an automatic inversion.
-
-The ANSI mode (``--ansi``) prints the same digest for terminals:
-unicode sparkbars, colored state transitions, the hotspot table.
 """
 
 from __future__ import annotations
 
 import html
-import json
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .health import CRIT, OK, WARN, HealthEvent, load_health_jsonl
-from .metrics import percentile_from_counts
-from .profiler import load_profile
-from .timeseries import SeriesFrame, load_series_jsonl
+from . import artifacts
+from .health import CRIT, HEALTH_KIND, OK, WARN, HealthDigest, HealthEvent, health_digest
+from .profiler import PROFILE_KIND
+from .timeseries import SERIES_KIND, SeriesFrame
 
 __all__ = [
-    "render_ansi",
     "render_html",
     "render_dashboard",
 ]
@@ -75,10 +71,6 @@ _STATUS_LABEL = {OK: "OK", WARN: "! WARN", CRIT: "x CRIT"}
 _SPARK_W = 280
 _SPARK_H = 48
 _PAD = 6
-
-_BARS = "▁▂▃▄▅▆▇█"
-_ANSI_STATE = {OK: "\x1b[32m", WARN: "\x1b[33m", CRIT: "\x1b[31m"}
-_ANSI_RESET = "\x1b[0m"
 
 
 def _fmt(value: float) -> str:
@@ -213,25 +205,20 @@ def _health_lane(
             f"<title>{html.escape(rule)}: {html.escape(_STATUS_LABEL[state])} "
             f"from {html.escape(_fmt_t(seg_start, t0))}</title></rect>"
         )
-    final = segments[-1][1] if segments else OK
     return (
         '<div class="lane">'
         f'<div class="lane-name">{html.escape(rule)}</div>'
         f'<svg width="{w}" height="{h}" viewBox="0 0 {w} {h}">{"".join(parts)}</svg>'
-        f"{_state_chip(final)}"
+        f"{_state_chip(segments[-1][1])}"
         "</div>"
     )
 
 
 def _health_section(
-    header: dict[str, Any], events: Sequence[HealthEvent], t0: float, t1: float
+    digest: HealthDigest, events: Sequence[HealthEvent], t0: float, t1: float
 ) -> str:
-    rules = sorted(header.get("rules", {}))
-    lanes: dict[str, list[tuple[float, str]]] = {name: [(t0, OK)] for name in rules}
-    for event in events:
-        lanes.setdefault(event.rule, [(t0, OK)]).append((event.t, event.new_state))
     lane_html = "".join(
-        _health_lane(rule, segments, t0, t1) for rule, segments in sorted(lanes.items())
+        _health_lane(rule, segments, t0, t1) for rule, segments in digest.lanes.items()
     )
     rows = "".join(
         f"<tr><td>{html.escape(_fmt_t(e.t, t0))}</td>"
@@ -274,28 +261,19 @@ def _hotspot_section(profile: dict[str, Any]) -> str:
 
 
 def _metrics_section(metrics_doc: dict[str, Any]) -> str:
-    body = metrics_doc.get("metrics", metrics_doc)
-    histograms = body.get("histograms", [])
+    histograms = artifacts.histogram_rows(metrics_doc.get("metrics") or {})
     if not histograms:
         return ""
     rows = []
-    for entry in histograms:
-        percentiles = [
-            percentile_from_counts(entry["buckets"], entry["counts"], q)
-            for q in (0.5, 0.95, 0.99)
-        ]
+    for row in histograms:
         cells = "".join(
             f"<td>{'--' if math.isnan(p) else html.escape(_fmt(p))}</td>"
-            for p in percentiles
+            for p in row.quantiles
         )
-        label = entry["name"] + (
-            "{" + ",".join(f"{k}={v}" for k, v in sorted(entry["labels"].items())) + "}"
-            if entry.get("labels")
-            else ""
-        )
+        label = row.name + ("{" + row.labels + "}" if row.labels else "")
         rows.append(
             f"<tr><td class='frame'>{html.escape(label)}</td>"
-            f"<td>{entry['count']}</td>{cells}</tr>"
+            f"<td>{row.count}</td>{cells}</tr>"
         )
     return (
         "<h2>Latency percentiles</h2>"
@@ -305,21 +283,12 @@ def _metrics_section(metrics_doc: dict[str, Any]) -> str:
 
 
 def _trace_section(trace_doc: dict[str, Any]) -> str:
-    events = trace_doc.get("traceEvents", [])
-    if not events:
+    if not trace_doc.get("traceEvents"):
         return ""
-    by_name: dict[str, tuple[int, float]] = {}
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        name = str(event.get("name", "?"))
-        count, total = by_name.get(name, (0, 0.0))
-        by_name[name] = (count + 1, total + float(event.get("dur", 0.0)) / 1e6)
-    ranked = sorted(by_name.items(), key=lambda kv: -kv[1][1])[:12]
     rows = "".join(
-        f"<tr><td class='frame'>{html.escape(name)}</td><td>{count}</td>"
-        f"<td>{html.escape(_fmt(total))}s</td></tr>"
-        for name, (count, total) in ranked
+        f"<tr><td class='frame'>{html.escape(span.name)}</td><td>{span.count}</td>"
+        f"<td>{html.escape(_fmt(span.total_us / 1e6))}s</td></tr>"
+        for span in artifacts.trace_digest(trace_doc)[:12]
     )
     return (
         "<h2>Trace digest</h2>"
@@ -379,37 +348,23 @@ summary { color: var(--muted); font-size: 12px; cursor: pointer; }
 """
 
 
-def render_html(
-    *,
-    series: SeriesFrame | None = None,
-    health: tuple[dict[str, Any], list[HealthEvent]] | None = None,
-    profile: dict[str, Any] | None = None,
-    metrics_doc: dict[str, Any] | None = None,
-    trace_doc: dict[str, Any] | None = None,
-    title: str = "darkcrowd health observatory",
-) -> str:
-    """Assemble the self-contained HTML report from loaded artifacts."""
+def render_html(loaded: Mapping[str, Any], title: str) -> str:
+    """The self-contained HTML report of ``load_artifact`` contents, by kind."""
+    series: SeriesFrame | None = loaded.get(SERIES_KIND)
+    health = loaded.get(HEALTH_KIND)
+    events = health[1] if health is not None else []
+    digest = health_digest(*health) if health is not None else None
     t0, t1 = 0.0, 1.0
     if series is not None and series.times:
         t0, t1 = float(series.times[0]), float(series.times[-1])
-    elif health is not None and health[1]:
-        ts = [e.t for e in health[1]]
+    elif events:
+        ts = [e.t for e in events]
         t0, t1 = min(ts), max(ts)
-
-    overall = OK
-    if health is not None:
-        final: dict[str, str] = {}
-        for event in health[1]:
-            final[event.rule] = event.new_state
-        rank = {OK: 0, WARN: 1, CRIT: 2}
-        for state in final.values():
-            if rank[state] > rank[overall]:
-                overall = state
 
     sections: list[str] = []
     n_samples = len(series) if series is not None else 0
     span_days = (t1 - t0) / 86400.0 if series is not None else 0.0
-    n_events = len(health[1]) if health is not None else 0
+    overall = digest.overall if digest is not None else OK
     sections.append(
         '<div class="hero">'
         f'<div><div class="value">{_state_chip(overall)}</div>'
@@ -418,7 +373,7 @@ def render_html(
         '<div class="label">samples</div></div>'
         f'<div><div class="value">{span_days:.0f}d</div>'
         '<div class="label">span</div></div>'
-        f'<div><div class="value">{n_events}</div>'
+        f'<div><div class="value">{len(events)}</div>'
         '<div class="label">transitions</div></div>'
         "</div>"
     )
@@ -427,14 +382,14 @@ def render_html(
             _series_panel(name, *series.series(name), t0) for name in series.names()
         )
         sections.append(f"<h2>Series</h2><div class='grid'>{panels}</div>")
-    if health is not None:
-        sections.append(_health_section(health[0], health[1], t0, t1))
-    if profile is not None:
-        sections.append(_hotspot_section(profile))
-    if metrics_doc is not None:
-        sections.append(_metrics_section(metrics_doc))
-    if trace_doc is not None:
-        sections.append(_trace_section(trace_doc))
+    if digest is not None:
+        sections.append(_health_section(digest, events, t0, t1))
+    if PROFILE_KIND in loaded:
+        sections.append(_hotspot_section(loaded[PROFILE_KIND]))
+    if artifacts.METRICS_KIND in loaded:
+        sections.append(_metrics_section(loaded[artifacts.METRICS_KIND]))
+    if artifacts.TRACE_KIND in loaded:
+        sections.append(_trace_section(loaded[artifacts.TRACE_KIND]))
 
     css = _CSS % {
         "spark_w": _SPARK_W,
@@ -454,80 +409,6 @@ def render_html(
     )
 
 
-# ---------------------------------------------------------------------------
-# ANSI terminal mode
-# ---------------------------------------------------------------------------
-
-
-def _sparkbar(values: np.ndarray, width: int = 32) -> str:
-    if values.size == 0:
-        return ""
-    if values.size > width:
-        edges = np.linspace(0, values.size, width + 1).astype(int)
-        values = np.array(
-            [values[a:b].mean() for a, b in zip(edges, edges[1:]) if b > a]
-        )
-    vmin, vmax = float(values.min()), float(values.max())
-    span = (vmax - vmin) or 1.0
-    return "".join(
-        _BARS[min(int((float(v) - vmin) / span * (len(_BARS) - 1)), len(_BARS) - 1)]
-        for v in values
-    )
-
-
-def render_ansi(
-    *,
-    series: SeriesFrame | None = None,
-    health: tuple[dict[str, Any], list[HealthEvent]] | None = None,
-    profile: dict[str, Any] | None = None,
-    color: bool = True,
-) -> str:
-    """Terminal digest of the same artifacts (``darkcrowd dashboard --ansi``)."""
-
-    def paint(state: str, text: str) -> str:
-        if not color:
-            return text
-        return f"{_ANSI_STATE[state]}{text}{_ANSI_RESET}"
-
-    lines: list[str] = []
-    t0 = float(series.times[0]) if series is not None and series.times else 0.0
-    if series is not None:
-        lines.append(f"series ({len(series)} samples):")
-        for name in series.names():
-            times, values = series.series(name)
-            last = _fmt(float(values[-1])) if values.size else "--"
-            lines.append(f"  {name:48s} {_sparkbar(values):32s} last {last}")
-    if health is not None:
-        header, events = health
-        lines.append(f"health ({len(events)} transitions):")
-        final: dict[str, str] = {name: OK for name in header.get("rules", {})}
-        for event in events:
-            final[event.rule] = event.new_state
-            arrow = f"{event.old_state}->{event.new_state}"
-            lines.append(
-                f"  {_fmt_t(event.t, t0):>10s}  {event.rule:32s} "
-                f"{paint(event.new_state, arrow)}  ({_fmt(event.value)})"
-            )
-        summary = "  ".join(
-            f"{rule}={paint(state, state.upper())}"
-            for rule, state in sorted(final.items())
-        )
-        if summary:
-            lines.append(f"  final: {summary}")
-    if profile is not None:
-        lines.append(
-            f"hotspots ({profile.get('n_samples', 0)} samples @ "
-            f"{profile.get('interval_s', 0) * 1e3:g} ms):"
-        )
-        for spot in profile.get("hotspots", [])[:10]:
-            lines.append(
-                f"  {spot['frame']:48s} self {spot['self_samples']:6d}  "
-                f"total {spot['total_samples']:6d}  "
-                f"{spot['self_fraction'] * 100:5.1f}%"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def render_dashboard(
     *,
     series_path: str | Path | None = None,
@@ -536,38 +417,28 @@ def render_dashboard(
     metrics_path: str | Path | None = None,
     trace_path: str | Path | None = None,
     title: str = "darkcrowd health observatory",
-    ansi: bool = False,
-    color: bool = True,
 ) -> str:
-    """Load whichever artifacts exist and render HTML (or ANSI) output."""
-    if not any((series_path, health_path, profile_path, metrics_path, trace_path)):
+    """Load whichever artifacts are given and render the HTML report.
+
+    Raises ``ValueError`` when none is given or one is not of the kind
+    its argument names.
+    """
+    paths = {
+        SERIES_KIND: series_path,
+        HEALTH_KIND: health_path,
+        PROFILE_KIND: profile_path,
+        artifacts.METRICS_KIND: metrics_path,
+        artifacts.TRACE_KIND: trace_path,
+    }
+    if not any(paths.values()):
         raise ValueError(
             "nothing to render: pass at least one artifact path "
             "(series, health, profile, metrics or trace)"
         )
-    series = load_series_jsonl(series_path) if series_path else None
-    health = load_health_jsonl(health_path) if health_path else None
-    profile = load_profile(profile_path) if profile_path else None
-    metrics_doc = _load_json(metrics_path, "repro-metrics") if metrics_path else None
-    trace_doc = (
-        json.loads(Path(trace_path).read_text(encoding="utf-8")) if trace_path else None
-    )
-    if ansi:
-        return render_ansi(series=series, health=health, profile=profile, color=color)
-    return render_html(
-        series=series,
-        health=health,
-        profile=profile,
-        metrics_doc=metrics_doc,
-        trace_doc=trace_doc,
-        title=title,
-    )
-
-
-def _load_json(path: str | Path | None, kind: str) -> dict[str, Any]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("kind") != kind:
-        raise ValueError(f"{path}: expected kind {kind!r}, got {payload.get('kind')!r}")
-    return payload
-
-
+    loaded: dict[str, Any] = {}
+    for kind, path in paths.items():
+        if path:
+            found, loaded[kind] = artifacts.load_artifact(path)
+            if found != kind:
+                raise ValueError(f"{path}: expected kind {kind!r}, got {found!r}")
+    return render_html(loaded, title)

@@ -40,11 +40,13 @@ __all__ = [
     "HEALTH_VERSION",
     "OK",
     "WARN",
+    "HealthDigest",
     "HealthEvent",
     "HealthMonitor",
     "HealthRule",
     "Observatory",
     "default_streaming_rules",
+    "health_digest",
     "load_health_jsonl",
     "severity",
 ]
@@ -242,11 +244,7 @@ class HealthMonitor:
 
     def overall(self) -> str:
         """Worst current state across all rules."""
-        worst = OK
-        for rs in self._states.values():
-            if _SEVERITY[rs.state] > _SEVERITY[worst]:
-                worst = rs.state
-        return worst
+        return max(self.states().values(), key=severity, default=OK)
 
     def evaluate(self, source: Any, now: float) -> list[HealthEvent]:
         """Run every rule against *source* at time *now*.
@@ -452,7 +450,11 @@ class Observatory:
 def load_health_jsonl(
     path: str | Path,
 ) -> tuple[dict[str, Any], list[HealthEvent]]:
-    """Reload a ``--health-out`` artifact: ``(header, events)``."""
+    """Reload a ``--health-out`` artifact: ``(header, events)``.
+
+    A ``ValueError`` names the first line that is not an event between
+    ``ok``/``warn``/``crit`` states.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty health artifact")
@@ -461,9 +463,18 @@ def load_health_jsonl(
         raise ValueError(
             f"{path}: expected kind {HEALTH_KIND!r}, got {header.get('kind')!r}"
         )
-    events = [
-        HealthEvent.from_dict(json.loads(line)) for line in lines[1:] if line.strip()
-    ]
+    events = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            event = HealthEvent.from_dict(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {number}: not a health event ({exc!r})") from None
+        for state in (event.old_state, event.new_state):
+            if state not in _SEVERITY:
+                raise ValueError(f"{path}: line {number}: unknown health state {state!r}")
+        events.append(event)
     return header, events
 
 
@@ -473,7 +484,7 @@ def health_timeline(
     """Per-rule ``[(t, state), ...]`` segments reconstructed from events.
 
     Every rule starts OK at ``t = -inf``; each of its transitions opens
-    a new segment.  Used by the dashboard's health timeline lane.
+    a new segment.
     """
     out: dict[str, list[tuple[float, str]]] = {
         name: [(float("-inf"), OK)] for name in rules
@@ -483,3 +494,22 @@ def health_timeline(
             (event.t, event.new_state)
         )
     return out
+
+
+@dataclass(frozen=True)
+class HealthDigest:
+    """What the views of a reloaded health log print besides its events.
+
+    ``lanes`` is the :func:`health_timeline` of the header's and the
+    events' rules, by rule name; ``overall`` is the worst final state.
+    """
+
+    lanes: dict[str, list[tuple[float, str]]]
+    overall: str
+
+
+def health_digest(header: dict[str, Any], events: Sequence[HealthEvent]) -> HealthDigest:
+    """Digest ``load_health_jsonl``'s ``(header, events)``."""
+    lanes = dict(sorted(health_timeline(events, header.get("rules") or {}).items()))
+    finals = (segments[-1][1] for segments in lanes.values())
+    return HealthDigest(lanes, max(finals, key=severity, default=OK))

@@ -175,6 +175,46 @@ class TestMonitorCommand:
         assert "polls" not in capsys.readouterr().out
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            (["monitor"], "--checkpoint-every", "0", "checkpoint_every must be >= 1"),
+            (["monitor"], "--poll-hours", "0", "poll interval must be positive"),
+            (["monitor"], "--poll-hours", "nan", "poll interval must be positive"),
+            (["monitor"], "--days", "0", "campaign must end after it starts"),
+            (["monitor"], "--days", "-2", "campaign must end after it starts"),
+            (["monitor"], "--days", "inf", "campaign must end after it starts"),
+            (["monitor"], "--fault-rate", "1.5", "failure_rate must be in [0, 1)"),
+            (["monitor"], "--fault-rate", "-0.1", "failure_rate must be in [0, 1)"),
+            (["monitor"], "--drift-window", "0", "window_days must be >= 1"),
+            (["monitor"], "--drift-window", "x", "invalid literal for int()"),
+            (
+                ["monitor"],
+                "--confidence-threshold",
+                "1.5",
+                "confidence_threshold must be in [0, 1]",
+            ),
+            (["replay", "t.jsonl"], "--drift-window", "0", "window_days must be >= 1"),
+            (
+                ["replay", "t.jsonl"],
+                "--confidence-threshold",
+                "1.5",
+                "confidence_threshold must be in [0, 1]",
+            ),
+        ],
+    )
+    def test_bad_numeric_flags_refused_before_any_work(
+        self, capsys, monkeypatch, command, flag, value, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the experiment context was built")
+
+        monkeypatch.setattr("repro.cli.make_context", no_work)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--fast", *command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
 
 class TestGeolocateCommand:
     def _write_traces(self, path, corrupt=False):
@@ -466,7 +506,6 @@ class TestObservatoryCli:
         assert monitor.series_out == "s.jsonl"
         dash = build_parser().parse_args(["dashboard", "--series", "s.jsonl"])
         assert dash.out == "dashboard.html"
-        assert not dash.ansi
 
     def test_replay_writes_series_and_health(self, capsys, tmp_path):
         from repro.obs.health import load_health_jsonl
@@ -577,11 +616,39 @@ class TestObservatoryCli:
         assert "stream_events_total" in html
         assert "src=" not in html  # self-contained: no external fetches
 
-    def test_dashboard_ansi_prints_inline(self, capsys, tmp_path):
-        series, _, _ = self._replay_with_observatory(tmp_path, capsys)
-        assert main(["dashboard", "--series", str(series), "--ansi"]) == 0
-        out = capsys.readouterr().out
-        assert "stream_events_total" in out
+    @pytest.mark.parametrize("flag", ["--ansi", "--no-color"])
+    def test_dashboard_has_no_terminal_mode(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dashboard", "--series", "s.jsonl", flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def _health_with_unknown_state(self, tmp_path):
+        path = tmp_path / "health.jsonl"
+        path.write_text(
+            json.dumps({"kind": "repro-health", "version": 1, "rules": {}})
+            + "\n"
+            + json.dumps(
+                {"t": 5.0, "rule": "spike", "old_state": "ok",
+                 "new_state": "bogus", "value": 2.0, "message": ""}
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_stats_refuses_an_unknown_health_state(self, tmp_path):
+        path = self._health_with_unknown_state(tmp_path)
+        with pytest.raises(SystemExit, match="line 2: unknown health state 'bogus'"):
+            main(["stats", str(path)])
+
+    def test_dashboard_refuses_an_unknown_health_state(self, tmp_path):
+        path = self._health_with_unknown_state(tmp_path)
+        with pytest.raises(
+            SystemExit, match="dashboard: .*line 2: unknown health state 'bogus'"
+        ):
+            main(["dashboard", "--health", str(path), "--out", str(tmp_path / "d.html")])
+        assert not (tmp_path / "d.html").exists()
 
     def test_dashboard_requires_an_artifact(self):
         with pytest.raises(SystemExit, match="at least one"):

@@ -350,6 +350,18 @@ class TestHealthPersistence:
         with pytest.raises(ValueError, match="expected kind"):
             load_health_jsonl(path)
 
+    @pytest.mark.parametrize("field", ["old_state", "new_state"])
+    def test_unknown_state_rejected_with_its_line(self, tmp_path, field):
+        event = HealthEvent(5.0, "a", OK, WARN, 2.0, "").to_dict()
+        event[field] = "bogus"
+        path = tmp_path / "health.jsonl"
+        path.write_text(
+            '{"kind": "repro-health"}\n\n' + json.dumps(event) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="line 3: unknown health state 'bogus'"):
+            load_health_jsonl(path)
+
     def test_health_timeline_reconstruction(self):
         events = [
             HealthEvent(5.0, "a", OK, WARN, 2.0, ""),
@@ -573,15 +585,6 @@ class TestDashboard:
         html_text = render_dashboard(series_path=series)
         assert "<script>alert(1)</script>" not in html_text
         assert "&lt;script&gt;" in html_text
-
-    def test_ansi_mode_renders_text(self, tmp_path):
-        render_dashboard, series, health, _ = self._artifacts(tmp_path)
-        text = render_dashboard(
-            series_path=series, health_path=health, ansi=True, color=False
-        )
-        assert "stream_events_total" in text
-        assert "<" not in text.replace("<-", "")  # no HTML leaked into ANSI
-        assert "\x1b[" not in text  # color=False strips escape codes
 
     def test_requires_at_least_one_artifact(self):
         from repro.obs.dashboard import render_dashboard
