@@ -16,12 +16,12 @@ from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix, emd_circular, emd_linear
 from repro.core.em import fit_mixture, select_mixture
 from repro.core.events import ActivityTrace
-from repro.core.flatness import polish_trace_set
 from repro.core.gaussian import GaussianComponent, mixture_pdf
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.placement import PlacementDistribution, classify_profiles
 from repro.core.profiles import Profile, build_user_profile
 from repro.core.reference import ReferenceProfiles
+from repro.core.shard import compute_shard_partial
 from repro.timebase.zones import ZONE_OFFSETS
 
 
@@ -111,10 +111,12 @@ def test_profile_matrix_build_speed(benchmark, crowd_5k):
     assert len(matrix) == 5_000
 
 
-def test_polish_trace_set_speed(benchmark, crowd_5k):
+def test_shard_partial_speed(benchmark, crowd_5k):
+    # The per-user reduction geolocate() runs (Eq. 1, flat flag, zone).
+    columns = crowd_5k.columns()
     references = ReferenceProfiles.canonical()
-    result = benchmark(polish_trace_set, crowd_5k, references)
-    assert result.n_removed > 0
+    partial = benchmark(compute_shard_partial, *columns, references, min_posts=30)
+    assert partial.flat_mask.any()
 
 
 def test_geolocate_end_to_end_speed(benchmark, crowd_5k):

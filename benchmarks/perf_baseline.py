@@ -34,10 +34,10 @@ from repro._version import __version__
 from repro.obs.manifest import RunManifest
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix
-from repro.core.flatness import polish_trace_set
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.placement import placement_distribution
 from repro.core.reference import ReferenceProfiles
+from repro.core.shard import compute_partials, compute_shard_partial
 from repro.core.streaming import StreamingGeolocator
 from repro.datasets.store import TraceStore
 
@@ -80,9 +80,17 @@ def _timings(n_users: int, *, repeat: int) -> dict[str, dict[str, float]]:
         _time(distance_matrix, matrix, references, repeat=repeat),
     )
 
+    # The per-user reduction geolocate() runs: Eq. 1 rows, flat flags and
+    # nearest zones of the crowd's active users.
     record(
-        "polish_trace_set",
-        _time(polish_trace_set, crowd, references, repeat=repeat),
+        "shard_partial",
+        _time(
+            compute_shard_partial,
+            *crowd.columns(),
+            references,
+            min_posts=30,
+            repeat=repeat,
+        ),
     )
 
     record("geolocate", _time(locator.geolocate, crowd, repeat=repeat))
@@ -93,19 +101,24 @@ def _timings(n_users: int, *, repeat: int) -> dict[str, dict[str, float]]:
         _time(placement_distribution, assignments, repeat=repeat),
     )
 
-    # Out-of-core paths (PR 3): the columnar store reader and the warm
-    # incremental streaming snapshot, gated by perf_smoke alongside the
-    # batch-engine entries above.
+    # Out-of-core paths: what geolocate_store runs before assembly (open
+    # the store, reduce its default shards) and the warm incremental
+    # streaming snapshot, gated by perf_smoke alongside the batch-engine
+    # entries above.
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "crowd.store"
         TraceStore.write(crowd, store_path)
 
-        def load_store():
-            return ProfileMatrix.from_store(
-                TraceStore.open(store_path), min_posts=30
+        def store_partials():
+            store = TraceStore.open(store_path)
+            return compute_partials(
+                store,
+                references,
+                min_posts=30,
+                n_shards=store.default_shard_count(),
             )
 
-        record("store_load", _time(load_store, repeat=repeat))
+        record("store_partials", _time(store_partials, repeat=repeat))
 
     stream = StreamingGeolocator(references)
     for trace in crowd:

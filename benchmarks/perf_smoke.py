@@ -373,6 +373,12 @@ def main() -> int:
         return 2
 
     current = _timings(SMOKE_USERS, repeat=5)
+    # A recorded row nothing times any more, or a timing with no recorded
+    # row, is a gate gone without a word: both fail, by name.
+    unmatched = sorted(recorded.keys() ^ current.keys())
+    for name in unmatched:
+        problem = "recorded, no longer timed" if name in recorded else "timed, no recorded row"
+        print(f"  {name:24s} {problem}  FAIL")
     failures = []
     for name, entry in recorded.items():
         now = current.get(name)
@@ -408,12 +414,19 @@ def main() -> int:
     if not _ingest_throughput_check():
         failures.append(("ingest_throughput", INGEST_STORE_MIN_SPEEDUP))
 
+    if unmatched:
+        print(
+            f"perf_smoke: smoke rows and timings disagree on {', '.join(unmatched)}; "
+            "re-run benchmarks/perf_baseline.py",
+            file=sys.stderr,
+        )
     if failures:
         worst = ", ".join(f"{name} {ratio:.2f}x" for name, ratio in failures)
         print(
             f"perf_smoke: REGRESSION above {TOLERANCE:.1f}x tolerance: {worst}",
             file=sys.stderr,
         )
+    if unmatched or failures:
         return 1
     print("perf_smoke: all hot paths within tolerance")
     return 0

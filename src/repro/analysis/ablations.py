@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.analysis.experiments import ExperimentContext, make_context
 from repro.core.em import fit_mixture
-from repro.core.placement import place_users
-from repro.core.profiles import build_user_profile
+from repro.core.placement import assign_zones
+from repro.core.shard import compute_shard_partial
 from repro.datasets.traces import LabeledDataset
 from repro.synth.twitter import build_region_crowd
 from repro.timebase.zones import get_region
@@ -45,16 +45,13 @@ def _placement_accuracy(
         n_days=days,
         posts_per_day_mean=posts_per_day_mean,
     )
-    labeled = LabeledDataset({region_key: crowd.with_min_posts(min_posts)})
-    normalized = labeled.dst_normalized_crowd(region_key)
-    profiles = {
-        trace.user_id: build_user_profile(trace)
-        for trace in normalized
-        if not trace.is_empty()
-    }
-    if not profiles:
+    normalized = LabeledDataset({region_key: crowd}).dst_normalized_crowd(region_key)
+    partial = compute_shard_partial(
+        *normalized.columns(), context.references, metric=metric, min_posts=min_posts
+    )
+    if not len(partial):
         return 0.0, 0
-    assignments = place_users(profiles, context.references, metric=metric)
+    assignments, _ = assign_zones(partial.user_ids, partial.zone_indices)
     truth = get_region(region_key).base_offset
     hits = sum(
         1 for offset in assignments.values() if abs(offset - truth) <= tolerance
@@ -152,7 +149,6 @@ def run_sigma_init_ablation(
 ) -> list[SigmaInitRow]:
     """EM sensitivity to the sigma initialisation (paper uses 2.5)."""
     from repro.synth.forums import build_merged_crowd
-    from repro.core.placement import place_trace_set
 
     context = context or make_context()
     regions = ("illinois", "germany", "malaysia")
@@ -162,7 +158,8 @@ def run_sigma_init_ablation(
     traces = build_merged_crowd(
         regions, users_per_component, seed=seed, n_days=context.n_days
     )
-    placement = place_trace_set(traces.with_min_posts(30), context.references)
+    partial = compute_shard_partial(*traces.columns(), context.references, min_posts=30)
+    _, placement = assign_zones(partial.user_ids, partial.zone_indices)
     rows = []
     for sigma_init in sigma_inits:
         model = fit_mixture(placement, k=3, sigma_init=sigma_init)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from repro.core.em import GaussianMixtureModel, select_mixture
-
-from repro.core.flatness import is_flat_profile, polish_trace_set
+from repro.core.flatness import is_flat_profile
 from repro.core.gaussian import GaussianComponent, fit_gaussian
 from repro.core.geolocate import CrowdGeolocator, GeolocationReport
 from repro.core.hemisphere import HemisphereResult, classify_most_active
@@ -25,7 +25,7 @@ from repro.core.metrics import (
     fit_distance_metrics,
     pearson,
 )
-from repro.core.placement import PlacementDistribution, place_trace_set
+from repro.core.placement import PlacementDistribution, assign_zones
 from repro.core.profiles import (
     Profile,
     average_pairwise_pearson,
@@ -33,6 +33,7 @@ from repro.core.profiles import (
     build_user_profile_civil,
 )
 from repro.core.reference import ReferenceProfiles
+from repro.core.shard import compute_shard_partial
 from repro.datasets.registry import table1_rows
 from repro.datasets.traces import LabeledDataset
 from repro.forum.engine import ForumServer
@@ -187,12 +188,13 @@ def run_single_country_placement(
 
     Follows the paper's handling of ground-truth data: daylight saving
     time is corrected (possible only because the region is known).
+    Every active user is placed, flat or not.
     """
     context = context or make_context()
     crowd = build_region_crowd(region_key, n_users, seed=seed, n_days=context.n_days)
-    labeled = LabeledDataset({region_key: crowd.with_min_posts(30)})
-    normalized = labeled.dst_normalized_crowd(region_key)
-    placement = place_trace_set(normalized, context.references)
+    normalized = LabeledDataset({region_key: crowd}).dst_normalized_crowd(region_key)
+    partial = compute_shard_partial(*normalized.columns(), context.references, min_posts=30)
+    _, placement = assign_zones(partial.user_ids, partial.zone_indices)
     fit = fit_gaussian(placement)
     return SingleCountryPlacement(
         region_key=region_key,
@@ -254,7 +256,8 @@ def run_fig6_mixture(
         label = "Synthetic dataset (b): Illinois + Germany + Malaysia"
     else:
         raise ValueError(f"unknown variant {variant!r} (use 'relocated' or 'merged')")
-    placement = place_trace_set(traces.with_min_posts(30), context.references)
+    partial = compute_shard_partial(*traces.columns(), context.references, min_posts=30)
+    _, placement = assign_zones(partial.user_ids, partial.zone_indices)
     mixture = select_mixture(placement)
     return MixtureResult(
         label=label,
@@ -289,7 +292,12 @@ def run_fig7_flat(
     n_bots: int = 12,
     seed: int = 33,
 ) -> FlatProfileResult:
-    """Fig. 7 + Sec. IV-C: flat-profile detection and iterative polishing."""
+    """Fig. 7 + Sec. IV-C: flat-profile detection and polishing.
+
+    The removed users are the partial's flat mask: against fixed
+    references the paper's iterative polishing removes every flat user in
+    its first round and nobody after.
+    """
     context = context or make_context()
     rng = np.random.default_rng(seed)
     crowd = build_region_crowd("france", n_humans, seed=seed, n_days=context.n_days)
@@ -298,15 +306,15 @@ def run_fig7_flat(
             generate_bot_trace(f"bot_{index:03d}", rng, n_days=context.n_days)
         )
     bot_profile = build_user_profile(crowd[f"bot_000"])
-    result = polish_trace_set(crowd, context.references, min_posts=30)
-    removed = result.removed_user_ids
+    partial = compute_shard_partial(*crowd.columns(), context.references, min_posts=30)
+    removed = list(compress(partial.user_ids, partial.flat_mask.tolist()))
     bot_hits = sum(1 for user_id in removed if user_id.startswith("bot_"))
     return FlatProfileResult(
         bot_profile=bot_profile,
         bot_is_flat=is_flat_profile(bot_profile, context.references),
-        n_before=len(crowd.with_min_posts(30)),
-        n_after=len(result.polished),
-        n_removed=result.n_removed,
+        n_before=partial.n_admitted,
+        n_after=partial.n_admitted - len(removed),
+        n_removed=len(removed),
         removed_are_bots=bot_hits / max(len(removed), 1),
     )
 

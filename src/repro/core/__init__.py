@@ -29,8 +29,6 @@ from repro.core.placement import (
     PlacementDistribution,
     classify_profiles,
     place_profile_matrix,
-    place_trace_set,
-    place_users,
 )
 from repro.core.gaussian import GaussianComponent, fit_gaussian, mixture_pdf
 from repro.core.em import GaussianMixtureModel, fit_mixture, select_mixture
@@ -38,7 +36,6 @@ from repro.core.flatness import (
     flat_profile_mask,
     is_flat_profile,
     polish_profile_matrix,
-    polish_trace_set,
 )
 from repro.core.hemisphere import HemisphereVerdict, classify_hemisphere
 from repro.core.dst_family import DstFamily, classify_dst_family
@@ -72,8 +69,6 @@ __all__ = [
     "PlacementDistribution",
     "classify_profiles",
     "place_profile_matrix",
-    "place_trace_set",
-    "place_users",
     "GaussianComponent",
     "fit_gaussian",
     "mixture_pdf",
@@ -83,7 +78,6 @@ __all__ = [
     "flat_profile_mask",
     "is_flat_profile",
     "polish_profile_matrix",
-    "polish_trace_set",
     "HemisphereVerdict",
     "classify_hemisphere",
     "DstFamily",

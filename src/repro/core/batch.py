@@ -15,31 +15,33 @@ masking the column by lengths before the kernel runs, never by
 rebuilding trace sets: :func:`masked_counts` is that masked build, shared
 by every batch path.
 
-Out-of-core crowds enter through :meth:`ProfileMatrix.from_store`, which
-walks a :class:`~repro.datasets.store.TraceStore` over its
-:meth:`~repro.datasets.store.TraceStore.shard_bounds` ranges and runs
-the masked build directly on each shard's memmapped stamp segment -- no
-per-trace Python objects, peak memory bounded by one shard.  Crowds
-that need more than one core go through the sharded engine
-(:mod:`repro.core.shard`), whose threads over the one memmapped store are
-the only fan-out.  User ids travel as columns (tuples picked with
-:func:`itertools.compress`, never rebuilt id by id), and the id -> row
-dict is built only when a lookup asks for it.
+Out-of-core crowds are reduced straight from a
+:class:`~repro.datasets.store.TraceStore`'s memmapped stamp segments,
+one :meth:`~repro.datasets.store.TraceStore.shard_bounds` range at a
+time -- no per-trace Python objects, peak memory bounded by one shard --
+by the sharded engine (:mod:`repro.core.shard`), whose threads over the
+one open store are the only fan-out.  :meth:`ProfileMatrix.from_store`
+walks the same ranges with the same masked build into one matrix, for
+the staged benchmark pipeline and the whole-store oracle.  User ids
+travel as columns (tuples picked with :func:`itertools.compress`, never
+rebuilt id by id), and the id -> row dict is built only when a lookup
+asks for it.
 
-Downstream, :func:`repro.core.emd.distance_matrix`,
-:func:`repro.core.placement.classify_profiles` and
-:func:`repro.core.placement.place_profile_matrix` consume the matrix
-directly, so the whole polish -> place -> crowd-profile pipeline touches
-NumPy arrays only.  The per-``Profile`` builders remain for one-user
-work (the hemisphere test, the analysis drivers); the per-``Profile``
-pipeline the batch paths replaced lives under ``tests/`` as the oracle
-they are property-tested against.
+Downstream, :func:`repro.core.shard.compute_shard_partial` -- the
+per-user reduction of ``geolocate()``, ``geolocate_store()`` and the
+paper's experiments -- builds the admitted users' rows with
+:func:`masked_counts` and decides flat or not and the nearest zone in one
+:func:`repro.core.placement.classify_profiles` pass, so every batch crowd
+touches NumPy arrays only.  The per-``Profile`` functions remain for
+one-user work (the hemisphere test, the single profiles of Figs. 1 and
+7); the per-``Profile`` pipeline the batch paths replaced lives under
+``tests/`` as the oracle they are property-tested against.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from typing import TYPE_CHECKING
 
@@ -152,21 +154,6 @@ class ProfileMatrix:
         user_ids, lengths, stamps = traces.columns()
         kept_ids, _, counts = masked_counts(user_ids, lengths, stamps, lengths > 0)
         return cls(kept_ids, counts)
-
-    @classmethod
-    def from_profiles(
-        cls, profiles: Mapping[str, Profile] | Iterable[tuple[str, Profile]]
-    ) -> "ProfileMatrix":
-        """Wrap already-built per-user profiles (no recomputation)."""
-        items = profiles.items() if isinstance(profiles, Mapping) else profiles
-        ids: list[str] = []
-        rows: list[FloatArray] = []
-        for user_id, profile in items:
-            ids.append(user_id)
-            rows.append(profile.mass)
-        if not ids:
-            return cls.empty()
-        return cls(ids, np.vstack(rows))
 
     @classmethod
     def from_counts(

@@ -5,28 +5,28 @@ being closer to an artificial profile created by us where every value is
 of 1/24 ... than to a timezone profile", noting these are typically bots
 (rarely shift workers), and applies the procedure iteratively.
 
-:func:`polish_trace_set` / :func:`polish_profile_matrix` build the
-crowd's :class:`~repro.core.batch.ProfileMatrix` once, take the flat
-mask of each iteration from
-:func:`~repro.core.placement.classify_profiles` (one distance pass
-against the zone references plus the uniform profile) and drop flat
-users with a boolean mask -- survivors' profiles are reused across
-iterations, never recomputed.  Against fixed references the flat test is
-a per-user predicate, so the first iteration removes every flat user and
-the pipeline entry points classify once instead of looping.
-:func:`is_flat_profile` states the test for one :class:`Profile`; the
-per-:class:`Profile` polishing loop the mask path replaced is kept under
-``tests/`` as its oracle.
+Against fixed references the flat test is a per-user predicate, so the
+first iteration removes every flat user and a second finds nobody.
+Production therefore decides it once per user:
+:func:`repro.core.shard.compute_shard_partial` takes each user's flat
+flag from the same :func:`~repro.core.placement.classify_profiles` pass
+(the zone references plus the uniform profile) that places the user.
+:func:`flat_profile_mask` is that flag over a whole crowd and
+:func:`is_flat_profile` states it for one :class:`Profile`.
+:func:`polish_profile_matrix` is the iterative loop over an already-built
+:class:`~repro.core.batch.ProfileMatrix`, dropping flat users with a
+boolean mask each round (survivors' profiles are reused, never
+recomputed); the staged benchmark pipeline and the whole-store oracle
+under ``tests/`` run it, and the per-:class:`Profile` loop it replaced
+is kept under ``tests/`` as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import ALL_DISTANCES
-from repro.core.events import TraceSet
 from repro.core.placement import classify_profiles
 from repro.core.profiles import Profile, uniform_profile
 from repro.core.reference import ReferenceProfiles
@@ -63,44 +63,25 @@ def flat_profile_mask(
     return classify_profiles(profiles, references, metric)[0]
 
 
-@dataclass(frozen=True)
-class PolishResult:
-    """Outcome of the iterative polishing pass."""
-
-    polished: TraceSet
-    removed_user_ids: tuple[str, ...]
-    iterations: int
-
-    @property
-    def n_removed(self) -> int:
-        return len(self.removed_user_ids)
-
-
 def polish_profile_matrix(
     matrix: ProfileMatrix,
-    references: ReferenceProfiles | None = None,
+    references: ReferenceProfiles,
     *,
     metric: str = "linear",
     max_iterations: int = 10,
 ) -> tuple[ProfileMatrix, tuple[str, ...], int]:
     """Iterative flat-user removal on an already-built profile matrix.
 
-    Returns ``(survivors, removed_user_ids, iterations)``.  When
-    *references* is None the zone references are rebuilt each round from
-    the surviving crowd itself; survivor profiles are always reused, only
-    the (24, 24) reference stack is ever recomputed.
+    Returns ``(survivors, removed_user_ids, iterations)``; the loop stops
+    at the first round that removes nobody.
     """
     survivors = matrix
     removed: list[str] = []
-    rebuild = references is None
 
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         if len(survivors) == 0:
             break
-        if rebuild:
-            references = ReferenceProfiles(survivors.crowd_profile())
-        assert references is not None
         mask = flat_profile_mask(survivors, references, metric=metric)
         if not mask.any():
             break
@@ -110,32 +91,3 @@ def polish_profile_matrix(
         survivors = survivors.select(~mask)
 
     return survivors, tuple(removed), iterations
-
-
-def polish_trace_set(
-    traces: TraceSet,
-    references: ReferenceProfiles | None = None,
-    *,
-    metric: str = "linear",
-    min_posts: int = 30,
-    max_iterations: int = 10,
-) -> PolishResult:
-    """The paper's full dataset-polishing pipeline (batch fast path).
-
-    1. Drop non-active users (fewer than *min_posts* posts, Sec. IV).
-    2. Iteratively remove flat-profile users.  When *references* is None
-       the zone references are rebuilt each round from the surviving crowd
-       itself (the paper polishes "the generic timezone profiles" this
-       way); passing fixed references skips the rebuilding.
-    """
-    survivors = traces.with_min_posts(min_posts)
-    matrix = ProfileMatrix.from_trace_set(survivors)
-    _, removed, iterations = polish_profile_matrix(
-        matrix, references, metric=metric, max_iterations=max_iterations
-    )
-    polished = survivors.without_users(removed) if removed else survivors
-    return PolishResult(
-        polished=polished,
-        removed_user_ids=removed,
-        iterations=iterations,
-    )

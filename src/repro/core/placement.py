@@ -9,14 +9,17 @@ nearest one.  The fractions of the crowd landing in each zone form the
 The same distance pass also settles Sec. IV-C's flat-profile test, so
 :func:`classify_profiles` makes both per-user decisions at once: one
 :func:`~repro.core.emd.distance_matrix` call against the 24 references
-plus the uniform 1/24 profile.  Placement, polishing
-(:func:`repro.core.flatness.flat_profile_mask`), the sharded engine and
-the streaming engine all decide through it.
+plus the uniform 1/24 profile.  The per-user reduction of every batch
+crowd (:func:`repro.core.shard.compute_shard_partial`) and the streaming
+engine decide through it, and :func:`assign_zones` turns its
+nearest-zone indices into per-user offsets and the placement histogram.
+The report assembler and the experiments of Figs. 3-7 and the ablations
+call that pair directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,8 +27,7 @@ import numpy as np
 
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import distance_matrix
-from repro.core.events import TraceSet
-from repro.core.profiles import HOURS, Profile
+from repro.core.profiles import HOURS
 from repro.core.reference import ReferenceProfiles
 from repro.errors import EmptyTraceError
 from repro.timebase.zones import ZONE_OFFSETS, normalize_offset
@@ -154,30 +156,6 @@ def assign_zones(
     return assignments, distribution
 
 
-def place_users(
-    profiles: "Mapping[str, Profile] | ProfileMatrix",
-    references: ReferenceProfiles,
-    metric: str = "linear",
-) -> dict[str, int]:
-    """Assign each user profile to its EMD-nearest time zone.
-
-    Returns a mapping user id -> zone offset.  Ties (rare with real-valued
-    distances) resolve to the smaller offset, matching
-    :meth:`ReferenceProfiles.nearest_zone`.  *profiles* may be a plain
-    mapping of :class:`Profile` or a whole :class:`ProfileMatrix`.
-    """
-    if isinstance(profiles, ProfileMatrix):
-        user_ids: list[str] | tuple[str, ...] = profiles.user_ids
-        stack = profiles
-    else:
-        user_ids = list(profiles)
-        stack = [profiles[user_id] for user_id in user_ids]
-    if not user_ids:
-        return {}
-    _, nearest = classify_profiles(stack, references, metric)
-    return assign_zones(user_ids, nearest)[0]
-
-
 def placement_distribution(assignments: Iterable[int]) -> PlacementDistribution:
     """Aggregate per-user zone assignments into a placement distribution."""
     offsets = np.fromiter(
@@ -208,21 +186,3 @@ def place_profile_matrix(
     """
     _, nearest = classify_profiles(matrix, references, metric)
     return assign_zones(matrix.user_ids, nearest)
-
-
-def place_trace_set(
-    traces: TraceSet,
-    references: ReferenceProfiles,
-    metric: str = "linear",
-) -> PlacementDistribution:
-    """Profile every trace (on UTC clocks) and place the crowd.
-
-    This is the one-call version used by the figure benches; the richer
-    pipeline (polishing, fitting, reporting) lives in
-    :class:`repro.core.geolocate.CrowdGeolocator`.
-    """
-    matrix = ProfileMatrix.from_trace_set(traces)
-    if len(matrix) == 0:
-        raise EmptyTraceError("cannot build a placement from zero users")
-    _, distribution = place_profile_matrix(matrix, references, metric=metric)
-    return distribution

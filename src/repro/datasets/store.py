@@ -27,7 +27,9 @@ by the shard, and the sharded engine (:mod:`repro.core.shard`) and
 :meth:`repro.core.batch.ProfileMatrix.from_store` feed the Eq. 1 kernel
 raw stamp segments without constructing a single per-trace Python
 object.  :meth:`TraceStore.open` refuses an offset table that does not
-tile the stamp column in order.  Both writers spool the stamp column to
+tile the stamp column in order, and :meth:`TraceStore.shard` a segment
+holding a stamp the intake rule refuses, the stamps of users below the
+activity threshold included.  Both writers spool the stamp column to
 disk block by block (``tofile``): :meth:`TraceStore.write` hands its traces
 to :meth:`TraceStore.write_columns` in blocks of
 :data:`_WRITE_BLOCK_TRACES`, so converting holds one block beyond the
@@ -42,7 +44,7 @@ import json
 import logging
 import os
 import shutil
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +52,7 @@ import numpy as np
 
 from repro.core.events import ActivityTrace, TraceSet, id_column
 from repro.core.kernels import valid_stamps
-from repro.errors import DatasetError
+from repro.errors import CorruptTraceError, DatasetError
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
 
@@ -73,16 +75,18 @@ _USER_IDS_NAME = "user_ids.npy"
 _WRITE_BLOCK_TRACES = 4096
 
 
-def _check_block_stamps(
-    user_ids: list[str], lengths: np.ndarray, stamps: np.ndarray
-) -> None:
-    """Refuse a block holding a stamp the intake rule refuses, naming its user."""
+def _stamp_refusal(
+    user_ids: Sequence[str], lengths: np.ndarray, stamps: np.ndarray
+) -> str | None:
+    """Why a stamp column is refused, naming the user of its first stamp
+    the intake rule refuses; ``None`` when the rule admits every stamp."""
     valid = valid_stamps(stamps)
-    if not valid.all():
-        bad = int(np.argmin(valid))
-        user = user_ids[int(np.searchsorted(np.cumsum(lengths), bad, side="right"))]
-        kind = "non-finite" if not np.isfinite(stamps[bad]) else "out-of-range"
-        raise DatasetError(f"user {user!r}: {kind} timestamp {stamps[bad]}")
+    if valid.all():
+        return None
+    bad = int(np.argmin(valid))
+    user = user_ids[int(np.searchsorted(np.cumsum(lengths), bad, side="right"))]
+    kind = "non-finite" if not np.isfinite(stamps[bad]) else "out-of-range"
+    return f"user {user!r}: {kind} timestamp {stamps[bad]}"
 
 
 def _id_block(user_ids: list[str], seen: set[str]) -> np.ndarray:
@@ -220,7 +224,9 @@ class TraceStore:
                             f"chunk lengths sum to {int(lengths.sum())} but "
                             f"carry {stamps.size} stamps"
                         )
-                    _check_block_stamps(id_block, lengths, stamps)
+                    refusal = _stamp_refusal(id_block, lengths, stamps)
+                    if refusal is not None:
+                        raise DatasetError(refusal)
                     id_parts.append(_id_block(id_block, seen))
                     length_parts.append(lengths)
                     stamps.tofile(handle)
@@ -410,7 +416,13 @@ class TraceStore:
         return max(1, -(-len(self) // DEFAULT_SHARD_USERS))
 
     def shard(self, start: int, stop: int) -> StoreShard:
-        """One contiguous user range as a :class:`StoreShard` (zero-copy)."""
+        """One contiguous user range as a :class:`StoreShard` (zero-copy).
+
+        A segment holding a stamp the intake rule refuses -- the writers
+        never store one, a damaged store may -- raises
+        :class:`~repro.errors.CorruptTraceError` naming its user, whatever
+        the reader does with that user's posts.
+        """
         n_users = len(self)
         if not 0 <= start <= stop <= n_users:
             raise DatasetError(
@@ -418,14 +430,18 @@ class TraceStore:
             )
         lo = int(self._offsets[start])
         hi = int(self._offsets[stop])
-        obs_metrics.counter(
-            "repro_datasets_store_shards_total", "store shards yielded"
-        ).inc()
-        return StoreShard(
+        shard = StoreShard(
             user_ids=tuple(self._user_ids[start:stop].tolist()),
             stamps=self._stamps[lo:hi],
             lengths=np.diff(self._offsets[start : stop + 1]),
         )
+        refusal = _stamp_refusal(shard.user_ids, shard.lengths, shard.stamps)
+        if refusal is not None:
+            raise CorruptTraceError(f"trace store {self.path}: {refusal}")
+        obs_metrics.counter(
+            "repro_datasets_store_shards_total", "store shards yielded"
+        ).inc()
+        return shard
 
     def iter_column_chunks(
         self, max_posts: int = 262_144

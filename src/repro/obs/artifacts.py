@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ReproError
+
 from .health import HEALTH_KIND, load_health_jsonl
-from .manifest import MANIFEST_KIND
+from .manifest import MANIFEST_KIND, RunManifest
 from .metrics import percentile_from_counts
 from .profiler import PROFILE_KIND, load_profile
 from .timeseries import SERIES_KIND, load_series_jsonl
@@ -53,7 +55,9 @@ def load_artifact(path: str | Path) -> tuple[str, Any]:
     """``(kind, content)`` of any artifact; ``OSError`` / ``ValueError`` if none.
 
     *content* is what the kind's own loader returns (a ``SeriesFrame``,
-    ``(header, events)``, a profile) or else the parsed JSON document.
+    ``(header, events)``, a profile) or else the parsed JSON document.  A
+    manifest is returned only once :meth:`RunManifest.from_dict` accepts
+    it, so one edited after it was written is refused.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -68,6 +72,13 @@ def load_artifact(path: str | Path) -> tuple[str, Any]:
         kind = document.get("kind", TRACE_KIND if "traceEvents" in document else None)
     if kind in _READERS:
         return kind, _READERS[kind](path)
+    if whole and kind == MANIFEST_KIND:
+        try:
+            RunManifest.from_dict(document)
+        except KeyError as exc:
+            raise ValueError(f"{path}: run manifest has no {exc} field") from None
+        except ReproError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if whole and kind in _DOCUMENT_KINDS:
         return kind, document
     raise ValueError(

@@ -1,24 +1,28 @@
 """Per-:class:`Profile` oracle for the in-memory pipeline and polishing.
 
-``CrowdGeolocator.geolocate`` builds one :class:`ProfileMatrix` for the
-crowd and makes every per-user decision (flat or not, nearest zone) in
-one ``classify_profiles`` pass; ``polish_trace_set`` drops flat users
-from that matrix with boolean masks.  The oracles here are the pipeline
-and the polishing loop they replaced, kept verbatim: every user's
+``CrowdGeolocator.geolocate`` and the paper's experiments reduce a crowd
+with ``compute_shard_partial``: one Eq. 1 kernel pass over the admitted
+users and every per-user decision (flat or not, nearest zone) from one
+``classify_profiles`` pass.  The oracles here are the pipeline and the
+polishing loop that reduction replaced, kept verbatim: every user's
 :class:`Profile` is rebuilt from its trace, polishing re-runs scalar
-EMDs pair by pair on every iteration, and placement goes through
-``place_users``.  The tests compare the production paths with them.
+EMDs pair by pair on every iteration against fixed references, and
+placement goes through ``place_users`` (one ``classify_profiles`` pass
+over the per-user profiles).  The tests compare the production paths
+with them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from repro.core.em import select_mixture
 from repro.core.events import TraceSet
-from repro.core.flatness import PolishResult, is_flat_profile
+from repro.core.flatness import is_flat_profile
 from repro.core.geolocate import CrowdGeolocator, GeolocationReport
 from repro.core.hemisphere import classify_most_active
 from repro.core.metrics import fit_distance_metrics, pearson
-from repro.core.placement import place_users, placement_distribution
+from repro.core.placement import assign_zones, classify_profiles, placement_distribution
 from repro.core.profiles import Profile, build_crowd_profile, build_user_profile
 from repro.core.reference import ReferenceProfiles
 from repro.errors import EmptyTraceError
@@ -26,21 +30,21 @@ from repro.errors import EmptyTraceError
 
 def polish_trace_set_reference(
     traces: TraceSet,
-    references: ReferenceProfiles | None = None,
+    references: ReferenceProfiles,
     *,
     metric: str = "linear",
     min_posts: int = 30,
     max_iterations: int = 10,
-) -> PolishResult:
+) -> tuple[TraceSet, tuple[str, ...], int]:
     """Per-:class:`Profile` polishing loop (pre-batch reference path).
 
-    Rebuilds every surviving user's profile from its trace on every
-    iteration and evaluates scalar EMDs pair by pair; kept as the oracle
-    the vectorised :func:`polish_trace_set` is tested against.
+    Returns ``(polished, removed_user_ids, iterations)``.  Rebuilds every
+    surviving user's profile from its trace on every iteration and
+    evaluates scalar EMDs pair by pair; kept as the oracle the flat mask
+    of ``compute_shard_partial`` is tested against.
     """
     survivors = traces.with_min_posts(min_posts)
     removed: list[str] = []
-    rebuild = references is None
 
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -49,12 +53,6 @@ def polish_trace_set_reference(
         profiles = {
             trace.user_id: build_user_profile(trace) for trace in survivors
         }
-        if rebuild:
-            crowd = Profile(
-                sum(profile.mass for profile in profiles.values())
-            )
-            references = ReferenceProfiles(crowd)
-        assert references is not None
         flat_users = [
             user_id
             for user_id, profile in profiles.items()
@@ -65,11 +63,26 @@ def polish_trace_set_reference(
         removed.extend(flat_users)
         survivors = survivors.without_users(flat_users)
 
-    return PolishResult(
-        polished=survivors,
-        removed_user_ids=tuple(removed),
-        iterations=iterations,
-    )
+    return survivors, tuple(removed), iterations
+
+
+def place_users(
+    profiles: Mapping[str, Profile],
+    references: ReferenceProfiles,
+    metric: str = "linear",
+) -> dict[str, int]:
+    """Assign each user profile to its EMD-nearest time zone.
+
+    Returns a mapping user id -> zone offset.  Ties (rare with real-valued
+    distances) resolve to the smaller offset, matching
+    :meth:`ReferenceProfiles.nearest_zone`.
+    """
+    user_ids = list(profiles)
+    if not user_ids:
+        return {}
+    stack = [profiles[user_id] for user_id in user_ids]
+    _, nearest = classify_profiles(stack, references, metric)
+    return assign_zones(user_ids, nearest)[0]
 
 
 def geolocate_reference(
@@ -80,14 +93,13 @@ def geolocate_reference(
     hemisphere_top_n: int = 0,
 ) -> GeolocationReport:
     """The pre-batch per-``Profile`` pipeline, preserved verbatim."""
-    polish_result = polish_trace_set_reference(
+    crowd, removed_ids, _ = polish_trace_set_reference(
         traces,
         locator.references,
         metric=locator.metric,
         min_posts=locator.min_posts,
     )
-    crowd = polish_result.polished
-    n_removed = polish_result.n_removed
+    n_removed = len(removed_ids)
     if len(crowd) == 0:
         raise EmptyTraceError(
             f"{crowd_name}: no active users after polishing "

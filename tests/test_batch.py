@@ -1,20 +1,23 @@
 """Property tests: the batch fast paths equal the per-Profile reference paths.
 
 Every vectorised path added by the batch engine (one-pass Eq. 1 profiles,
-matrix distances for all four metrics, mask-based polishing, bincount
-placement, the shared-matrix geolocator, streaming snapshots) is checked
-here against the naive per-user implementation it replaced, including
-empty-trace, single-user and tie-breaking edge cases.  The per-Profile
-polishing loop and pipeline are the oracles of ``reference_oracle.py``.
+matrix distances for all four metrics, the per-user reduction's flat
+mask, bincount placement, the shared-matrix geolocator, streaming
+snapshots) is checked here against the naive per-user implementation it
+replaced, including empty-trace, single-user and tie-breaking edge
+cases.  The per-Profile polishing loop, placement and pipeline are the
+oracles of ``reference_oracle.py``.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_oracle import geolocate_reference, polish_trace_set_reference
+from reference_oracle import geolocate_reference, place_users, polish_trace_set_reference
 from repro.core.batch import ProfileMatrix
 from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
 from repro.core.events import ActivityTrace, TraceSet
@@ -22,16 +25,14 @@ from repro.core.flatness import (
     flat_profile_mask,
     is_flat_profile,
     polish_profile_matrix,
-    polish_trace_set,
 )
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.kernels import segment_counts
 from repro.core.placement import (
     PlacementDistribution,
+    assign_zones,
     classify_profiles,
     place_profile_matrix,
-    place_trace_set,
-    place_users,
     placement_distribution,
 )
 from repro.core.profiles import (
@@ -43,6 +44,7 @@ from repro.core.profiles import (
     build_user_profile_civil,
 )
 from repro.core.reference import ReferenceProfiles
+from repro.core.shard import compute_shard_partial
 from repro.core.streaming import StreamingGeolocator
 from repro.errors import EmptyTraceError, ProfileError
 from repro.timebase.zones import ZONE_OFFSETS, get_region, normalize_offset
@@ -249,23 +251,33 @@ class TestFlatnessEquivalence:
         expected = [is_flat_profile(p, references) for p in profiles]
         assert mask.tolist() == expected
 
-    @pytest.mark.parametrize("fixed_references", [True, False])
+    @pytest.mark.parametrize("canonical", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_polish_survivors_match_reference(self, fixed_references, seed):
+    def test_polish_survivors_match_reference(self, references, canonical, seed):
+        """The reduction's one flat mask removes what the per-Profile loop
+        removes over all its rounds, against the canonical references and
+        against the data-derived ones the figure experiments use."""
         crowd = _mixed_crowd(seed=seed)
-        references = ReferenceProfiles.canonical() if fixed_references else None
-        fast = polish_trace_set(crowd, references, min_posts=10)
-        slow = polish_trace_set_reference(crowd, references, min_posts=10)
-        assert fast.removed_user_ids == slow.removed_user_ids
-        assert fast.iterations == slow.iterations
-        assert fast.polished.user_ids() == slow.polished.user_ids()
-        assert all(u.startswith("flat") for u in fast.removed_user_ids)
+        refs = ReferenceProfiles.canonical() if canonical else references
+        partial = compute_shard_partial(*crowd.columns(), refs, min_posts=10)
+        polished, removed, iterations = polish_trace_set_reference(
+            crowd, refs, min_posts=10
+        )
+        assert tuple(compress(partial.user_ids, partial.flat_mask.tolist())) == removed
+        assert iterations == 2
+        survivors = compress(partial.user_ids, (~partial.flat_mask).tolist())
+        assert list(survivors) == polished.user_ids()
+        assert removed and all(u.startswith("flat") for u in removed)
 
     def test_polish_empty_crowd(self):
-        fast = polish_trace_set(TraceSet(), None)
-        slow = polish_trace_set_reference(TraceSet(), None)
-        assert fast.removed_user_ids == slow.removed_user_ids == ()
-        assert fast.iterations == slow.iterations == 1
+        references = ReferenceProfiles.canonical()
+        partial = compute_shard_partial(*TraceSet().columns(), references)
+        polished, removed, iterations = polish_trace_set_reference(
+            TraceSet(), references
+        )
+        assert partial.user_ids == removed == ()
+        assert len(polished) == partial.n_admitted == 0
+        assert iterations == 1
 
 
 class TestPlacementEquivalence:
@@ -300,8 +312,10 @@ class TestPlacementEquivalence:
             distribution.as_array(),
             placement_distribution(assignments.values()).as_array(),
         )
-        assert place_trace_set(crowd, references).as_array() == pytest.approx(
-            distribution.as_array()
+        partial = compute_shard_partial(*crowd.columns(), references, min_posts=1)
+        assert assign_zones(partial.user_ids, partial.zone_indices) == (
+            assignments,
+            distribution,
         )
 
     def test_tie_breaking_resolves_to_smaller_offset(self):
@@ -315,7 +329,7 @@ class TestPlacementEquivalence:
         assert references.nearest_zone(user) == -7
         assignments = place_users({"u": user}, references)
         assert assignments["u"] == -7
-        matrix = ProfileMatrix.from_profiles({"u": user})
+        matrix = ProfileMatrix(["u"], user.mass[None, :])
         batch_assignments, _ = place_profile_matrix(matrix, references)
         assert batch_assignments["u"] == -7
 

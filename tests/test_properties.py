@@ -9,16 +9,18 @@ on.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_oracle import place_users
 from repro.core.emd import emd_circular, emd_linear
 from repro.core.events import ActivityTrace
-from repro.core.flatness import polish_trace_set
-from repro.core.placement import place_users
 from repro.core.profiles import HOURS, Profile, build_user_profile
 from repro.core.reference import ReferenceProfiles
+from repro.core.shard import compute_shard_partial
 from repro.forum.engine import ForumServer
 from repro.forum.scraper import ForumScraper
 from repro.timebase.zones import normalize_offset
@@ -89,10 +91,14 @@ class TestPolishIdempotence:
         crowd = build_region_crowd("france", 30, seed=3, n_days=200)
         for index in range(4):
             crowd.add(generate_bot_trace(f"bot{index}", rng, n_days=200))
-        once = polish_trace_set(crowd, references, min_posts=30)
-        twice = polish_trace_set(once.polished, references, min_posts=30)
-        assert twice.n_removed == 0
-        assert set(twice.polished.user_ids()) == set(once.polished.user_ids())
+        once = compute_shard_partial(*crowd.columns(), references, min_posts=30)
+        assert once.flat_mask.any()
+        polished = crowd.without_users(compress(once.user_ids, once.flat_mask.tolist()))
+        twice = compute_shard_partial(*polished.columns(), references, min_posts=30)
+        assert not twice.flat_mask.any()
+        assert twice.user_ids == tuple(
+            compress(once.user_ids, (~once.flat_mask).tolist())
+        )
 
 
 class TestScrapeInvariance:

@@ -137,6 +137,32 @@ def test_a_damaged_store_is_refused_by_every_store_path(
             locator.geolocate(store.to_trace_set())
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1e30])
+@pytest.mark.parametrize("n_shards, max_workers", [(None, 1), (8, 1), (8, 2)])
+def test_a_damaged_stamp_below_the_threshold_is_refused_too(
+    bad, n_shards, max_workers, tmp_path, monkeypatch
+):
+    """The threshold drops "b" (2 posts) before the Eq. 1 kernel runs, so
+    only the store's own check sees the stamp planted in its segment."""
+    monkeypatch.setattr(shard_module, "_usable_cores", lambda: 4)
+    crowd = TraceSet([*_crowd(0.0), ActivityTrace("b", [3600.0, 7200.0])])
+    TraceStore.write(crowd, tmp_path / "s")
+    column = np.load(tmp_path / "s" / "stamps.npy", mmap_mode="r+")
+    column[-1] = bad  # the last stamp of "b", the last user
+    column.flush()
+    del column
+    store = TraceStore.open(tmp_path / "s")
+    locator = CrowdGeolocator(min_posts=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptTraceError, match="user 'b'"):
+            locator.geolocate_store(store, n_shards=n_shards, max_workers=max_workers)
+        with pytest.raises(CorruptTraceError, match="user 'b'"):
+            ProfileMatrix.from_store(store, min_posts=10)
+        with pytest.raises(CorruptTraceError):
+            locator.geolocate(store.to_trace_set())
+
+
 @pytest.mark.parametrize("bad", [1e30, np.nan, np.inf])
 def test_the_per_user_builders_refuse_what_the_rule_refuses(bad):
     trace = ActivityTrace("a", [bad, 0.0])
