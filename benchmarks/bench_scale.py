@@ -7,10 +7,13 @@ million-user run):
 * **store**   -- streaming the crowd into the columnar
   :class:`~repro.datasets.store.TraceStore` chunk by chunk
   (:meth:`TraceStore.write_columns`, so the full stamp column never
-  lives in memory) and loading it back into a
-  :class:`~repro.core.batch.ProfileMatrix`; below
-  :data:`MAX_INMEMORY_USERS` also against the JSONL parse + per-trace
-  path it replaces,
+  lives in memory), then what a store run does with it: opening it and
+  reducing every shard at its default sharding
+  (:func:`~repro.core.shard.compute_partials`) as ``store_load_s``;
+  below :data:`MAX_INMEMORY_USERS` also the JSONL route to the same
+  per-user reduction, parsing the crowd (:func:`load_trace_set`) and
+  reducing its columns with :func:`~repro.core.shard.compute_shard_partial`,
+  as ``jsonl_load_s``,
 * **sharded** -- ``geolocate_store_sharded`` at :data:`SWEEP_SHARDS`
   shards across a worker sweep (1..cpu_count threads over the one open
   store), against ``geolocate_store`` at its default sharding (one shard
@@ -48,10 +51,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from perf_baseline import BENCH_PATH
 
-from repro.core.batch import ProfileMatrix
 from repro.core.events import ActivityTrace, TraceSet
 from repro.core.geolocate import CrowdGeolocator
 from repro.core.reference import parametric_generic_profile
+from repro.core.shard import compute_partials, compute_shard_partial
 from repro.core.streaming import StreamingGeolocator
 from repro.datasets.store import TraceStore
 from repro.datasets.traces import load_trace_set, save_trace_set
@@ -250,9 +253,16 @@ def run(
         )
         results["store_convert_s"] = round(time.perf_counter() - start, 4)
 
+        references = CrowdGeolocator().references
+
         def load_store():
             opened = TraceStore.open(store_path)
-            return ProfileMatrix.from_store(opened, min_posts=30)
+            return compute_partials(
+                opened,
+                references,
+                min_posts=30,
+                n_shards=opened.default_shard_count(),
+            )
 
         results["store_load_s"] = round(_time(load_store, repeat=2), 4)
 
@@ -274,7 +284,7 @@ def run(
 
         def load_jsonl():
             crowd = load_trace_set(jsonl_path)
-            return ProfileMatrix.from_trace_set(crowd.with_min_posts(30))
+            return compute_shard_partial(*crowd.columns(), references, min_posts=30)
 
         results["jsonl_load_s"] = round(_time(load_jsonl), 4)
         results["load_speedup"] = round(

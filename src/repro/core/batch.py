@@ -6,11 +6,11 @@ thousands to millions of users.  :class:`ProfileMatrix` stores an entire
 crowd as one contiguous ``(N, 24)`` row-stochastic array keyed by user id
 and is built in a single vectorised pass over the crowd's stamp column
 (:meth:`~repro.core.events.TraceSet.columns`: user ids, per-user lengths
-and every timestamp back to back): every post is encoded into a flat
-``user * span + (day*24 + hour)`` cell by the guarded division encoder,
+and every timestamp back to back): every post is encoded into its
+``day*24 + hour`` cell by the guarded division encoder, a user's
 duplicate day-hours (the paper's indicator ``a_d(h)``) are dropped, and
-one ``np.bincount`` accumulates the per-hour counts for every user at
-once (:func:`repro.core.kernels.segment_counts`).  Users are selected by
+one ``np.bincount`` per cache-sized block of users accumulates their
+per-hour counts (:func:`repro.core.kernels.segment_counts`).  Users are selected by
 masking the column by lengths before the kernel runs, never by
 rebuilding trace sets: :func:`masked_counts` is that masked build, shared
 by every batch path.

@@ -17,7 +17,11 @@ and l2 metrics share one column-major kernel, :func:`_pair_sums`: it
 reduces every (reference, profile) pair with whole-column adds laid out
 in the order ``np.sum`` uses on 24 contiguous values, so each distance
 has the bits a row-wise ``np.sum`` over that pair's 24 terms gives it,
-however the crowd is blocked, sharded or batched.
+however the crowd is blocked, sharded or batched.  The kernel computes
+in the dtype of the table it fills: :func:`distance_matrix` fills
+float64 tables, and :func:`repro.core.placement.classify_profiles` also
+fills a float32 linear table as a screen, re-deciding near-ties from
+float64 rows of the same kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.profiles import HOURS, Profile
-from repro.core.types import FloatArray
+from repro.core.types import AnyArray, FloatArray
 
 if TYPE_CHECKING:
     from repro.core.types import ProfileLike
@@ -43,11 +47,12 @@ _BLOCK_BYTES = 16 * 1024 * 1024
 _MIN_BLOCK_ROWS = 128
 _MAX_BLOCK_ROWS = 16_384
 
-#: (reference, profile) pairs in one block of :func:`_pair_sums`.  A block
-#: takes as many references as fit over all rows -- every reference for
-#: the one-row drift checks and the ~120-row snapshot refreshes -- and
-#: shrinks to one reference over this many rows for store-sized crowds,
-#: so its ``(24, refs, rows)`` scratch stays at 768 KiB, inside L2.
+#: (reference, profile) pairs in one float64 block of :func:`_pair_sums`;
+#: a float32 block takes twice as many.  A block takes as many references
+#: as fit over all rows -- every reference for the one-row drift checks
+#: and the ~120-row snapshot refreshes -- and shrinks to one reference
+#: over this many rows for store-sized crowds, so its ``(24, refs, rows)``
+#: scratch stays at 768 KiB, inside L2, in either dtype.
 _BLOCK_PAIRS = 4096
 
 
@@ -147,7 +152,7 @@ def _cumulative_of(profiles: ProfileLike, stack: FloatArray) -> FloatArray:
 
 
 def _pair_sums(
-    p: FloatArray, q: FloatArray, out: FloatArray, term: np.ufunc
+    p: FloatArray, q: FloatArray, out: AnyArray, term: np.ufunc
 ) -> None:
     """``out[j, i] = term(p[i] - q[j]).sum()``, column-major, bit for bit.
 
@@ -160,14 +165,16 @@ def _pair_sums(
     ``((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))``, the eight-accumulator
     tree of numpy's pairwise summation -- so every distance keeps the
     exact bits a row-wise ``np.sum`` gives it.  *out* is the
-    reference-major ``(n_q, n_p)`` table.
+    reference-major ``(n_q, n_p)`` table; its dtype is the one the
+    kernel computes in, *p* and *q* being rounded to it first.
     """
     n_q, n_p = out.shape
-    refs = max(1, min(n_q, _BLOCK_PAIRS // n_p))
-    rows = max(1, min(n_p, _BLOCK_PAIRS // refs))
-    q_columns = q.T[:, :, None]
-    columns = np.empty((HOURS, 1, rows), dtype=np.float64)
-    terms = np.empty((HOURS, refs, rows), dtype=np.float64)
+    pairs = _BLOCK_PAIRS * 8 // out.itemsize
+    refs = max(1, min(n_q, pairs // n_p))
+    rows = max(1, min(n_p, pairs // refs))
+    q_columns = q.T.astype(out.dtype)[:, :, None]
+    columns = np.empty((HOURS, 1, rows), dtype=out.dtype)
+    terms = np.empty((HOURS, refs, rows), dtype=out.dtype)
     for start in range(0, n_p, rows):
         stop = min(start + rows, n_p)
         block = columns[:, :, : stop - start]

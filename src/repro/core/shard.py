@@ -23,9 +23,10 @@ merged result is **bit-identical** to reducing the whole store at once
 * Eq. 1 counts are integer-valued and per-user segmented;
 * :class:`ProfileMatrix` normalisation divides each row by its own
   (exact, integer) sum;
-* every :func:`~repro.core.emd.distance_matrix` element is a reduction
-  over one (profile, reference) pair -- block and shard boundaries cannot
-  change a single output bit;
+* every :func:`~repro.core.placement.classify_profiles` decision rests on
+  distances that are each a reduction over one (profile, reference) pair
+  -- float32 for the screen, float64 for its re-decisions -- so block and
+  shard boundaries cannot change a single output bit;
 * polishing against *fixed* references converges in one effective round,
   so the flat mask is a pure per-user predicate;
 * post totals are integer sums, and the placement histogram and the crowd

@@ -19,6 +19,7 @@ from repro.datasets.traces import (
 from repro.errors import DatasetError
 from repro.timebase.calendar_utils import standard_holidays
 from repro.timebase.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, make_timestamp
+from repro.timebase.zones import get_region
 
 
 def _simple_dataset():
@@ -134,7 +135,73 @@ class TestCrowdProfiles:
         assert references.nearest_zone(references.for_zone(9)) == 9
 
 
+def _dst_normalized_loop(dataset: LabeledDataset, key: str) -> TraceSet:
+    """Per-stamp oracle for ``dst_normalized_crowd``: one rule call a post."""
+    region = dataset.region(key)
+    normalized = TraceSet()
+    for trace in dataset.crowd(key):
+        stamps = [
+            float(ts)
+            + region.dst_rule.offset_adjustment(int(ts // 86400.0)) * 3600.0
+            for ts in trace.timestamps
+        ]
+        normalized.add(ActivityTrace(trace.user_id, stamps))
+    return normalized
+
+
+def _around_day_boundaries(days: list[int]) -> list[float]:
+    """Stamps at, a float either side of, and an hour around each midnight."""
+    stamps = []
+    for day in days:
+        midnight = day * SECONDS_PER_DAY
+        stamps += [
+            midnight,
+            float(np.nextafter(midnight, -np.inf)),
+            float(np.nextafter(midnight, np.inf)),
+            midnight - SECONDS_PER_HOUR,
+            midnight + SECONDS_PER_HOUR - 0.5,
+        ]
+    return stamps
+
+
 class TestDstNormalization:
+    @pytest.mark.parametrize(
+        "key", ["germany", "new_york", "new_south_wales", "brazil", "malaysia"]
+    )
+    def test_equals_the_per_stamp_loop(self, key):
+        """Stamps around every midnight where the rule flips in 2015
+        (negative stamps: the epoch is 2016-01-01) and 2016, and around
+        other negative midnights."""
+        rule = get_region(key).dst_rule
+        flips = [
+            day
+            for day in range(-400, 400)
+            if rule.offset_adjustment(day) != rule.offset_adjustment(day - 1)
+        ]
+        near_flips = sorted({day + delta for day in flips for delta in (-1, 0, 1)})
+        negative = _around_day_boundaries([-400, -200, -1]) + [-0.5, -1e-9]
+        crowd = TraceSet(
+            [
+                ActivityTrace("flips", _around_day_boundaries(near_flips or [0, 180])),
+                ActivityTrace("negative", negative),
+                ActivityTrace("silent", []),
+            ]
+        )
+        dataset = LabeledDataset({key: crowd})
+        got = dataset.dst_normalized_crowd(key)
+        want = _dst_normalized_loop(dataset, key)
+        assert list(got.user_ids()) == list(want.user_ids())
+        for user_id in want.user_ids():
+            np.testing.assert_array_equal(
+                got[user_id].timestamps, want[user_id].timestamps
+            )
+        # Two flips a year in both years, on either side of the epoch.
+        assert len(flips) == (0 if key == "malaysia" else 4)
+
+    def test_empty_crowd(self):
+        dataset = LabeledDataset({"germany": TraceSet()})
+        assert len(dataset.dst_normalized_crowd("germany")) == 0
+
     def test_summer_posts_shifted_forward(self):
         summer_post = make_timestamp(2016, 7, 10, hour=18)
         dataset = LabeledDataset(

@@ -1,15 +1,17 @@
 """The segmented Eq. 1 kernels and the blocked EMD kernels.
 
 The counts and unique-cells kernels must match per-user oracles on
-unsorted, negative and empty segments, on stamps at and next to hour and
-day boundaries, on stamps far from the epoch and on hour-quantised
-segments; their division-based cell encoder must equal
-``split_day_hours`` cell for cell and refuse any column the stamp rule
-refuses.  The blocked ``distance_matrix``
-kernels must be invariant to the block size down to the last bit -- that
-exactness is what the sharded engine's merge correctness rests on -- and
-the column-major pair sums must equal a broadcast ``sum(axis=2)`` oracle
-bit for bit, as must ``classify_profiles``' flat flag and nearest zone.
+unsorted, sorted, negative and empty segments, on stamps at and next to
+hour and day boundaries, on stamps far from the epoch and on
+hour-quantised segments, and at any stamp-block size; their
+division-based cell encoder must equal ``split_day_hours`` cell for cell
+and refuse any column the stamp rule refuses.  The blocked
+``distance_matrix`` kernels must be invariant to the block size down to
+the last bit -- that exactness is what the sharded engine's merge
+correctness rests on -- and the column-major pair sums must equal a
+broadcast ``sum(axis=2)`` oracle bit for bit, as must
+``classify_profiles``' flat flag and nearest zone, on near-tie rows
+too, where its float32 screen hands the decision to float64.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import emd as emd_module
+from repro.core import emd as emd_module, kernels as kernels_module
+from repro.core import placement as placement_module
 from repro.core.emd import ALL_DISTANCES, as_profile_matrix, distance_matrix
 from repro.core.kernels import (
     MAX_ABS_STAMP_S,
@@ -29,6 +32,7 @@ from repro.core.kernels import (
     segment_unique_cells,
 )
 from repro.core.placement import classify_profiles
+from repro.core.profiles import Profile
 from repro.core.reference import ReferenceProfiles
 from repro.errors import CorruptTraceError
 from repro.timebase.clock import split_day_hours
@@ -114,12 +118,27 @@ segments = st.lists(
     max_size=12,
 )
 
+#: Every segment sorted, as traces and store shards keep them: the layout
+#: production runs, which takes the kernels' sorted path.
+sorted_segments = segments.map(lambda arrays: [sorted(a) for a in arrays])
+
 
 class TestNumpyBackend:
     @given(segments, st.sampled_from([0.0, -5.0, 3.0, 11.5]))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_oracle(self, arrays, offset):
         """Unsorted, negative and empty segments all count correctly."""
+        lists = [np.asarray(a, dtype=float) for a in arrays]
+        stamps, lengths = _flatten(lists)
+        np.testing.assert_array_equal(
+            segment_counts(stamps + offset * 3600.0, lengths),
+            _naive_counts(lists, offset),
+        )
+
+    @given(sorted_segments, st.sampled_from([0.0, -5.0, 3.0, 11.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_segments_match_naive_oracle(self, arrays, offset):
+        """Sorted segments, the layout traces and store shards hold."""
         lists = [np.asarray(a, dtype=float) for a in arrays]
         stamps, lengths = _flatten(lists)
         np.testing.assert_array_equal(
@@ -218,6 +237,17 @@ class TestSegmentUniqueCells:
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(cells, want_cells)
 
+    @given(sorted_segments, st.sampled_from([0.0, -5.0, 3.0, 11.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_segments_match_naive_oracle(self, arrays, offset):
+        """Sorted segments, the layout traces and store shards hold."""
+        lists = [np.asarray(a, dtype=float) for a in arrays]
+        stamps, lengths = _flatten(lists)
+        cells, counts = segment_unique_cells(stamps + offset * 3600.0, lengths)
+        want_cells, want_counts = _naive_unique(lists, offset)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(cells, want_cells)
+
     def test_empty_column_shapes(self):
         empty = np.zeros(0, dtype=float)
         cells, counts = segment_unique_cells(
@@ -233,6 +263,82 @@ class TestSegmentUniqueCells:
         cells, counts = segment_unique_cells(stamps, lengths)
         np.testing.assert_array_equal(counts, [1, 1])
         np.testing.assert_array_equal(cells, [1, 1])
+
+
+def _assert_both_kernels_match(lists: list, block: int) -> None:
+    """Both Eq. 1 kernels equal their oracles with *block*-stamp blocks."""
+    lists = [np.asarray(a, dtype=float) for a in lists]
+    stamps, lengths = _flatten(lists)
+    with mock.patch.object(kernels_module, "_BLOCK_STAMPS", block):
+        counts = segment_counts(stamps, lengths)
+        cells, cell_lengths = segment_unique_cells(stamps, lengths)
+    np.testing.assert_array_equal(counts, _naive_counts(lists, 0.0))
+    want_cells, want_lengths = _naive_unique(lists, 0.0)
+    np.testing.assert_array_equal(cell_lengths, want_lengths)
+    np.testing.assert_array_equal(cells, want_cells)
+
+
+class TestStampBlocks:
+    """Block edges: the kernels' output cannot depend on the block size."""
+
+    HOUR = 3600.0
+
+    @given(
+        st.one_of(segments, sorted_segments),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_block_size(self, arrays, block):
+        _assert_both_kernels_match(arrays, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_zero_length_users_at_block_edges(self, block):
+        h = self.HOUR
+        lists = [[], [0.5 * h, 1.5 * h], [], [], [2.5 * h], [], [3.5 * h, 3.6 * h, 9 * h], []]
+        _assert_both_kernels_match(lists, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_a_user_longer_than_a_block(self, block):
+        h = self.HOUR
+        long_user = [k * 0.5 * h for k in range(11)]  # two posts an hour
+        _assert_both_kernels_match([[0.1 * h], long_user, [], [0.2 * h]], block)
+        _assert_both_kernels_match([long_user], block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 100])
+    def test_adjacent_users_holding_the_same_cell(self, block):
+        """One cell ends a user and starts the next: each keeps it once."""
+        h = self.HOUR
+        lists = [
+            [0.0, 5 * h + 1.0, 5 * h + 2.0],
+            [5 * h + 3.0, 5 * h + 4.0],
+            [5 * h + 5.0],
+            [],
+            [5 * h + 6.0, 6 * h],
+        ]
+        _assert_both_kernels_match(lists, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 7])
+    def test_hour_quantised_column(self, block):
+        """Every stamp an hour multiple: the encoder's exact-hour case."""
+        h = self.HOUR
+        lists = [
+            [-48 * h, -h, 0.0, 0.0, h],
+            [h, h, 24 * h, 25 * h],
+            [],
+            [24 * h * 400, 24 * h * 400, 24 * h * 400 + h],
+        ]
+        _assert_both_kernels_match(lists, block)
+
+    @pytest.mark.parametrize("block", [1, 3, 6])
+    def test_unsorted_block_among_sorted_ones(self, block):
+        """Only a block holding a descent takes the sort path."""
+        h = self.HOUR
+        lists = [[0.0, h, 2 * h], [3 * h, 0.5 * h, 3.5 * h, 0.1], [h, 2 * h], [5 * h]]
+        _assert_both_kernels_match(lists, block)
+
+    def test_lengths_must_cover_the_column(self):
+        with pytest.raises(ValueError, match="segment lengths"):
+            segment_counts(np.arange(5.0), np.array([2, 2]))
 
 
 class TestBlockedDistanceKernels:
@@ -383,3 +489,81 @@ class TestClassifyProfilesOracle:
         )
         assert flat.shape == nearest.shape == (0,)
         assert flat.dtype == bool and nearest.dtype == np.intp
+
+    @staticmethod
+    def _adversarial(references: ReferenceProfiles) -> np.ndarray:
+        """Rows on or next to a decision boundary.
+
+        Each zone reference itself; the midpoint of every pair of zones
+        (equidistant from both in exact arithmetic) and points a hair
+        either side of it; the midpoint of each zone and the uniform
+        profile (as close to one as to the other); uniform rows.
+        """
+        zones = references.stacked()
+        uniform = np.full(24, 1.0 / 24)
+        rows = [zones, np.tile(uniform, (3, 1))]
+        first, second = np.triu_indices(24, k=1)
+        for weight in (0.5, 0.5 + 2e-7, 0.5 - 2e-7, 0.5 + 3e-5):
+            rows.append(weight * zones[first] + (1.0 - weight) * zones[second])
+            rows.append(weight * zones + (1.0 - weight) * uniform)
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("generic", ["canonical", "flat"])
+    def test_adversarial_rows_match_oracle(self, generic, monkeypatch):
+        """Near-ties are re-decided in float64 and still equal the oracle.
+
+        With a flat generic profile every zone reference is the same row,
+        so all 24 zones (and the uniform profile) tie on every row.
+        """
+        references = (
+            ReferenceProfiles.canonical()
+            if generic == "canonical"
+            else ReferenceProfiles(Profile(np.ones(24)))
+        )
+        profiles = self._adversarial(ReferenceProfiles.canonical())
+        redecided: list[int] = []
+        pair_sums = placement_module._pair_sums
+
+        def spy(p, q, out, term):
+            if out.dtype == np.float64:
+                redecided.append(out.shape[1])
+            pair_sums(p, q, out, term)
+
+        monkeypatch.setattr(placement_module, "_pair_sums", spy)
+        flat, nearest = classify_profiles(profiles, references)
+        want_flat, want_nearest = self._oracle(profiles, references)
+        np.testing.assert_array_equal(flat, want_flat)
+        np.testing.assert_array_equal(nearest, want_nearest)
+        if generic == "flat":
+            assert redecided == [len(profiles)]
+            assert not flat.any() and not nearest.any()
+        else:
+            assert 0 < sum(redecided) < len(profiles)
+
+    def test_negative_mass_rows_skip_the_screen(self):
+        """Outside [0, 1] CDFs the bound fails, so float64 decides it all."""
+        rng = np.random.default_rng(5)
+        profiles = rng.uniform(-0.5, 1.0, size=(200, 24))
+        profiles[:, 0] = 20.0  # keep every total positive
+        flat, nearest = classify_profiles(profiles, ReferenceProfiles.canonical())
+        want_flat, want_nearest = self._oracle(
+            profiles, ReferenceProfiles.canonical()
+        )
+        np.testing.assert_array_equal(flat, want_flat)
+        np.testing.assert_array_equal(nearest, want_nearest)
+
+    def test_float32_table_within_the_screen_bound(self):
+        """The 192u bound the screen's tolerance doubles, checked directly."""
+        references = ReferenceProfiles.canonical()
+        profiles = np.vstack(
+            [self._crowd(5_000, seed=9), self._adversarial(references)]
+        )
+        cdfs = np.cumsum(as_profile_matrix(profiles), axis=1)
+        columns = placement_module._ZonesAndUniform(references).cumulative()
+        single = np.empty((25, len(cdfs)), dtype=np.float32)
+        double = np.empty((25, len(cdfs)))
+        emd_module._pair_sums(cdfs, columns, single, np.absolute)
+        emd_module._pair_sums(cdfs, columns, double, np.absolute)
+        bound = 192 * 2.0**-24
+        assert np.abs(single.astype(np.float64) - double).max() <= bound
+        assert placement_module._SCREEN_TOL > 2 * bound
