@@ -82,8 +82,10 @@ class DriftConfig:
 
     #: Length, in stream days, of the rolling recent-behaviour window.
     window_days: int = 30
-    #: A user is checked at most once per this many stream days (checks
-    #: cost O(window) per user; the interval amortises them away).
+    #: A user is checked at most once per this many stream days.  A check
+    #: counts its window's cells from the day masks (O(window days)) and
+    #: most stop at the evidence floors; past them it costs one EMD, and a
+    #: screen hit one batched scan over the record's days.
     check_interval_days: int = 7
     #: Window-vs-history EMD above which the change-point *localisation*
     #: scan runs.  The windowed score is a cheap screen: it dilutes as
@@ -247,33 +249,49 @@ class ChangePointDetector:
         """EMD between the normalised window and history profiles."""
         return float(self._distance(window_counts, history_counts))
 
-    def split_score(self, prefix_counts: FloatArray, suffix_counts: FloatArray) -> float:
-        """Size-discounted EMD for scanning candidate change-point splits.
+    def split_scores(self, prefix_counts: FloatArray, suffix_counts: FloatArray) -> FloatArray:
+        """Size-discounted EMD of each candidate change-point split.
 
-        EMD sampling noise scales like ``1/sqrt(cells)``, and an argmax
-        over a record's worth of candidate splits happily picks the
-        noisiest thin side; discounting by ``sqrt(min_side / full)``
-        (capped at 1) flattens the noise floor across split positions so
-        one ``emd_threshold`` works for young and old records alike.  A
-        genuine shift keeps its full score once both sides carry
-        ``~2.5 * min_reestimate_cells`` cells.
+        Row ``i`` of the two ``(splits, 24)`` count tables holds the
+        record's prefix and suffix at split ``i``; both sides of every
+        split hold cells (the change-day scan only scores splits whose
+        sides reach its floor).  EMD sampling noise scales like
+        ``1/sqrt(cells)``, and an argmax over a record's worth of
+        candidate splits happily picks the noisiest thin side;
+        discounting by ``sqrt(min_side / full)`` (capped at 1) flattens
+        the noise floor across split positions so one ``emd_threshold``
+        works for young and old records alike.  A genuine shift keeps its
+        full score once both sides carry ``~2.5 * min_reestimate_cells``
+        cells.
+
+        The linear metric is computed row-wise (each row has the bits of
+        :func:`~repro.core.emd.emd_linear` over that pair: integer-valued
+        row sums are exact, and numpy's row-wise cumsum and sum take a row
+        in the order the 1-D calls do); other metrics map their 1-D
+        distance over the rows.
         """
-        thin_side = float(min(prefix_counts.sum(), suffix_counts.sum()))
-        if thin_side <= 0.0:
-            return 0.0
+        prefix_cells = prefix_counts.sum(axis=1)
+        suffix_cells = suffix_counts.sum(axis=1)
+        if self.config.metric == "linear":
+            diff = prefix_counts / prefix_cells[:, None] - suffix_counts / suffix_cells[:, None]
+            distances = np.abs(np.cumsum(diff, axis=1)).sum(axis=1)
+        else:
+            distances = np.array(
+                [self._distance(p, q) for p, q in zip(prefix_counts, suffix_counts)],
+                dtype=float,
+            )
+        thin_side = np.minimum(prefix_cells, suffix_cells)
         full_evidence = 2.5 * self.config.min_reestimate_cells
-        discount = min(1.0, float(np.sqrt(thin_side / full_evidence)))
-        return self.score(prefix_counts, suffix_counts) * discount
+        return distances * np.minimum(1.0, np.sqrt(thin_side / full_evidence))
 
     def fires(self, score: float) -> bool:
         return score > self.config.emd_threshold
 
-    def has_evidence(
-        self, window_counts: FloatArray, history_counts: FloatArray
-    ) -> tuple[bool, bool]:
-        """(window trustworthy, history comparable) under the cell floors."""
-        window_ok = float(window_counts.sum()) >= self.config.min_window_cells
-        history_ok = float(history_counts.sum()) >= self.config.min_history_cells
+    def has_evidence(self, window_cells: float, history_cells: float) -> tuple[bool, bool]:
+        """(window trustworthy, history comparable) under the cell floors,
+        from the cell counts of the window and of the pre-window history."""
+        window_ok = window_cells >= self.config.min_window_cells
+        history_ok = history_cells >= self.config.min_history_cells
         return window_ok, history_ok
 
 

@@ -225,6 +225,48 @@ def _segments(starts: "IntArray", lengths: "IntArray") -> "IntArray":
     return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
 
 
+#: Bit positions of the 24 hours in a day mask.
+_HOUR_BITS = np.arange(HOURS, dtype=np.int64)
+
+
+def _scan_splits(
+    detector: ChangePointDetector, bits: dict[int, int], total: "FloatArray"
+) -> "tuple[int, float]":
+    """(first day of the best suffix, its split score) over a record.
+
+    *bits* maps each of the record's active days to its hour mask and
+    *total* holds the record's hour counts.  Every split after an active
+    day but the last is a candidate: its prefix counts are a cumulative
+    row of the days' hour indicators (summed in int64, so no count wraps
+    however long the record) and its suffix is ``total - prefix``.  The
+    splits whose sides both reach the floor are scored in one
+    :meth:`ChangePointDetector.split_scores` call, and the first best
+    split wins.  The score is ``-1.0``, at the first active day, when no
+    split leaves both sides enough cells.
+    """
+    days = sorted(bits)
+    masks = np.array([bits[day] for day in days[:-1]], dtype=np.int64)
+    prefix = np.cumsum((masks[:, None] >> _HOUR_BITS) & 1, axis=0)
+    # Tiny split sides have huge EMD sampling noise, and the argmax over a
+    # record's worth of candidate splits would happily pick a six-cell
+    # tail and call it a migration -- the size discount in
+    # :meth:`ChangePointDetector.split_scores` flattens that noise floor,
+    # so the hard floor here only prunes hopeless splits (the commit
+    # floor on the post-change suffix is separate, in
+    # :meth:`StreamingGeolocator._reestimate`).
+    min_side = float(max(8, detector.config.min_reestimate_cells // 2))
+    prefix_cells = prefix.sum(axis=1)
+    candidates = np.flatnonzero(
+        (prefix_cells >= min_side) & (float(total.sum()) - prefix_cells >= min_side)
+    )
+    if candidates.size == 0:
+        return days[0], -1.0
+    prefix_counts = prefix[candidates].astype(float)
+    scores = detector.split_scores(prefix_counts, total - prefix_counts)
+    best = int(np.argmax(scores))
+    return days[int(candidates[best])] + 1, float(scores[best])
+
+
 class _UserTable:
     """Every user's versioned incremental Eq. 1 record, one column per field.
 
@@ -537,28 +579,24 @@ class _UserTable:
 
     @staticmethod
     def counts_of_bits(bits_by_day: Iterable[int]) -> FloatArray:
-        counts = np.zeros(HOURS, dtype=float)
+        """Hour counts of the day masks *bits_by_day*."""
+        counts = [0] * HOURS
         for bits in bits_by_day:
             while bits:
                 low = bits & -bits
-                counts[low.bit_length() - 1] += 1.0
+                counts[low.bit_length() - 1] += 1
                 bits &= bits - 1
-        return counts
+        return np.array(counts, dtype=float)
 
-    def window_counts(self, row: int, start_day: int, end_day: int) -> FloatArray:
-        """Hour counts of *row*'s record cells with day in [start_day, end_day]."""
+    def window_bits(self, row: int, start_day: int, end_day: int) -> list[int]:
+        """Day masks of *row*'s record days in [start_day, end_day]."""
         bits_by_day = self.day_bits(row)
-        selected: Iterable[int]
         if len(bits_by_day) <= end_day - start_day + 1:
-            selected = (
+            return [
                 bits for day, bits in bits_by_day.items()
                 if start_day <= day <= end_day
-            )
-        else:
-            selected = (
-                bits_by_day.get(day, 0) for day in range(start_day, end_day + 1)
-            )
-        return self.counts_of_bits(selected)
+            ]
+        return [bits_by_day.get(day, 0) for day in range(start_day, end_day + 1)]
 
     def truncate(self, row: int, anchor_day: int) -> None:
         """Open a new record version holding only days >= *anchor_day*."""
@@ -1038,9 +1076,13 @@ class StreamingGeolocator:
                 # Still settling: the record is too young for the
                 # change-point machinery to say anything new.
                 return
+        # The evidence floors are decided on cell counts (the day masks'
+        # popcounts) before any hour vector is built: most checks stop
+        # there.
         window_start = now_day - config.window_days + 1
-        window = table.window_counts(row, window_start, now_day)
-        if window.sum() < config.min_window_cells:
+        masks = table.window_bits(row, window_start, now_day)
+        window_cells = sum(map(int.bit_count, masks))
+        if window_cells < config.min_window_cells:
             # Casual posters: "recent behaviour" just spans more days for
             # them.  Stretch the window back (up to 4x) until it holds
             # enough cells, instead of leaving them forever uncheckable.
@@ -1049,12 +1091,14 @@ class StreamingGeolocator:
             for day in sorted(
                 (d for d in bits if limit <= d < window_start), reverse=True
             ):
-                window = window + table.counts_of_bits((bits[day],))
-                window_start = day
-                if window.sum() >= config.min_window_cells:
+                masks.append(bits[day])
+                window_cells += bits[day].bit_count()
+                if window_cells >= config.min_window_cells:
                     break
-        history = table.counts[row] - window
-        window_ok, history_ok = detector.has_evidence(window, history)
+        record = table.counts[row]
+        window_ok, history_ok = detector.has_evidence(
+            window_cells, float(record.sum()) - window_cells
+        )
         if not window_ok:
             # Too little recent evidence to judge; confidence keeps
             # decaying until the window fills back up.
@@ -1064,7 +1108,8 @@ class StreamingGeolocator:
             # from -- fresh consistent evidence re-verifies.
             table.reset_confidence(row, now_day)
             return
-        score = detector.score(window, history)
+        window = table.counts_of_bits(masks)
+        score = detector.score(window, record - window)
         value, as_of_day = table.conf_value[row], table.conf_day[row]
         effective = float(decayed_confidence(value, as_of_day, now_day, config.decay_per_day))
         if score > config.screen_threshold:
@@ -1161,37 +1206,14 @@ class StreamingGeolocator:
         enough post-change cells to re-place reliably.  The returned
         score is ``-1.0`` when no split leaves both sides enough cells.
         """
-        config = self.drift
         detector = self._detector
-        if config is None or detector is None:
+        if detector is None:
             return now_day, -1.0
         table = self._table
         bits = table.day_bits(row)
         if not bits:
             return now_day, -1.0
-        active_days = sorted(bits)
-        total = table.counts[row].astype(float)
-        # Tiny split sides have huge EMD sampling noise, and the argmax
-        # over a record's worth of candidate splits would happily pick a
-        # six-cell tail and call it a migration -- the size discount in
-        # :meth:`ChangePointDetector.split_score` flattens that noise
-        # floor, so the hard floor here only prunes hopeless splits (the
-        # commit floor on the post-change suffix is separate, in
-        # :meth:`_reestimate`).
-        min_side = float(max(8, config.min_reestimate_cells // 2))
-        prefix = np.zeros(HOURS, dtype=float)
-        best_day = active_days[0]
-        best_score = -1.0
-        for day in active_days[:-1]:
-            prefix = prefix + table.counts_of_bits((bits[day],))
-            suffix = total - prefix
-            if prefix.sum() < min_side or suffix.sum() < min_side:
-                continue
-            score = detector.split_score(prefix, suffix)
-            if score > best_score:
-                best_score = score
-                best_day = day + 1
-        return best_day, best_score
+        return _scan_splits(detector, bits, table.counts[row])
 
     def _reestimate(
         self,
@@ -1219,7 +1241,7 @@ class StreamingGeolocator:
         if config is None:
             return
         table = self._table
-        recent = table.window_counts(row, anchor, now_day)
+        recent = table.counts_of_bits(table.window_bits(row, anchor, now_day))
         if float(recent.sum()) < config.min_reestimate_cells:
             obs_metrics.counter(
                 "repro_stream_drift_deferrals_total",

@@ -1,15 +1,22 @@
 """Temporal-drift robustness: confidence lifecycle, change-points, events.
 
 Covers the drift layer end to end -- unit behaviour of the config and
-confidence primitives, the acceptance scenario (20% of a crowd relocating
-+6 h mid-stream), the DST negative control, the drift-off inertness
-invariant, and checkpoint schema negotiation across versions 1 and 2.
+confidence primitives, the batched change-day scan against the per-day
+loop it replaced, the check's evidence floors, the acceptance scenario
+(20% of a crowd relocating +6 h mid-stream), the DST negative control,
+the drift-off inertness invariant, checkpoint schema negotiation across
+versions 1 and 2, and the frozen lifecycle record of
+``tests/drift_fixtures.py``.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from drift_fixtures import FIXTURE_PATH, SCENARIOS, render, replay
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.streaming_experiments import run_drift_experiment
 from repro.core.drift import (
@@ -19,6 +26,7 @@ from repro.core.drift import (
     UserConfidence,
     decayed_confidence,
 )
+from repro.core.emd import ALL_DISTANCES
 from repro.core.streaming import (
     _NO_DAY,
     STREAM_CHECKPOINT_KIND,
@@ -26,6 +34,8 @@ from repro.core.streaming import (
     UNDER_EVIDENCED,
     VERDICT,
     StreamingGeolocator,
+    _scan_splits,
+    _UserTable,
 )
 from repro.errors import CheckpointError, EmptyTraceError
 from repro.reliability import read_checkpoint
@@ -122,8 +132,202 @@ class TestChangePointDetector:
         detector = ChangePointDetector(config)
         history = np.zeros(24)
         history[8:16] = 100.0
-        thin = np.roll(history, 6) / 100.0 * 6.0  # six cells only
-        assert detector.split_score(thin, history) < detector.score(thin, history)
+        shifted = np.roll(history, 6)
+        thin = shifted / 100.0 * 6.0  # six cells only
+        scores = detector.split_scores(np.stack([thin, shifted]), np.stack([history] * 2))
+        assert scores[0] < detector.score(thin, history)
+        # Both sides past 2.5 * min_reestimate_cells: no discount.
+        assert scores[1] == detector.score(shifted, history)
+
+
+def _hour_counts(mask: int) -> np.ndarray:
+    return np.array([(mask >> hour) & 1 for hour in range(24)], dtype=float)
+
+
+def _split_score_oracle(detector, prefix, suffix) -> float:
+    """One split's size-discounted score, as the scalar scorer computed it."""
+    thin_side = float(min(prefix.sum(), suffix.sum()))
+    full_evidence = 2.5 * detector.config.min_reestimate_cells
+    discount = min(1.0, float(np.sqrt(thin_side / full_evidence)))
+    return detector.score(prefix, suffix) * discount
+
+
+def _scan_splits_oracle(detector, bits, total):
+    """The per-day change-day loop :func:`_scan_splits` batches."""
+    active_days = sorted(bits)
+    min_side = float(max(8, detector.config.min_reestimate_cells // 2))
+    prefix = np.zeros(24)
+    best_day, best_score = active_days[0], -1.0
+    for day in active_days[:-1]:
+        prefix = prefix + _hour_counts(bits[day])
+        suffix = total - prefix
+        if prefix.sum() < min_side or suffix.sum() < min_side:
+            continue
+        score = _split_score_oracle(detector, prefix, suffix)
+        if score > best_score:
+            best_score, best_day = score, day + 1
+    return best_day, best_score
+
+
+def _total(bits) -> np.ndarray:
+    return sum((_hour_counts(mask) for mask in bits.values()), np.zeros(24))
+
+
+_SPARSE_MASK = st.sets(st.integers(0, 23), min_size=1, max_size=3).map(
+    lambda hours: sum(1 << hour for hour in hours)
+)
+_MASK = st.one_of(_SPARSE_MASK, st.integers(1, 2**24 - 1))
+#: Day -> hour mask records with gaps between active days.
+_RECORDS = st.dictionaries(st.integers(0, 400), _MASK, min_size=1, max_size=60)
+
+
+class TestBatchedSplitScan:
+    """``_scan_splits`` and ``split_scores`` against the per-day loop."""
+
+    @pytest.mark.parametrize("metric", sorted(ALL_DISTANCES))
+    @given(bits=_RECORDS, reestimate=st.integers(12, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_day_loop(self, metric, bits, reestimate):
+        detector = ChangePointDetector(
+            DriftConfig(metric=metric, min_reestimate_cells=reestimate)
+        )
+        total = _total(bits)
+        expected = _scan_splits_oracle(detector, bits, total)
+        assert repr(_scan_splits(detector, bits, total)) == repr(expected)
+
+    def test_linear_metric_takes_the_row_wise_path(self):
+        detector = ChangePointDetector(DriftConfig())
+
+        def refuse(p, q):
+            raise AssertionError("the linear metric must not map the 1-D distance")
+
+        detector._distance = refuse
+        rng = np.random.default_rng(0)
+        prefix, suffix = rng.integers(1, 9, (2, 50, 24)).astype(float)
+        assert detector.split_scores(prefix, suffix).shape == (50,)
+
+    @pytest.mark.parametrize("metric", sorted(ALL_DISTANCES))
+    def test_one_active_day_has_no_split(self, metric):
+        detector = ChangePointDetector(DriftConfig(metric=metric))
+        bits = {17: 2**24 - 1}
+        assert _scan_splits(detector, bits, _total(bits)) == (17, -1.0)
+
+    @pytest.mark.parametrize("metric", sorted(ALL_DISTANCES))
+    def test_no_qualifying_split_scores_minus_one_at_the_first_day(self, metric):
+        detector = ChangePointDetector(DriftConfig(metric=metric))
+        # 20 cells over gapped days: no split leaves 12 on both sides.
+        bits = {3 + 5 * day: 0b11 << day for day in range(10)}
+        assert _scan_splits(detector, bits, _total(bits)) == (3, -1.0)
+        assert _scan_splits_oracle(detector, bits, _total(bits)) == (3, -1.0)
+
+    @pytest.mark.parametrize("metric", sorted(ALL_DISTANCES))
+    def test_exact_ties_go_to_the_first_day(self, metric):
+        detector = ChangePointDetector(DriftConfig(metric=metric))
+        early, late = 2**12 - 1, (2**12 - 1) << 12
+        # A palindromic record: splitting after day 0 and after day 2
+        # give mirrored sides, hence bit-equal scores.
+        bits = {0: early, 1: late, 2: late, 3: early}
+        total = _total(bits)
+        prefix = np.array([_hour_counts(early), total - _hour_counts(early)])
+        scores = detector.split_scores(prefix, total - prefix)
+        assert scores[0] == scores[1] > 0.0
+        expected = _scan_splits_oracle(detector, bits, total)
+        assert expected == (1, float(scores[0]))
+        assert repr(_scan_splits(detector, bits, total)) == repr(expected)
+
+    @pytest.mark.parametrize("metric", sorted(ALL_DISTANCES))
+    def test_records_longer_than_255_days(self, metric):
+        detector = ChangePointDetector(DriftConfig(metric=metric))
+        rng = np.random.default_rng(7)
+        # Hour 9 is active on all 400 days: its prefix count passes 255.
+        bits = {
+            day: (1 << 9) | (int(rng.integers(1, 2**8)) << (4 if day < 280 else 14))
+            for day in range(400)
+        }
+        total = _total(bits)
+        expected = _scan_splits_oracle(detector, bits, total)
+        assert repr(_scan_splits(detector, bits, total)) == repr(expected)
+        assert expected[1] > 0.0
+
+
+class TestCheckGates:
+    """The evidence floors decide on cell counts before any hour vector."""
+
+    #: Small floors; checks run only when the test calls one, and one
+    #: past the floors re-verifies (no decay, no change-point scan).
+    CONFIG = DriftConfig(
+        window_days=10,
+        check_interval_days=10_000,
+        screen_threshold=100.0,
+        emd_threshold=100.0,
+        decay_per_day=0.0,
+        min_window_cells=6,
+        min_reestimate_cells=12,
+        min_history_cells=20,
+    )
+
+    def _engine(self, monkeypatch, cells_by_day, now_day):
+        """An engine holding one user's record, and the check's recorders."""
+        engine = StreamingGeolocator(min_posts=1, drift=self.CONFIG)
+        for day, hours in sorted(cells_by_day.items()):
+            for hour in hours:
+                engine.observe("u", day * 86400.0 + hour * 3600.0)
+        row = engine._table.index["u"]
+        calls = {"vectors": 0, "scores": []}
+        counts_of_bits = _UserTable.counts_of_bits
+
+        def counting(bits_by_day):
+            calls["vectors"] += 1
+            return counts_of_bits(bits_by_day)
+
+        monkeypatch.setattr(_UserTable, "counts_of_bits", staticmethod(counting))
+        score = engine._detector.score
+
+        def recording(window, history):
+            calls["scores"].append((window.copy(), history.copy()))
+            return score(window, history)
+
+        engine._detector.score = recording
+        engine._drift_check("u", row, now_day)
+        assert engine._table.last_check[row] == now_day
+        return engine, row, calls
+
+    def test_thin_window_stops_before_any_vector(self, monkeypatch):
+        # 30 history cells, 5 window cells (< 6), nothing to stretch to.
+        cells = {0: range(10), 1: range(10), 2: range(10), 95: range(5)}
+        engine, row, calls = self._engine(monkeypatch, cells, now_day=100)
+        assert calls == {"vectors": 0, "scores": []}
+        assert engine._table.conf_day[row] == 0  # not re-verified
+
+    def test_thin_history_re_verifies_before_any_vector(self, monkeypatch):
+        # 10 window cells, 15 history cells (< 20).
+        cells = {40: range(15), 95: range(10)}
+        engine, row, calls = self._engine(monkeypatch, cells, now_day=100)
+        assert calls == {"vectors": 0, "scores": []}
+        assert engine._table.conf_day[row] == 100
+
+    def test_stretch_back_reaching_the_floor_scores_the_stretched_window(
+        self, monkeypatch
+    ):
+        # 2 cells in the 10-day window; stretching back takes day 85 (2
+        # more), then day 80 (3 more: 7 >= 6) and stops before day 75.
+        cells = {0: range(24), 75: [1], 80: [2, 3, 4], 85: [5, 6], 95: [7, 8]}
+        engine, row, calls = self._engine(monkeypatch, cells, now_day=100)
+        assert calls["vectors"] == 1
+        [(window, history)] = calls["scores"]
+        expected = np.zeros(24)
+        expected[2:9] = 1.0
+        assert np.array_equal(window, expected)
+        assert np.array_equal(history, engine._table.counts[row] - expected)
+        assert engine._table.conf_day[row] == 100
+
+    def test_stretch_back_missing_the_floor_stops(self, monkeypatch):
+        # Days 70-95 hold 5 cells; day 50 lies past the 4x-window limit
+        # (day 61), so the window never reaches 6 cells.
+        cells = {0: range(24), 50: range(10), 70: [1, 2], 85: [3], 95: [4, 5]}
+        engine, row, calls = self._engine(monkeypatch, cells, now_day=100)
+        assert calls == {"vectors": 0, "scores": []}
+        assert engine._table.conf_day[row] == 0
 
 
 class TestEmptyStreamSentinel:
@@ -425,3 +629,33 @@ class TestCompositionTimeline:
         assert abs(
             (mean_zone(late) - mean_zone(early)) - scenario.shift_hours
         ) <= 2.0
+
+
+def _frozen_records() -> dict[str, list[str]]:
+    """The fixture's lines, by the scenario they were recorded from."""
+    records: dict[str, list[str]] = {}
+    lines: list[str] = []
+    for line in FIXTURE_PATH.read_text(encoding="utf-8").splitlines():
+        if line.startswith('{"scenario": '):
+            lines = records.setdefault(json.loads(line)["scenario"], [])
+        else:
+            lines.append(line)
+    return records
+
+
+class TestFrozenLifecycle:
+    """Migrations, daily snapshots and the final state replay exactly.
+
+    ``tests/fixtures/streaming/drift_lifecycle.jsonl`` was recorded by the
+    engine that scored every candidate change day in its own call (see
+    ``tests/drift_fixtures.py``); floats compare by their ``repr``.
+    """
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_replay_matches_the_frozen_record(self, name, batched):
+        frozen = _frozen_records()
+        assert frozen.keys() == SCENARIOS.keys()
+        assert any(line.startswith('{"migration": ') for line in frozen["relocation"])
+        lines = render(replay(SCENARIOS[name](), batched=batched)).splitlines()
+        assert lines == frozen[name]

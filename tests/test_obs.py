@@ -242,6 +242,20 @@ class TestTracing:
                 pass
         assert [root.name for root in tracer.roots] == ["doomed", "after"]
 
+    def test_span_yields_its_record_and_records_any_base_exception(self):
+        tracer = Tracer()
+        context = tracer.span("outer", n=1)
+        assert tracer.roots == []  # the span opens on entry, not on the call
+        with pytest.raises(KeyboardInterrupt):
+            with context as outer:
+                with tracer.span("inner") as inner:
+                    assert tracer.current() is inner
+                raise KeyboardInterrupt
+        assert tracer.roots == [outer] and outer.children == [inner]
+        assert (outer.status, outer.error) == ("error", "KeyboardInterrupt: ")
+        assert (inner.status, inner.error) == ("ok", None)
+        assert tracer.current() is None
+
     def test_disabled_tracer_records_nothing(self):
         assert not obs_tracing.get_tracer().enabled
         with trace_span("invisible"):
