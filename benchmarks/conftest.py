@@ -2,9 +2,10 @@
 
 Benchmarks regenerate every table and figure of the paper at meaningful
 scale (forum crowds at the paper's user counts; the Twitter ground-truth
-dataset at 4% of Table I, which keeps reference quality while staying
-minutes-fast).  Each bench also writes its reproduced artifact into
-``benchmarks/results/`` so the rows/series survive output capture.
+dataset at 4% of Table I, which keeps reference quality and generates,
+references included, in well under a second).  Each bench also writes
+its reproduced artifact into ``benchmarks/results/`` so the rows/series
+survive output capture.
 """
 
 from __future__ import annotations

@@ -102,13 +102,24 @@ class ActivityTrace:
         return ActivityTrace(self.user_id, self._timestamps + hours * 3600.0)
 
     def restricted_to_days(self, predicate: Callable[[int], bool]) -> "ActivityTrace":
-        """Keep only posts whose UTC day ordinal satisfies *predicate*."""
+        """Keep only posts whose UTC day ordinal satisfies *predicate*.
+
+        *predicate* must be a pure function of the day: it is called once
+        per distinct day of the trace, in day order, and its answer holds
+        for every post of that day.  The stamps are sorted, so the days
+        are too, and their distinct values are where they change.
+        """
         if self.is_empty():
             return ActivityTrace(self.user_id)
         days = (self._timestamps // 86400.0).astype(int)
-        keep = np.fromiter(
-            (predicate(int(day)) for day in days), dtype=bool, count=days.size
+        first_of_day = np.empty(days.size, dtype=bool)
+        first_of_day[0] = True
+        np.not_equal(days[1:], days[:-1], out=first_of_day[1:])
+        distinct = days[first_of_day]
+        keep_day = np.fromiter(
+            (predicate(int(day)) for day in distinct), dtype=bool, count=distinct.size
         )
+        keep = keep_day[np.cumsum(first_of_day) - 1]
         return ActivityTrace(self.user_id, self._timestamps[keep])
 
     def merged_with(self, other: "ActivityTrace") -> "ActivityTrace":

@@ -151,13 +151,7 @@ def build_user_profile_civil(trace: ActivityTrace, region: "Region") -> Profile:
         raise EmptyTraceError(f"user {trace.user_id!r} has no posts")
     stamps = trace.timestamps
     utc_days = np.floor_divide(stamps, 86400.0).astype(np.int64)
-    # The offset only changes at (rare) DST transitions, so look it up once
-    # per distinct UTC day and broadcast back over the posts.
-    unique_days, inverse = np.unique(utc_days, return_inverse=True)
-    offsets = np.array(
-        [region.utc_offset_at(int(day)) for day in unique_days], dtype=float
-    )
-    return Profile(active_hour_counts(stamps + offsets[inverse] * 3600.0))
+    return Profile(active_hour_counts(stamps + region.utc_offsets(utc_days) * 3600.0))
 
 
 def build_crowd_profile(profiles: Iterable[Profile]) -> Profile:

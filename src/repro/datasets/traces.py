@@ -155,19 +155,14 @@ class LabeledDataset:
         makes a full-year trace profile as if the region never changed
         clocks.  Used by the validation placements (Figs. 3-5), where
         ground truth makes the correction possible.  Each trace's day
-        numbers come from one floor division, and the region's DST rule
-        is asked once per distinct day of the crowd.
+        numbers come from one floor division and their DST hours from one
+        :meth:`~repro.timebase.dst.DstRule.offset_adjustments` call.
         """
         rule = self.region(key).dst_rule
-        crowd = self.crowd(key)
-        days = [np.floor_divide(trace.timestamps, 86400.0) for trace in crowd]
-        distinct = np.unique(np.concatenate(days)) if days else np.zeros(0)
-        shifts = np.array(
-            [rule.offset_adjustment(int(day)) * 3600.0 for day in distinct.tolist()]
-        )
         normalized = TraceSet()
-        for trace, trace_days in zip(crowd, days):
-            stamps = trace.timestamps + shifts[np.searchsorted(distinct, trace_days)]
+        for trace in self.crowd(key):
+            days = np.floor_divide(trace.timestamps, 86400.0).astype(np.int64)
+            stamps = trace.timestamps + rule.offset_adjustments(days) * 3600.0
             normalized.add(ActivityTrace(trace.user_id, stamps))
         return normalized
 

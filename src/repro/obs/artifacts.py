@@ -19,11 +19,11 @@ from typing import Any
 
 from repro.errors import ReproError
 
-from .health import HEALTH_KIND, load_health_jsonl
+from .health import HEALTH_KIND, parse_health_jsonl
 from .manifest import MANIFEST_KIND, RunManifest
 from .metrics import percentile_from_counts
-from .profiler import PROFILE_KIND, load_profile
-from .timeseries import SERIES_KIND, load_series_jsonl
+from .profiler import PROFILE_KIND, check_profile
+from .timeseries import SERIES_KIND, parse_series_jsonl
 
 __all__ = [
     "METRICS_KIND",
@@ -42,11 +42,10 @@ METRICS_KIND = "repro-metrics"
 #: What :func:`load_artifact` calls a Chrome trace-viewer document.
 TRACE_KIND = "chrome-trace"
 
-#: Kinds with a reader of their own; the others are returned as parsed.
-_READERS = {
-    SERIES_KIND: load_series_jsonl,
-    HEALTH_KIND: load_health_jsonl,
-    PROFILE_KIND: load_profile,
+#: JSONL kinds, each with the parser its path loader runs on the text.
+_JSONL_PARSERS = {
+    SERIES_KIND: parse_series_jsonl,
+    HEALTH_KIND: parse_health_jsonl,
 }
 _DOCUMENT_KINDS = frozenset({METRICS_KIND, MANIFEST_KIND, TRACE_KIND})
 
@@ -57,7 +56,9 @@ def load_artifact(path: str | Path) -> tuple[str, Any]:
     *content* is what the kind's own loader returns (a ``SeriesFrame``,
     ``(header, events)``, a profile) or else the parsed JSON document.  A
     manifest is returned only once :meth:`RunManifest.from_dict` accepts
-    it, so one edited after it was written is refused.
+    it, so one edited after it was written is refused.  The file is read
+    once: the JSONL kinds' parsers take its text, and a profile is
+    checked as the document already parsed.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -70,8 +71,10 @@ def load_artifact(path: str | Path) -> tuple[str, Any]:
     kind = None
     if isinstance(document, dict):
         kind = document.get("kind", TRACE_KIND if "traceEvents" in document else None)
-    if kind in _READERS:
-        return kind, _READERS[kind](path)
+    if kind in _JSONL_PARSERS:
+        return kind, _JSONL_PARSERS[kind](text, path)
+    if whole and kind == PROFILE_KIND:
+        return kind, check_profile(document, path)
     if whole and kind == MANIFEST_KIND:
         try:
             RunManifest.from_dict(document)

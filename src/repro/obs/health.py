@@ -48,6 +48,7 @@ __all__ = [
     "default_streaming_rules",
     "health_digest",
     "load_health_jsonl",
+    "parse_health_jsonl",
     "severity",
 ]
 
@@ -447,21 +448,21 @@ class Observatory:
             self.health.close()
 
 
-def load_health_jsonl(
-    path: str | Path,
+def parse_health_jsonl(
+    text: str, source: str | Path
 ) -> tuple[dict[str, Any], list[HealthEvent]]:
-    """Reload a ``--health-out`` artifact: ``(header, events)``.
+    """A ``--health-out`` artifact's text as ``(header, events)``.
 
-    A ``ValueError`` names the first line that is not an event between
-    ``ok``/``warn``/``crit`` states.
+    A ``ValueError`` names *source* and the first line that is not an
+    event between ``ok``/``warn``/``crit`` states.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = text.splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty health artifact")
+        raise ValueError(f"{source}: empty health artifact")
     header = json.loads(lines[0])
     if header.get("kind") != HEALTH_KIND:
         raise ValueError(
-            f"{path}: expected kind {HEALTH_KIND!r}, got {header.get('kind')!r}"
+            f"{source}: expected kind {HEALTH_KIND!r}, got {header.get('kind')!r}"
         )
     events = []
     for number, line in enumerate(lines[1:], start=2):
@@ -470,12 +471,20 @@ def load_health_jsonl(
         try:
             event = HealthEvent.from_dict(json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {number}: not a health event ({exc!r})") from None
+            raise ValueError(f"{source}: line {number}: not a health event ({exc!r})") from None
         for state in (event.old_state, event.new_state):
             if state not in _SEVERITY:
-                raise ValueError(f"{path}: line {number}: unknown health state {state!r}")
+                raise ValueError(f"{source}: line {number}: unknown health state {state!r}")
         events.append(event)
     return header, events
+
+
+def load_health_jsonl(
+    path: str | Path,
+) -> tuple[dict[str, Any], list[HealthEvent]]:
+    """Reload a ``--health-out`` artifact: ``(header, events)``; see
+    :func:`parse_health_jsonl`."""
+    return parse_health_jsonl(Path(path).read_text(encoding="utf-8"), path)
 
 
 def health_timeline(

@@ -38,6 +38,7 @@ __all__ = [
     "PROFILE_KIND",
     "PROFILE_VERSION",
     "SamplingProfiler",
+    "check_profile",
     "load_profile",
 ]
 
@@ -205,11 +206,15 @@ class SamplingProfiler:
         return path
 
 
-def load_profile(path: str | Path) -> dict[str, Any]:
-    """Reload a ``--profile-out`` JSON artifact, validating its kind."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def check_profile(payload: dict[str, Any], source: str | Path) -> dict[str, Any]:
+    """A parsed ``--profile-out`` document, once its kind is checked."""
     if payload.get("kind") != PROFILE_KIND:
         raise ValueError(
-            f"{path}: expected kind {PROFILE_KIND!r}, got {payload.get('kind')!r}"
+            f"{source}: expected kind {PROFILE_KIND!r}, got {payload.get('kind')!r}"
         )
     return payload
+
+
+def load_profile(path: str | Path) -> dict[str, Any]:
+    """Reload a ``--profile-out`` JSON artifact, validating its kind."""
+    return check_profile(json.loads(Path(path).read_text(encoding="utf-8")), path)

@@ -45,6 +45,7 @@ __all__ = [
     "SeriesFrame",
     "SeriesSampler",
     "load_series_jsonl",
+    "parse_series_jsonl",
 ]
 
 #: ``kind`` discriminator in the JSONL header line.
@@ -406,15 +407,20 @@ class SeriesFrame:
         return float(pair[0][-1]), float(pair[1][-1])
 
 
-def load_series_jsonl(path: str | Path) -> SeriesFrame:
-    """Reload a ``--series-out`` artifact; raises ``ValueError`` on shape."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def parse_series_jsonl(text: str, source: str | Path) -> SeriesFrame:
+    """A ``--series-out`` artifact's text as a frame; ``ValueError`` names *source*."""
+    lines = text.splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty series artifact")
+        raise ValueError(f"{source}: empty series artifact")
     header = json.loads(lines[0])
     if header.get("kind") != SERIES_KIND:
         raise ValueError(
-            f"{path}: expected kind {SERIES_KIND!r}, got {header.get('kind')!r}"
+            f"{source}: expected kind {SERIES_KIND!r}, got {header.get('kind')!r}"
         )
     rows = [json.loads(line) for line in lines[1:] if line.strip()]
     return SeriesFrame(header, rows)
+
+
+def load_series_jsonl(path: str | Path) -> SeriesFrame:
+    """Reload a ``--series-out`` artifact; raises ``ValueError`` on shape."""
+    return parse_series_jsonl(Path(path).read_text(encoding="utf-8"), path)

@@ -16,8 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.events import ActivityTrace
-from repro.synth.diurnal import CANONICAL, DiurnalModel
+from repro.synth.diurnal import CANONICAL, DiurnalModel, hours_from_uniforms
+from repro.synth.posting import active_day_draws
 from repro.timebase.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+
+#: A shift worker's rhythm phases, in hours, one per rotation period.
+_PHASES = (0.0, 8.0, 16.0)
 
 
 def generate_bot_trace(
@@ -28,14 +32,25 @@ def generate_bot_trace(
     n_days: int = 366,
     posts_per_day: float = 2.0,
 ) -> ActivityTrace:
-    """A bot: Poisson posts at uniform times of day, every day."""
-    timestamps: list[float] = []
-    for ordinal in range(start_day, start_day + n_days):
-        for _ in range(int(rng.poisson(posts_per_day))):
-            timestamps.append(
-                ordinal * SECONDS_PER_DAY + rng.random() * SECONDS_PER_DAY
-            )
-    return ActivityTrace(user_id, timestamps)
+    """A bot: Poisson posts at uniform times of day, every day.
+
+    Per day one ``poisson(posts_per_day)`` and then one ``random(n)``,
+    the draws of n scalar ``random()`` calls.
+    """
+    random, poisson = rng.random, rng.poisson
+    days = range(start_day, start_day + n_days)
+    counts: list[int] = []
+    blocks: list[np.ndarray] = []
+    for _ in days:
+        n_posts = int(poisson(posts_per_day))
+        counts.append(n_posts)
+        if n_posts:
+            blocks.append(random(n_posts))
+    ordinals = np.repeat(np.asarray(days, dtype=np.int64), counts)
+    uniforms = np.concatenate(blocks) if blocks else np.zeros(0)
+    return ActivityTrace(
+        user_id, ordinals * SECONDS_PER_DAY + uniforms * SECONDS_PER_DAY
+    )
 
 
 def generate_shift_worker_trace(
@@ -50,20 +65,24 @@ def generate_shift_worker_trace(
     model: DiurnalModel = CANONICAL,
     utc_offset: int = 0,
 ) -> ActivityTrace:
-    """A rotating-shift worker: normal rhythm whose phase cycles 0/8/16 h."""
-    phases = (0.0, 8.0, 16.0)
-    timestamps: list[float] = []
-    for ordinal in range(start_day, start_day + n_days):
-        if rng.random() >= active_day_probability:
-            continue
-        phase = phases[((ordinal - start_day) // rotation_days) % len(phases)]
-        n_posts = int(rng.poisson(posts_per_active_day))
-        if n_posts == 0:
-            continue
-        hours = model.sample_hours(n_posts, rng, chronotype_shift=phase)
-        for hour in hours:
-            timestamps.append(
-                ordinal * SECONDS_PER_DAY
-                + (float(hour) - utc_offset) * SECONDS_PER_HOUR
-            )
-    return ActivityTrace(user_id, timestamps)
+    """A rotating-shift worker: normal rhythm whose phase cycles 0/8/16 h.
+
+    The draws are a human poster's (:func:`~repro.synth.posting.active_day_draws`
+    at a constant active-day probability); each post's bin is searched in
+    the CDF of its day's phase.
+    """
+    if rotation_days == 0:
+        raise ValueError("rotation_days must be nonzero")
+    days, counts, draws, fractions = active_day_draws(
+        rng, [active_day_probability] * n_days, posts_per_active_day
+    )
+    post_phase = np.repeat((days // rotation_days) % len(_PHASES), counts)
+    hours = np.empty(draws.size)
+    for index, phase in enumerate(_PHASES):
+        on = post_phase == index
+        if on.any():
+            hours[on] = hours_from_uniforms(model.hour_cdf(phase), draws[on], fractions[on])
+    ordinals = start_day + np.repeat(days, counts)
+    return ActivityTrace(
+        user_id, ordinals * SECONDS_PER_DAY + (hours - utc_offset) * SECONDS_PER_HOUR
+    )

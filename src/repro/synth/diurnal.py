@@ -70,16 +70,37 @@ class DiurnalModel:
         )
         return float(value[0])
 
+    def hour_cdf(self, chronotype_shift: float = 0.0) -> np.ndarray:
+        """The CDF ``rng.choice(HOURS, n, p=self.pmf(shift))`` searches.
+
+        ``Generator.choice`` with *p* takes ``cdf = p.cumsum(); cdf /=
+        cdf[-1]`` and returns ``cdf.searchsorted(rng.random(n),
+        side="right")``; :func:`hours_from_uniforms` does the same search,
+        so a caller computes this once per curve instead of once per day.
+        Like ``choice``, it refuses a curve with no finite mass.
+        """
+        cdf = self.pmf(chronotype_shift).cumsum()
+        cdf /= cdf[-1]
+        if not np.isfinite(cdf).all():
+            raise ValueError(f"diurnal curve {self.name!r} has no finite mass")
+        return cdf
+
     def sample_hours(
         self,
         n: int,
         rng: np.random.Generator,
         chronotype_shift: float = 0.0,
     ) -> np.ndarray:
-        """Draw *n* fractional local hours from the (shifted) curve."""
-        pmf = self.pmf(chronotype_shift)
-        hours = rng.choice(HOURS, size=n, p=pmf)
-        return hours + rng.random(n)
+        """Draw *n* fractional local hours from the (shifted) curve.
+
+        One ``rng.random(2 * n)``: the first n uniforms pick the bins, the
+        last n are the fractions (:func:`hours_from_uniforms`).  These are
+        the draws, and the hours, of ``rng.choice(HOURS, n, p=pmf)``
+        followed by ``rng.random(n)``.
+        """
+        cdf = self.hour_cdf(chronotype_shift)
+        uniforms = rng.random(2 * n)
+        return hours_from_uniforms(cdf, uniforms[:n], uniforms[n:])
 
     def personalized(
         self,
@@ -102,6 +123,18 @@ class DiurnalModel:
         return DiurnalModel(
             name=f"{self.name}_personal", weights=tuple(weights.tolist())
         )
+
+
+def hours_from_uniforms(
+    cdf: np.ndarray, draws: np.ndarray, fractions: np.ndarray
+) -> np.ndarray:
+    """Fractional local hours: hour bins picked by *draws*, plus *fractions*.
+
+    A bin is what ``Generator.choice(HOURS, n, p=pmf)`` returns for the
+    same uniforms: their right-side search in the curve's
+    :meth:`DiurnalModel.hour_cdf`.
+    """
+    return np.searchsorted(cdf, draws, side="right") + fractions
 
 
 def _scaled(weights: tuple[float, ...], factors: dict[int, float]) -> tuple[float, ...]:

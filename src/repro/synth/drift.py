@@ -73,12 +73,22 @@ class DriftScenario:
         return frozenset(self.traces.user_ids()) - self.moved_ids
 
     def sorted_events(self) -> "list[tuple[float, str]]":
-        """(timestamp, user_id) pairs in arrival order for streaming."""
-        return sorted(
-            (float(timestamp), trace.user_id)
-            for trace in self.traces
-            for timestamp in trace.timestamps
+        """(timestamp, user_id) pairs in arrival order for streaming.
+
+        The order of ``sorted()`` on the pairs: by stamp, then by user id.
+        One stable ``np.lexsort`` over the stamp column and each post's
+        rank of id gives it (ids are unique, so the ranks order them as
+        ``sorted()`` does).
+        """
+        user_ids, lengths, stamps = self.traces.columns()
+        rank = np.empty(len(user_ids), dtype=np.int64)
+        rank[sorted(range(len(user_ids)), key=user_ids.__getitem__)] = np.arange(
+            len(user_ids)
         )
+        owner = np.repeat(np.arange(len(user_ids)), lengths)
+        order = np.lexsort((rank[owner], stamps))
+        ids = np.asarray(user_ids, dtype=object)[owner[order]]
+        return list(zip(stamps[order].tolist(), ids.tolist()))
 
 
 def _shift_after(

@@ -44,9 +44,10 @@ def build_twitter_dataset(
 ) -> LabeledDataset:
     """Generate the synthetic Table I dataset.
 
-    ``scale=1.0`` reproduces the paper's exact user counts (~23k users --
-    minutes of CPU); the default 2% keeps unit tests fast while leaving
-    every region with enough users for stable placement distributions.
+    ``scale=1.0`` reproduces the paper's exact user counts (~23k users,
+    about 8 million posts: about 8 s on a 2-core host); the default 2%
+    generates in a fraction of a second while leaving every region with
+    enough users for stable placement distributions.
     """
     rng = np.random.default_rng(seed)
     crowds: dict[str, TraceSet] = {}

@@ -14,7 +14,7 @@ against the standard library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, overload
 
 import numpy as np
 
@@ -109,6 +109,41 @@ def ordinal_to_civil(ordinal: int) -> CivilDate:
         remaining -= days_in_month(year, month)
         month += 1
     return CivilDate(year, month, remaining + 1)
+
+
+#: Days from 0000-03-01 to the epoch: :func:`civil_year` counts years
+#: from March, so each leap day closes its year.
+_MARCH_0000_TO_EPOCH = 736269
+
+#: Days in 400 Gregorian years.
+_DAYS_PER_ERA = 146097
+
+
+@overload
+def civil_year(ordinal: int) -> int: ...
+
+
+@overload
+def civil_year(ordinal: IntArray) -> IntArray: ...
+
+
+def civil_year(ordinal: Any) -> Any:
+    """``ordinal_to_civil(ordinal).year`` in closed form, of an int or an int64 array.
+
+    Hinnant's days-to-civil arithmetic: no walk over the years, so the
+    DST rules (:mod:`repro.timebase.dst`) can find the year of any day
+    at the cost of a few integer operations.
+    """
+    era, day_of_era = divmod(ordinal + _MARCH_0000_TO_EPOCH, _DAYS_PER_ERA)
+    year_of_era = (
+        day_of_era
+        - day_of_era // 1460
+        + day_of_era // 36524
+        - day_of_era // (_DAYS_PER_ERA - 1)
+    ) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    # Days 306.. of a March-based year are January and February of the next.
+    return era * 400 + year_of_era + (day_of_year >= 306)
 
 
 def weekday(ordinal: int) -> int:

@@ -15,17 +15,31 @@ A rule answers one question: *is DST in effect on day ordinal d?* -- which
 is all the posting simulator and hemisphere classifier need.  Transitions
 are resolved at day granularity; the sub-day transition hour is irrelevant
 to 24-bin activity profiles.
+
+Each rule walks the calendar (two :func:`nth_weekday_of_month` calls) once
+per year it is asked about and keeps the two transition ordinals;
+:meth:`DstRule.is_dst` and its array form :meth:`DstRule.offset_adjustments`
+then answer from the day's year (:func:`civil_year`, closed form) and
+those ordinals.  The synthetic generator offsets every stamp by these
+answers, so they are part of its output: the calendar-walking rule they
+replaced is the oracle in ``tests/synth_oracle.py``, held equal on every
+day of 1990-2050.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
-from repro.timebase.clock import (
-    nth_weekday_of_month,
-    ordinal_to_civil,
-)
+import numpy as np
+
+from repro.timebase.clock import civil_year, nth_weekday_of_month
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+    from repro.core.types import IntArray
 
 _SUNDAY = 6
 
@@ -56,6 +70,11 @@ class DstRule:
     end_month: int = 0
     end_n: int = 0
     shift_hours: int = 1
+    #: ``year -> (start_ordinal(year), end_ordinal(year))``, filled by
+    #: :meth:`transitions`.
+    _transitions: dict[int, tuple[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def start_ordinal(self, year: int) -> int:
         """Day ordinal on which DST begins for *year*."""
@@ -65,21 +84,50 @@ class DstRule:
         """Day ordinal on which DST ends for *year* (exclusive)."""
         return nth_weekday_of_month(year, self.end_month, _SUNDAY, self.end_n)
 
+    def transitions(self, year: int) -> tuple[int, int]:
+        """``(start_ordinal(year), end_ordinal(year))``, walked once per year."""
+        pair = self._transitions.get(year)
+        if pair is None:
+            pair = self._transitions[year] = (
+                self.start_ordinal(year),
+                self.end_ordinal(year),
+            )
+        return pair
+
+    def _in_effect(self, ordinal: Any, start: Any, end: Any) -> Any:
+        """The rule's interval test, on ints or on aligned int64 arrays."""
+        if self.observance is DstObservance.NORTHERN:
+            return (start <= ordinal) & (ordinal < end)
+        # Southern rules wrap the new year: in effect from the spring start
+        # (Oct-ish) through the end of the year, and from the start of the
+        # year until the autumn end (Feb/Apr-ish).
+        return (ordinal >= start) | (ordinal < end)
+
     def is_dst(self, ordinal: int) -> bool:
         """Return True when DST is in effect on day *ordinal*."""
         if self.observance is DstObservance.NONE:
             return False
-        year = ordinal_to_civil(ordinal).year
-        if self.observance is DstObservance.NORTHERN:
-            return self.start_ordinal(year) <= ordinal < self.end_ordinal(year)
-        # Southern rules wrap the new year: in effect from the spring start
-        # (Oct-ish) through the end of the year, and from the start of the
-        # year until the autumn end (Feb/Apr-ish).
-        return ordinal >= self.start_ordinal(year) or ordinal < self.end_ordinal(year)
+        ordinal = int(ordinal)
+        return bool(self._in_effect(ordinal, *self.transitions(civil_year(ordinal))))
 
     def offset_adjustment(self, ordinal: int) -> int:
         """Hours to add to the standard offset on day *ordinal* (0 or shift)."""
         return self.shift_hours if self.is_dst(ordinal) else 0
+
+    def offset_adjustments(self, ordinals: ArrayLike) -> IntArray:
+        """:meth:`offset_adjustment` of every day in an int array, as int64."""
+        days = np.asarray(ordinals, dtype=np.int64)
+        if self.observance is DstObservance.NONE or days.size == 0:
+            return np.zeros(days.shape, dtype=np.int64)
+        years = civil_year(days)
+        first = int(years.min())
+        table = np.array(
+            [self.transitions(year) for year in range(first, int(years.max()) + 1)],
+            dtype=np.int64,
+        )
+        bounds = table[years - first]
+        in_effect = self._in_effect(days, bounds[..., 0], bounds[..., 1])
+        return np.where(in_effect, np.int64(self.shift_hours), np.int64(0))
 
 
 NO_DST = DstRule(name="none", observance=DstObservance.NONE)

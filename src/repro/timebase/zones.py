@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ZoneError
 from repro.timebase.dst import (
@@ -25,6 +26,11 @@ from repro.timebase.dst import (
     US_RULE,
     DstRule,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+    from repro.core.types import IntArray
 
 #: The integer zone offsets used for placement, in plotting order.
 ZONE_OFFSETS = tuple(range(-11, 13))
@@ -79,6 +85,10 @@ class Region:
     def utc_offset_at(self, ordinal: int) -> int:
         """Effective UTC offset (standard + DST adjustment) on day *ordinal*."""
         return self.base_offset + self.dst_rule.offset_adjustment(ordinal)
+
+    def utc_offsets(self, ordinals: ArrayLike) -> IntArray:
+        """:meth:`utc_offset_at` of every day in an int array, as int64."""
+        return self.base_offset + self.dst_rule.offset_adjustments(ordinals)
 
     @property
     def zone(self) -> TimeZone:

@@ -83,3 +83,53 @@ def test_stats_refuses_a_manifest_without_its_command(tmp_path, capsys):
     with pytest.raises(SystemExit, match="run manifest has no 'command' field"):
         main(["stats", str(path)])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_load_artifact_reads_each_file_once(monkeypatch, artifact):
+    """The kind is found and the content parsed from one read of the file."""
+    from repro.obs.artifacts import load_artifact
+
+    reads: list[Path] = []
+    read_text = Path.read_text
+
+    def counted(self: Path, *args: object, **kwargs: object) -> str:
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    kind, _ = load_artifact(FIXTURE_DIR / artifact)
+    assert kind
+    assert reads == [FIXTURE_DIR / artifact]
+
+
+@pytest.mark.parametrize(
+    "artifact, loader",
+    [
+        ("series.jsonl", "repro.obs.timeseries:load_series_jsonl"),
+        ("health.jsonl", "repro.obs.health:load_health_jsonl"),
+        ("profile.json", "repro.obs.profiler:load_profile"),
+    ],
+)
+def test_path_loaders_and_load_artifact_agree(artifact, loader):
+    """Each kind has one parser; its path loader and ``load_artifact`` share it."""
+    import importlib
+
+    from repro.obs.artifacts import load_artifact
+
+    module, name = loader.split(":")
+    by_path = getattr(importlib.import_module(module), name)(FIXTURE_DIR / artifact)
+    _, content = load_artifact(FIXTURE_DIR / artifact)
+    if artifact == "series.jsonl":
+        assert content.header == by_path.header and content.names() == by_path.names()
+    else:
+        assert content == by_path
+
+
+def test_a_wrong_kind_is_refused_naming_the_path(tmp_path):
+    from repro.obs.timeseries import load_series_jsonl
+
+    path = tmp_path / "not-series.jsonl"
+    path.write_text(_frozen("health.jsonl"), encoding="utf-8")
+    with pytest.raises(ValueError, match="not-series.jsonl: expected kind"):
+        load_series_jsonl(path)
