@@ -2,7 +2,7 @@
 
 These are true pytest-benchmark timings (many rounds): EMD evaluation,
 the vectorised placement matrix, Eq. 1 profile construction, EM fitting,
-mixture selection and the Tor RPC round trip.  They guard against
+mixture selection and the end-to-end geolocation.  They guard against
 performance regressions in the code the figure benches lean on.
 """
 
@@ -123,24 +123,3 @@ def test_geolocate_end_to_end_speed(benchmark, crowd_5k):
     locator = CrowdGeolocator()
     report = benchmark(locator.geolocate, crowd_5k)
     assert report.n_users > 4_000
-
-
-def test_tor_rpc_roundtrip_speed(benchmark):
-    from repro.forum.engine import ForumServer
-    from repro.tor.hidden_service import HiddenServiceHost, TorClient
-    from repro.tor.network import build_network
-
-    network = build_network(seed=7)
-    forum = ForumServer("F", "x.onion")
-    forum.import_crowd_posts({"u": [float(i) for i in range(50)]})
-    host = HiddenServiceHost(
-        network=network,
-        application=forum,
-        private_key="k",
-        rng=np.random.default_rng(7),
-    )
-    descriptor = host.setup()
-    client = TorClient(network, seed=8)
-    remote = client.connect(descriptor.onion, {descriptor.onion: host})
-    total = benchmark(remote.total_posts)
-    assert total == 50

@@ -54,7 +54,7 @@ def test_extension_bootstrap_confidence(benchmark, context, artifact_writer):
     def run():
         output = []
         for key in ("idc", "dream_market"):
-            study = run_forum_case_study(key, context, via_tor=False)
+            study = run_forum_case_study(key, context)
             boot = bootstrap_mixture(
                 study.report.user_zones,
                 study.report.mixture,

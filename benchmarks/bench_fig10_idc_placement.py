@@ -15,7 +15,6 @@ def test_fig10_idc_placement(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("idc", context),
-        kwargs={"via_tor": True},
         rounds=1,
         iterations=1,
     )

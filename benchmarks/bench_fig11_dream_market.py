@@ -15,7 +15,6 @@ def test_fig11_dream_market(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("dream_market", context),
-        kwargs={"via_tor": True},
         rounds=1,
         iterations=1,
     )

@@ -15,7 +15,6 @@ def test_fig12_majestic_garden(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("majestic_garden", context),
-        kwargs={"via_tor": True},
         rounds=1,
         iterations=1,
     )

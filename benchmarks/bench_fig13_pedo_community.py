@@ -18,7 +18,7 @@ def test_fig13_pedo_community(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("pedo_community", context),
-        kwargs={"via_tor": True, "hemisphere_top_n": 5},
+        kwargs={"hemisphere_top_n": 5},
         rounds=1,
         iterations=1,
     )

@@ -15,7 +15,6 @@ def test_fig8_crd_profile(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("crd_club", context),
-        kwargs={"via_tor": True},
         rounds=1,
         iterations=1,
     )

@@ -16,7 +16,7 @@ def test_fig9_crd_placement(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("crd_club", context),
-        kwargs={"via_tor": True, "seed": 8},
+        kwargs={"seed": 8},
         rounds=1,
         iterations=1,
     )

@@ -56,7 +56,7 @@ def test_hemisphere_pedo_forum(benchmark, context, artifact_writer):
     study = benchmark.pedantic(
         run_forum_case_study,
         args=("pedo_community", context),
-        kwargs={"via_tor": False, "hemisphere_top_n": 5, "seed": 11},
+        kwargs={"hemisphere_top_n": 5, "seed": 11},
         rounds=1,
         iterations=1,
     )

@@ -30,7 +30,7 @@ def test_table2_fitting_metrics(benchmark, context, artifact_writer):
     rows = benchmark.pedantic(
         run_table2,
         args=(context,),
-        kwargs={"forum_scale": 1.0, "via_tor": False},
+        kwargs={"forum_scale": 1.0},
         rounds=1,
         iterations=1,
     )

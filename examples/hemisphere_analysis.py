@@ -47,7 +47,7 @@ def main() -> None:
     print()
     print("applying to the Pedo Support Community's most active users...")
     study = run_forum_case_study(
-        "pedo_community", context, scale=1.0, via_tor=False, hemisphere_top_n=5
+        "pedo_community", context, scale=1.0, hemisphere_top_n=5
     )
     for result in study.report.hemisphere:
         print(

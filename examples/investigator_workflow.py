@@ -8,18 +8,17 @@ The scenario from the paper's introduction: an authority wants "important
 initial information about the geographical origin of the users of a
 particular forum".  This example chains everything the library offers:
 
-1. reach the hidden service through the simulated Tor network,
-2. calibrate the server clock and dump (author id, timestamp) pairs,
-3. store only pseudonymised pairs, encrypted, with bounded retention
-   (the paper's Sec. VIII commitments),
-4. geolocate the crowd with bootstrap confidence intervals,
-5. run the hemisphere test and the DST rule-family test on the most
+1. calibrate the forum's server clock with a probe post and dump
+   (author id, timestamp) pairs -- nothing else is collected,
+2. geolocate the crowd with bootstrap confidence intervals,
+3. run the hemisphere test and the DST rule-family test on the most
    active users for finer-grained origin evidence.
+
+The paper reached the forum over Tor; the access path carries the same
+pairs, so the scraper talks to the forum directly.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.analysis.experiments import make_context
 from repro.core.confidence import bootstrap_mixture
@@ -28,10 +27,7 @@ from repro.core.geolocate import CrowdGeolocator
 from repro.core.hemisphere import classify_most_active
 from repro.forum.engine import ForumServer
 from repro.forum.scraper import ForumScraper
-from repro.forum.storage import TraceStore
 from repro.synth.forums import FORUM_SPECS, build_forum_crowd
-from repro.tor.hidden_service import HiddenServiceHost, TorClient
-from repro.tor.network import build_network
 
 
 def main() -> None:
@@ -49,28 +45,13 @@ def main() -> None:
             for trace in crowd.traces
         }
     )
-    network = build_network(seed=11)
-    host = HiddenServiceHost(
-        network=network,
-        application=forum,
-        private_key="case-42",
-        rng=np.random.default_rng(11),
-    )
-    descriptor = host.setup()
 
-    # --- 1-2: reach it over Tor, calibrate, dump ------------------------
-    client = TorClient(network, seed=12)
-    remote = client.connect(descriptor.onion, {descriptor.onion: host})
-    scrape = ForumScraper(remote).scrape(utc_now=float(370 * 86400))
+    # --- 1: calibrate, dump ---------------------------------------------
+    scrape = ForumScraper(forum).scrape(utc_now=float(370 * 86400))
     print(f"scraped: {scrape.summary()}")
+    traces = scrape.traces
 
-    # --- 3: ethics-compliant storage ------------------------------------
-    store = TraceStore(b"case-42-master-key", retention_seconds=90 * 86400.0)
-    store.put("case-42", scrape.traces, stored_at=0.0)
-    traces = store.get("case-42", b"case-42-master-key", read_at=86400.0)
-    print(f"stored + reloaded {len(traces)} pseudonymised traces")
-
-    # --- 4: geolocate with confidence -----------------------------------
+    # --- 2: geolocate with confidence -----------------------------------
     report = CrowdGeolocator(context.references).geolocate(
         traces, crowd_name=spec.name
     )
@@ -87,7 +68,7 @@ def main() -> None:
         )
     print(f"  component count stable in {boot.k_stability:.0%} of resamples")
 
-    # --- 5: fine-grained origin on the most active users ----------------
+    # --- 3: fine-grained origin on the most active users ----------------
     print("\nmost active users:")
     for hemisphere_result in classify_most_active(traces, 5):
         family = classify_dst_family(traces[hemisphere_result.user_id])

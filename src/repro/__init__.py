@@ -20,7 +20,6 @@ Packages:
 * :mod:`repro.synth`    -- synthetic crowd/behaviour generators standing in
   for the Twitter grab and the Dark Web scrapes,
 * :mod:`repro.forum`    -- a Dark Web-style forum engine plus scraper,
-* :mod:`repro.tor`      -- a simulated Tor network with hidden services,
 * :mod:`repro.datasets` -- dataset containers, filters and serialisation,
 * :mod:`repro.analysis` -- per-table/figure experiment drivers & reports.
 """

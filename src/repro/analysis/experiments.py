@@ -49,8 +49,6 @@ from repro.synth.forums import (
 from repro.synth.twitter import build_region_crowd, build_twitter_dataset
 from repro.timebase.clock import SECONDS_PER_DAY
 from repro.timebase.zones import Hemisphere, get_region
-from repro.tor.hidden_service import HiddenServiceHost, TorClient
-from repro.tor.network import build_network
 
 
 @dataclass(frozen=True)
@@ -326,7 +324,7 @@ def run_fig7_flat(
 
 @dataclass(frozen=True)
 class ForumCaseStudy:
-    """One forum, end to end: scrape over Tor, geolocate, compare."""
+    """One forum, end to end: populate, scrape, geolocate, compare."""
 
     spec: ForumSpec
     scrape: ScrapeResult
@@ -344,16 +342,16 @@ def run_forum_case_study(
     *,
     seed: int = 7,
     scale: float = 1.0,
-    via_tor: bool = True,
     hemisphere_top_n: int = 0,
 ) -> ForumCaseStudy:
     """Figs. 8-13: populate a hidden-service forum, scrape it, geolocate.
 
-    The full collection path is exercised: the synthetic crowd's posts go
-    into a forum whose server clock is offset from UTC; the scraper
-    reaches the forum through a simulated Tor rendezvous (unless
-    ``via_tor=False``), calibrates the offset with a probe post and dumps
-    (author, timestamp) pairs; the geolocator does the rest.
+    The collection path the method sees is exercised: the synthetic
+    crowd's posts go into a forum whose server clock is offset from UTC;
+    the scraper calibrates the offset with a probe post and dumps
+    (author, timestamp) pairs; the geolocator does the rest.  The scraper
+    talks to the forum directly, since the Tor access path of Sec. II
+    carries the same pairs.
     """
     context = context or make_context()
     spec = FORUM_SPECS[forum_key]
@@ -370,22 +368,7 @@ def run_forum_case_study(
     )
 
     scrape_time = float((context.n_days + 1) * SECONDS_PER_DAY)
-    if via_tor:
-        network = build_network(seed=seed)
-        host = HiddenServiceHost(
-            network=network,
-            application=forum,
-            private_key=f"key-{spec.key}",
-            rng=np.random.default_rng(seed),
-        )
-        descriptor = host.setup()
-        client = TorClient(network, seed=seed)
-        remote = client.connect(descriptor.onion, {descriptor.onion: host})
-        scraper = ForumScraper(remote)
-        scrape = scraper.scrape(scrape_time)
-        remote.disconnect()
-    else:
-        scrape = ForumScraper(forum).scrape(scrape_time)
+    scrape = ForumScraper(forum).scrape(scrape_time)
 
     geolocator = CrowdGeolocator(context.references)
     report = geolocator.geolocate(
@@ -425,7 +408,6 @@ def run_table2(
     *,
     forum_scale: float = 1.0,
     seed: int = 7,
-    via_tor: bool = False,
 ) -> list[Table2Row]:
     """Table II: fit-quality metrics for every placement + the baseline."""
     context = context or make_context()
@@ -462,9 +444,7 @@ def run_table2(
         ("majestic_garden", "The Majestic Garden"),
         ("pedo_community", "Pedo support community"),
     ):
-        study = run_forum_case_study(
-            forum_key, context, seed=seed, scale=forum_scale, via_tor=via_tor
-        )
+        study = run_forum_case_study(forum_key, context, seed=seed, scale=forum_scale)
         metrics = study.report.fit_metrics
         rows.append(Table2Row(label, metrics.average, metrics.standard_deviation))
 

@@ -64,9 +64,7 @@ def run_seed_stability(
         both_hits = 0
         centers = []
         for seed in seeds:
-            study = run_forum_case_study(
-                forum_key, context, seed=seed, scale=scale, via_tor=False
-            )
+            study = run_forum_case_study(forum_key, context, seed=seed, scale=scale)
             mixture = study.report.mixture
             dominant = mixture.dominant().mean
             centers.append(dominant)

@@ -156,7 +156,6 @@ def _cmd_fig(context, args) -> None:
             _FIG_FORUMS[number],
             context,
             scale=args.forum_scale,
-            via_tor=not args.no_tor,
             hemisphere_top_n=5 if number == 13 else 0,
         )
         if number == 8:
@@ -184,9 +183,7 @@ def _cmd_fig(context, args) -> None:
 
 
 def _cmd_table2(context, args) -> None:
-    rows = run_table2(
-        context, forum_scale=args.forum_scale, via_tor=not args.no_tor
-    )
+    rows = run_table2(context, forum_scale=args.forum_scale)
     print(
         ascii_table(
             ["Dataset", "Average", "Standard deviation"],
@@ -218,7 +215,6 @@ def _cmd_hemisphere(context, args) -> None:
         "pedo_community",
         context,
         scale=args.forum_scale,
-        via_tor=not args.no_tor,
         hemisphere_top_n=5,
     )
     print("\nPedo Support Community, 5 most active users:")
@@ -1112,11 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="fraction of each forum's crowd to generate",
-    )
-    parser.add_argument(
-        "--no-tor",
-        action="store_true",
-        help="scrape forums directly instead of via the simulated Tor path",
     )
     parser.add_argument(
         "--fast",

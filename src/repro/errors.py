@@ -71,19 +71,3 @@ class CorruptTraceError(ReproError):
 
 class CheckpointError(ReproError):
     """A campaign checkpoint could not be written, read or applied."""
-
-
-class TorError(ReproError):
-    """A failure inside the simulated Tor substrate."""
-
-
-class CircuitError(TorError):
-    """A Tor circuit could not be built or used."""
-
-
-class DescriptorError(TorError):
-    """A hidden-service descriptor could not be published or fetched."""
-
-
-class StorageError(ReproError):
-    """The trace store rejected an operation (bad key, expired data...)."""

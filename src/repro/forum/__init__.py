@@ -1,16 +1,22 @@
-"""Dark Web forum substrate: server engine, scraper client, trace store.
+"""Dark Web forum substrate: server engine, scraper client, monitor.
 
 The paper's data-collection path (Sec. V): sign up on the forum, post in
 the Welcome/Spam thread to calibrate the offset between server time and
 UTC, then dump every post's (author id, timestamp) pair.  This package
-implements both sides of that interaction:
+implements both sides of that interaction, plus the timestamp-less case
+of Sec. VII:
 
 * :mod:`repro.forum.engine`  -- the forum server (users, threads, posts,
-  a server clock with an arbitrary UTC offset),
+  a server clock with an arbitrary UTC offset, optional publication
+  delay and timestamp jitter),
 * :mod:`repro.forum.scraper` -- the researcher's client performing the
   signup / probe-post / offset-calibration / dump procedure,
-* :mod:`repro.forum.storage` -- the minimal encrypted trace store the
-  ethics section (Sec. VIII) describes.
+* :mod:`repro.forum.monitor` -- the poller that reconstructs post times
+  on a forum that shows none.
+
+The scraper talks to the server directly: the method reads only (author
+id, timestamp) pairs, so the Tor access path of Sec. II cannot change
+what it sees.
 """
 
 from repro.forum.engine import Board, ForumServer, Post, Thread
@@ -21,7 +27,6 @@ from repro.forum.scraper import (
     ScrapeResult,
     normalize_offset_hours,
 )
-from repro.forum.storage import TraceStore
 
 __all__ = [
     "Board",
@@ -35,5 +40,4 @@ __all__ = [
     "ForumScraper",
     "ScrapeResult",
     "normalize_offset_hours",
-    "TraceStore",
 ]

@@ -26,6 +26,7 @@ from typing import Any, Callable
 from repro.core.events import ActivityTrace, TraceSet
 from repro.errors import ForumError, RetryExhaustedError, TransientForumError
 from repro.forum.engine import PROBE_THREADS
+from repro.forum.monitor import check_campaign
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger, log_event
 from repro.reliability.checkpoint import read_checkpoint, write_checkpoint
@@ -97,11 +98,11 @@ class ForumScraper:
     """Signs up, calibrates the server clock, dumps author/timestamp pairs.
 
     *forum* is anything exposing the :class:`repro.forum.engine.ForumServer`
-    API -- the engine itself, the Tor-side remote proxy, or a
-    :class:`~repro.reliability.faults.FlakyForumProxy`.  When *retry_policy*
-    is given, every forum call is retried under it (transient failures
-    only); *clock* is the clock backoff sleeps run on (tests inject a
-    :class:`~repro.reliability.clocks.ManualClock`).
+    API -- the engine itself or a
+    :class:`~repro.reliability.faults.FlakyForumProxy` around it.  When
+    *retry_policy* is given, every forum call is retried under it
+    (transient failures only); *clock* is the clock backoff sleeps run on
+    (tests inject a :class:`~repro.reliability.clocks.ManualClock`).
     """
 
     def __init__(
@@ -243,12 +244,11 @@ class ForumScraper:
         than aborting the campaign, and after every completed poll the
         full campaign state is checkpointed to *checkpoint_path* (when
         given).  With ``resume=True`` the campaign restarts from the
-        checkpoint's last completed poll instead of from *start*.
+        checkpoint's last completed poll instead of from *start*.  A
+        schedule that :func:`~repro.forum.monitor.check_campaign` refuses
+        raises :class:`ForumError` before the first poll.
         """
-        if poll_interval <= 0:
-            raise ForumError(f"poll interval must be positive: {poll_interval}")
-        if end <= start:
-            raise ForumError("campaign must end after it starts")
+        check_campaign(start, end, poll_interval, checkpoint_every=1)
 
         offset_hours: float | None = None
         seen_ids: set[int] = set()

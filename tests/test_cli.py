@@ -24,7 +24,6 @@ class TestParser:
         args = build_parser().parse_args(["table1"])
         assert args.scale == 0.04
         assert args.forum_scale == 1.0
-        assert not args.no_tor
 
     def test_fast_flag(self):
         args = build_parser().parse_args(["--fast", "table1"])
@@ -58,12 +57,7 @@ class TestCommands:
             main(["--scale", "0.02", "fig", "99"])
 
     def test_fig10_fast_forum(self, capsys):
-        assert (
-            main(
-                ["--scale", "0.02", "--forum-scale", "0.4", "--no-tor", "fig", "10"]
-            )
-            == 0
-        )
+        assert main(["--scale", "0.02", "--forum-scale", "0.4", "fig", "10"]) == 0
         out = capsys.readouterr().out
         assert "Italian DarkNet Community" in out
         assert "recovered" in out

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from forum_fixtures import CASES, FIXTURE_PATH, run_case
 from repro.analysis.experiments import (
     run_fig1_user_profile,
     run_fig2_profiles,
@@ -85,31 +88,38 @@ class TestFig7:
 
 
 class TestForumCaseStudies:
-    def test_idc_end_to_end_over_tor(self, context):
-        study = run_forum_case_study("idc", context, scale=1.0, via_tor=True)
+    def test_idc_end_to_end(self, context):
+        study = run_forum_case_study("idc", context, scale=1.0)
         assert study.scrape.server_offset_hours == pytest.approx(1.0)
         assert study.report.mixture.k == 1
         assert 0.5 <= study.report.mixture.dominant().mean <= 2.8
 
     def test_dream_market_two_components(self, context):
-        study = run_forum_case_study(
-            "dream_market", context, scale=0.5, via_tor=False
-        )
+        study = run_forum_case_study("dream_market", context, scale=0.5)
         assert study.report.mixture.k == 2
         zones = sorted(study.report.zone_offsets())
         assert abs(zones[0] - (-6)) <= 1
         assert abs(zones[1] - 1) <= 1
 
-    def test_tor_and_direct_agree(self, context):
-        direct = run_forum_case_study("idc", context, scale=0.5, via_tor=False)
-        tor = run_forum_case_study("idc", context, scale=0.5, via_tor=True)
-        assert direct.report.n_users == tor.report.n_users
-        assert direct.report.placement.fractions == tor.report.placement.fractions
+
+class TestFrozenCaseStudies:
+    """Figs. 8-13's scrapes and verdicts replay the frozen record exactly.
+
+    ``tests/fixtures/forum/case_studies.json`` was recorded through the
+    simulated Tor rendezvous the forum case studies used to scrape over,
+    and checked against a direct scrape (see ``tests/forum_fixtures.py``).
+    """
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_case_matches_the_frozen_record(self, context, name):
+        frozen = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
+        assert frozen.keys() == CASES.keys()
+        assert run_case(name, context) == frozen[name]
 
 
 class TestTable2:
     def test_baseline_dominates(self, context):
-        rows = run_table2(context, forum_scale=0.35, via_tor=False)
+        rows = run_table2(context, forum_scale=0.35)
         labels = [row.dataset for row in rows]
         assert labels[0] == "Malaysian Twitter"
         assert labels[-1] == "Baseline"

@@ -1,7 +1,7 @@
 """Cross-module integration: the full paper pipeline, end to end.
 
 These tests exercise the complete story at a reduced scale:
-synthetic crowd -> hidden-service forum (skewed clock) -> Tor rendezvous
+synthetic crowd -> hidden-service forum (skewed clock) -> probe-calibrated
 scrape -> polishing -> EMD placement -> GMM decomposition -> verdicts.
 """
 
@@ -13,16 +13,13 @@ import pytest
 from repro.core.geolocate import CrowdGeolocator
 from repro.forum.engine import ForumServer
 from repro.forum.scraper import ForumScraper
-from repro.forum.storage import TraceStore
 from repro.synth.forums import FORUM_SPECS, build_forum_crowd
 from repro.synth.twitter import build_twitter_dataset
-from repro.tor.hidden_service import HiddenServiceHost, TorClient
-from repro.tor.network import build_network
 
 
 @pytest.fixture(scope="module")
 def idc_stack():
-    """A populated IDC-like hidden service plus its connected client."""
+    """A populated IDC-like hidden-service forum and its crowd."""
     spec = FORUM_SPECS["idc"]
     crowd = build_forum_crowd(spec, seed=5, scale=0.8, n_days=366)
     forum = ForumServer(
@@ -34,23 +31,13 @@ def idc_stack():
             for trace in crowd.traces
         }
     )
-    network = build_network(seed=5)
-    host = HiddenServiceHost(
-        network=network,
-        application=forum,
-        private_key="idc-key",
-        rng=np.random.default_rng(5),
-    )
-    descriptor = host.setup()
-    client = TorClient(network, seed=6)
-    remote = client.connect(descriptor.onion, {descriptor.onion: host})
-    return crowd, forum, remote, client
+    return crowd, forum
 
 
 class TestFullPath:
     def test_scrape_recovers_true_utc(self, idc_stack):
-        crowd, _, remote, _ = idc_stack
-        scrape = ForumScraper(remote).scrape(float(370 * 86400))
+        crowd, forum = idc_stack
+        scrape = ForumScraper(forum).scrape(float(370 * 86400))
         assert scrape.server_offset_hours == pytest.approx(1.0)
         # Pick any original user and compare recovered timestamps exactly.
         user = crowd.traces.user_ids()[0]
@@ -59,8 +46,8 @@ class TestFullPath:
         )
 
     def test_geolocation_after_scrape(self, idc_stack, references):
-        _, _, remote, _ = idc_stack
-        scrape = ForumScraper(remote).scrape(float(370 * 86400))
+        _, forum = idc_stack
+        scrape = ForumScraper(forum).scrape(float(370 * 86400))
         report = CrowdGeolocator(references).geolocate(
             scrape.traces, crowd_name="IDC"
         )
@@ -70,28 +57,6 @@ class TestFullPath:
         assert report.mixture.k <= 2
         assert dominant.weight >= 0.75
         assert 0.3 <= dominant.mean <= 2.9
-
-    def test_tor_client_accounting(self, idc_stack):
-        _, _, _, client = idc_stack
-        assert client.rpc_count >= 1
-        assert client.total_latency_ms > 0.0
-
-
-class TestEthicsChain:
-    def test_scrape_store_reload_geolocate(self, idc_stack, references):
-        """The Sec. VIII workflow: store only pseudonymised pairs, reload,
-        and verify the analysis result is unchanged."""
-        _, _, remote, _ = idc_stack
-        scrape = ForumScraper(remote).scrape(float(370 * 86400))
-        direct_report = CrowdGeolocator(references).geolocate(scrape.traces)
-
-        store = TraceStore(b"longenoughkey-123")
-        store.put("idc", scrape.traces, stored_at=0.0)
-        reloaded = store.get("idc", b"longenoughkey-123", read_at=10.0)
-        stored_report = CrowdGeolocator(references).geolocate(reloaded)
-
-        assert stored_report.placement.fractions == direct_report.placement.fractions
-        assert stored_report.n_users == direct_report.n_users
 
 
 class TestKnownOriginValidation:

@@ -121,21 +121,3 @@ class TestForumMonitor:
         forum = _forum_with_live_posts()
         result = ForumMonitor(forum).run_campaign(0.0, 2 * 86400.0, 3600.0)
         assert "polls" in result.summary()
-
-    def test_monitor_over_tor_proxy(self):
-        from repro.tor.hidden_service import HiddenServiceHost, TorClient
-        from repro.tor.network import build_network
-
-        network = build_network(seed=3)
-        forum = _forum_with_live_posts()
-        host = HiddenServiceHost(
-            network=network,
-            application=forum,
-            private_key="monitor-key",
-            rng=np.random.default_rng(3),
-        )
-        descriptor = host.setup()
-        client = TorClient(network, seed=4)
-        remote = client.connect(descriptor.onion, {descriptor.onion: host})
-        result = ForumMonitor(remote).run_campaign(0.0, 5 * 86400.0, 7200.0)
-        assert len(result.traces) == 2

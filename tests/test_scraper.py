@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.errors import ForumError
 from repro.forum.engine import ForumServer
 from repro.forum.scraper import ForumScraper, normalize_offset_hours
+
+DAY = 86400.0
 
 
 def _forum_with_history(offset_hours):
@@ -85,6 +90,61 @@ class TestScrape:
         assert np.allclose(
             base.traces["alice"].timestamps, skewed.traces["alice"].timestamps
         )
+
+
+class _DumpBudget:
+    """A forum that fails the test once it has served 100 dumps.
+
+    A campaign that never ends would otherwise poll (and post a probe)
+    forever instead of failing.
+    """
+
+    def __init__(self, forum):
+        self._forum = forum
+        self.n_dumps = 0
+
+    def visible_posts(self, *args, **kwargs):
+        self.n_dumps += 1
+        if self.n_dumps > 100:
+            raise AssertionError("campaign still polling after 100 dumps")
+        return self._forum.visible_posts(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._forum, name)
+
+
+class TestCampaignSchedule:
+    """``scrape_campaign`` refuses, before any poll, what it cannot run."""
+
+    @pytest.mark.parametrize(
+        ("end", "interval"),
+        [
+            (10 * DAY, 0.0),
+            (10 * DAY, -1.0),
+            (10 * DAY, math.nan),
+            (10 * DAY, math.inf),
+            (DAY, 3600.0),
+            (0.0, 3600.0),
+            (math.nan, 3600.0),
+            (math.inf, 3600.0),
+        ],
+        ids=[
+            "interval-zero",
+            "interval-negative",
+            "interval-nan",
+            "interval-inf",
+            "end-at-start",
+            "end-before-start",
+            "end-nan",
+            "end-inf",
+        ],
+    )
+    def test_refuses_a_schedule_it_cannot_run(self, end, interval):
+        forum = _DumpBudget(_forum_with_history(0))
+        with pytest.raises(ForumError):
+            ForumScraper(forum).scrape_campaign(DAY, end, interval)
+        assert forum.n_dumps == 0
+        assert not forum.is_member("crowd_researcher")  # no probe posted
 
 
 class TestOffsetNormalization:
